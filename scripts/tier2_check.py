@@ -3,8 +3,9 @@
 
 Runs every workload in the suite through all three execution engines
 (oracle, threaded, tier2) in both harnesses (native interpreter and the
-SDT VM) and asserts byte-identical architectural results *and* identical
-cycle totals — clean and under the pinned ``chaos:1234`` fault plan.
+SDT VM) and asserts byte-identical architectural results *and* an
+identical per-category cycle breakdown — clean and under the pinned
+``chaos:1234`` fault plan.
 The chaos variant exercises the deopt paths: superblock plans are
 perturbed mid-run, so compiled regions must bail to the threaded tier
 through their guards without drifting a single retired instruction.
@@ -17,9 +18,10 @@ tier hit the boundary exactly.
 The aggregate bar (any miss fails CI):
 
 * zero divergences across every workload x harness x variant cell,
-* zero region compile errors (``stats.tier2["compile_error"]``),
-* at least one promotion and at least one deopt observed overall —
-  a silently cold tier-2 run would pass the differential vacuously.
+* in each harness, zero region compile errors and at least one
+  promotion (``vm.stats.tier2`` / ``InterpreterTier2.stats``) — a
+  silently cold tier-2 run would pass the differential vacuously,
+* at least one deopt observed overall.
 
 Promotion is forced hot (``REPRO_TIER2_THRESHOLD=4``) so even tiny-scale
 runs form and re-enter regions.  Writes ``results/ci/TIER2_report.json``
@@ -72,8 +74,8 @@ def _native(program, engine: str, fuel: int | None, faults: str | None):
                 interp.iclass_counts.items(), key=lambda kv: kv[0].value
             )
         },
-        "cycles": model.total_cycles,
-        "tier2": {},
+        "cycles": model.breakdown(),
+        "tier2": dict(interp._tier2.stats) if interp._tier2 else {},
     }
 
 
@@ -99,7 +101,7 @@ def _sdt(program, engine: str, fuel: int | None, faults: str | None):
                 vm.iclass_counts.items(), key=lambda kv: kv[0].value
             )
         },
-        "cycles": vm.model.total_cycles,
+        "cycles": vm.model.breakdown(),
         "tier2": dict(vm.stats.tier2),
     }
 
@@ -123,8 +125,9 @@ def _diff_cell(failures, report, name, harness, variant, runner, program,
                     f"{cell}: {engine} diverged from oracle on {field}"
                 )
     stats = per_engine["tier2"]["tier2"]
+    totals = tier2_totals[harness]
     for key, value in stats.items():
-        tier2_totals[key] = tier2_totals.get(key, 0) + value
+        totals[key] = totals.get(key, 0) + value
     report["cells"].append({
         "workload": name, "harness": harness, "variant": variant,
         "retired": oracle["retired"], "cycles": oracle["cycles"],
@@ -137,7 +140,7 @@ def main() -> int:
     from repro.workloads import get_workload, workload_names
 
     failures: list[str] = []
-    tier2_totals: dict[str, int] = {}
+    tier2_totals: dict[str, dict[str, int]] = {"native": {}, "sdt": {}}
     report: dict = {"scale": SCALE, "threshold": int(THRESHOLD),
                     "cells": []}
 
@@ -154,24 +157,28 @@ def main() -> int:
               f"{name:16s} {len(failures)} failure(s) so far", flush=True)
 
     report["tier2_totals"] = tier2_totals
-    deopts = sum(v for k, v in tier2_totals.items()
-                 if k.startswith("deopt."))
-    if tier2_totals.get("promote", 0) == 0:
-        failures.append("tier2 never promoted a region (vacuous pass)")
+    for harness, totals in tier2_totals.items():
+        if totals.get("promote", 0) == 0:
+            failures.append(
+                f"{harness}: tier2 never promoted a region (vacuous pass)"
+            )
+        if totals.get("compile_error", 0):
+            failures.append(
+                f"{harness}: {totals['compile_error']} region compile "
+                "error(s)"
+            )
+    deopts = sum(v for totals in tier2_totals.values()
+                 for k, v in totals.items() if k.startswith("deopt."))
     if deopts == 0:
         failures.append("tier2 never deoptimized (guards untested)")
-    if tier2_totals.get("compile_error", 0):
-        failures.append(
-            f"{tier2_totals['compile_error']} region compile error(s)"
-        )
 
     report["failures"] = failures
     REPORT_PATH.parent.mkdir(parents=True, exist_ok=True)
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\n{len(report['cells'])} differential cells, "
-          f"{tier2_totals.get('promote', 0)} promotions, "
-          f"{deopts} deopts, "
-          f"{tier2_totals.get('compile_error', 0)} compile errors")
+    print(f"\n{len(report['cells'])} differential cells, {deopts} deopts")
+    for harness, totals in tier2_totals.items():
+        print(f"{harness:6s}: {totals.get('promote', 0)} promotions, "
+              f"{totals.get('compile_error', 0)} compile errors")
     print(f"report: {REPORT_PATH}")
 
     if failures:

@@ -28,6 +28,9 @@ Invariants the block layer relies on (see docs/performance.md):
   overshoot, callers execute a per-instruction prefix instead so runs
   stop at exactly the same retired count as the oracle engine.
 
+:class:`repro.machine.runner.BlockRunner` executes plans under these
+rules for both harnesses.
+
 The oracle engine remains the single source of SR32 semantics; every
 closure here must match it bit-for-bit (enforced by
 tests/test_engine_differential.py).  Unusual cases — writes to ``r0``,
@@ -546,17 +549,6 @@ class Superblock:
             f"Superblock(entry={self.entry_pc:#x}, n={self.n}, "
             f"term={self.term_iclass.value})"
         )
-
-
-def compile_block(
-    pairs: list[tuple[int, Instruction]],
-    cpu: CPUState,
-    mem: Memory,
-    syscalls: SyscallHandler,
-    class_cycles: dict[InstrClass, int] | None = None,
-) -> Superblock:
-    """Compile ``(pc, instruction)`` pairs into a :class:`Superblock`."""
-    return Superblock(pairs, cpu, mem, syscalls, class_cycles=class_cycles)
 
 
 def native_exit_event(model, block: Superblock, next_pc: int) -> None:

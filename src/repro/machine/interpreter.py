@@ -48,8 +48,8 @@ from repro.machine.engine import (
 )
 from repro.machine.errors import FuelExhausted, MemoryFault
 from repro.machine.executor import execute
-from repro.machine.loader import load_program
 from repro.machine.memory import PAGE_SHIFT
+from repro.machine.runner import BlockRunner
 
 DEFAULT_FUEL = 50_000_000
 
@@ -80,7 +80,7 @@ class RunResult:
         )
 
 
-class Interpreter:
+class Interpreter(BlockRunner):
     """Directly interprets a loaded program."""
 
     def __init__(
@@ -88,16 +88,15 @@ class Interpreter:
         program: Program,
         inputs: list[int] | None = None,
         observer: Callable[[int, Instruction, int], None] | None = None,
-        count_classes: bool = True,
         engine: str | None = None,
     ):
-        self.program = program
-        self.cpu, self.mem, self.syscalls = load_program(program, inputs)
+        super().__init__(
+            program, inputs,
+            observer.model if isinstance(observer, NativeCostObserver)
+            else None,
+        )
         self.observer = observer
-        self.count_classes = count_classes
         self.engine = resolve_engine(engine)
-        self.retired = 0
-        self.iclass_counts: Counter = Counter()
         self._decoded: dict[int, Instruction] = {}
         self._blocks: dict[int, Superblock] = {}
         self._tier2 = None
@@ -159,8 +158,7 @@ class Interpreter:
         next_pc = execute(instr, cpu, self.mem, self.syscalls)
         cpu.pc = next_pc
         self.retired += 1
-        if self.count_classes:
-            self.iclass_counts[instr.iclass] += 1
+        self.iclass_counts[instr.iclass] += 1
         if self.observer is not None:
             self.observer(pc, instr, next_pc)
 
@@ -173,7 +171,7 @@ class Interpreter:
             self.observer is None
             or isinstance(self.observer, NativeCostObserver)
         ):
-            self._run_threaded(fuel, tier2=self._tier2)
+            self._run_threaded(fuel)
         else:
             self._run_oracle(fuel)
         syscalls = self.syscalls
@@ -206,10 +204,9 @@ class Interpreter:
         must fire when execution actually reaches that PC, exactly as in
         the oracle loop.
         """
-        observer = self.observer
+        model = self.model
         class_cycles = (
-            observer.model.profile.class_cycles
-            if isinstance(observer, NativeCostObserver) else None
+            model.profile.class_cycles if model is not None else None
         )
         pairs = [(pc, self.fetch(pc))]
         probe = pc
@@ -230,15 +227,14 @@ class Interpreter:
         self._blocks[pc] = block
         return block
 
-    def _run_threaded(self, fuel: int, tier2=None) -> None:
+    def _run_threaded(self, fuel: int) -> None:
         cpu = self.cpu
         syscalls = self.syscalls
-        counts = self.iclass_counts
-        count_classes = self.count_classes
-        observer = self.observer
-        model = observer.model if observer is not None else None
+        model = self.model
         blocks = self._blocks
         block_at = self._block_at
+        run_block = self._run_block
+        tier2 = self._tier2
         threshold = tier2.threshold if tier2 is not None else 0
         remaining = fuel
 
@@ -250,78 +246,26 @@ class Interpreter:
             if block is None:
                 block = block_at(pc)
             n = block.n
-            if n <= remaining:
-                if tier2 is not None:
-                    region = block.region
-                    if region is None and block.hits >= threshold:
-                        region = tier2.try_promote(block)
-                    if region:
-                        # head-block fuel already checked (n <= remaining);
-                        # every further block is fuel-guarded in-region
-                        remaining = tier2.execute(region, remaining)
-                        continue
-                    block.hits += 1
-                fns = block.fns
-                k = 0
-                next_pc = pc
-                try:
-                    for fn in fns:
-                        next_pc = fn()
-                        k += 1
-                except BaseException:
-                    self._flush_partial(block, k, model)
-                    raise
-                self.retired += n
-                remaining -= n
-                if count_classes:
-                    for iclass, count in block.class_counts.items():
-                        counts[iclass] += count
-                if model is not None:
-                    model.charge_block(block.app_cycles)
-                    if block.term_iclass in CONTROL_CLASSES:
-                        native_exit_event(model, block, next_pc)
-                cpu.pc = next_pc
-            else:
-                # fuel runs out inside this block: retire exactly
-                # ``remaining`` instructions one at a time (the prefix
-                # never reaches the terminator, so no predictor events)
-                self._run_prefix(block, remaining, model)
-                remaining = 0
-
-    def _run_prefix(self, block: Superblock, limit: int, model) -> None:
-        """Execute the first ``limit`` instructions of a block."""
-        cpu = self.cpu
-        counts = self.iclass_counts
-        count_classes = self.count_classes
-        iclasses = block.iclasses
-        k = 0
-        try:
-            for fn in block.fns[:limit]:
-                fn()
-                k += 1
-                if count_classes:
-                    counts[iclasses[k - 1]] += 1
-                if model is not None:
-                    model.charge_instr(iclasses[k - 1])
-        except BaseException:
-            cpu.pc = block.pcs[min(k, block.n - 1)]
-            raise
-        finally:
-            self.retired += k
-        cpu.pc = block.pcs[limit] if limit < block.n else block.pcs[-1]
-
-    def _flush_partial(self, block: Superblock, k: int, model) -> None:
-        """Account a block's first ``k`` instructions after a fault."""
-        self.retired += k
-        if self.count_classes:
-            counts = self.iclass_counts
-            for iclass in block.iclasses[:k]:
-                counts[iclass] += 1
-        if model is not None:
-            for iclass in block.iclasses[:k]:
-                model.charge_instr(iclass)
-        # leave cpu.pc on the faulting instruction, like the oracle loop
-        self.cpu.pc = block.pcs[min(k, block.n - 1)]
+            if n > remaining:
+                # fuel runs out inside this block (before its terminator,
+                # the only place a block can exit): this raises after
+                # exactly ``remaining`` instructions
+                self._run_steps(block, remaining, fuel)
+            if tier2 is not None:
+                region = block.region
+                if region is None and block.hits >= threshold:
+                    region = tier2.try_promote(block)
+                if region:
+                    # head-block fuel already checked (n <= remaining);
+                    # every further block is fuel-guarded in-region
+                    remaining = tier2.execute(region, remaining)
+                    continue
+                block.hits += 1
+            next_pc = run_block(block)
+            remaining -= n
+            if model is not None and block.term_iclass in CONTROL_CLASSES:
+                native_exit_event(model, block, next_pc)
+            cpu.pc = next_pc
 
 
 def run_program(

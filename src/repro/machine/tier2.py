@@ -31,9 +31,17 @@ run stops, faults and charges exactly like the oracle engine.
 **Fault replay.**  Generated source has exactly one line per guest
 instruction, recorded in a line table.  When a body line raises, the
 recovery path reads the region frame's locals out of the traceback
-(registers), accounts the partially executed block per instruction and
-leaves ``cpu.pc`` on the faulting instruction — byte-for-byte what
-``_flush_partial`` does in the tiers below — then re-raises.
+(registers) and hands the partially executed block to
+:meth:`repro.machine.runner.BlockRunner._account_partial` — the same
+routine the whole-block body uses in the tiers below, so it leaves
+``cpu.pc`` on the faulting instruction — then re-raises.
+
+**One region builder.**  Both harnesses share :class:`_Regions`: the
+body-codegen walk, the growth loop, the source skeleton, execution and
+fault replay.  :class:`Tier2Runtime` (SDT) and :class:`InterpreterTier2`
+supply only their eligibility check, successor hook (the hottest patched
+link vs. the static edge), exit and boundary emitters, namespace and
+discard hooks.
 
 Regions never survive code mutation: the SDT runtime discards any region
 holding an invalidated fragment (wired into
@@ -42,15 +50,15 @@ cache flush; the interpreter runtime discards regions overlapping any
 watched-page write.  Promotion state is profile data, not architecture,
 so ``engine="tier2"`` stays fingerprint-exempt like the other engines.
 
-Tuning knobs (environment): ``REPRO_TIER2_THRESHOLD`` (promotions occur
-once a block has executed this many times, default 64) and
-``REPRO_TIER2_MAX_BLOCKS`` (region length cap, default 8).
+Tuning knob (environment): ``REPRO_TIER2_THRESHOLD`` (promotions occur
+once a block has executed this many times, default 64).
 """
 
 from __future__ import annotations
 
 import os
 import re
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from repro.host.costs import Category
@@ -59,11 +67,12 @@ from repro.isa.opcodes import CONTROL_CLASSES, InstrClass, Op
 from repro.isa.registers import REG_RA
 from repro.machine.cpu import s32
 from repro.machine.executor import _sdiv, _srem
+from repro.sdt.fragment import ExitKind, Fragment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.machine.engine import Superblock
     from repro.machine.interpreter import Interpreter
-    from repro.sdt.fragment import Fragment
+    from repro.machine.runner import BlockRunner
     from repro.sdt.vm import SDTVM
 
 U32 = 0xFFFFFFFF
@@ -72,19 +81,14 @@ _SBIT = 0x8000_0000
 #: Block executions before a promotion attempt (``REPRO_TIER2_THRESHOLD``).
 DEFAULT_PROMOTE_THRESHOLD = 64
 
-#: Maximum blocks per region (``REPRO_TIER2_MAX_BLOCKS``).
-DEFAULT_MAX_BLOCKS = 8
+#: Maximum blocks per region.
+MAX_REGION_BLOCKS = 8
 
 
 def promote_threshold() -> int:
     """Promotion threshold, overridable for tests/experiments."""
     return int(os.environ.get("REPRO_TIER2_THRESHOLD",
                               DEFAULT_PROMOTE_THRESHOLD))
-
-
-def max_region_blocks() -> int:
-    """Region size cap, overridable for tests/experiments."""
-    return int(os.environ.get("REPRO_TIER2_MAX_BLOCKS", DEFAULT_MAX_BLOCKS))
 
 
 # -- per-instruction source generation ---------------------------------------
@@ -331,15 +335,6 @@ def _compile_cached(source: str, filename: str):
     return code
 
 
-def _base_namespace(mem) -> dict:
-    return {
-        "_mlw": mem.load_word, "_mlh": mem.load_half, "_mlb": mem.load_byte,
-        "_msw": mem.store_word, "_msh": mem.store_half,
-        "_msb": mem.store_byte,
-        "_sx": s32, "_sdiv": _sdiv, "_srem": _srem,
-    }
-
-
 def _spill(used: list[int]) -> str:
     return "; ".join(f"_regs[{reg}] = r{reg}" for reg in used)
 
@@ -357,26 +352,299 @@ def _class_commit(class_counts) -> str:
     )
 
 
-def _recover_frame(region, exc):
-    """Locate the region frame in a traceback and map its faulting line.
+def _guard(cond: str, spill: str, *tail: str) -> str:
+    """A one-line guard: when ``cond`` holds, spill and run ``tail``."""
+    return _join(f"if {cond}: {spill or 'pass'}", *tail)
 
-    Returns ``(member_index, k, frame_locals)`` for a fault raised on a
-    body line, or ``None`` when the exception came from an exit call
-    after the state was already spilled and committed.
+
+def _body(pairs):
+    """Eligibility check and body codegen in a single walk.
+
+    Returns ``(lines, npc_expr, used_regs, written_regs, term)`` — the
+    per-instruction source lines (with their in-block index ``k``), the
+    expression for the next guest PC after the terminator, the non-zero
+    registers the body touches, the subset it writes and the last
+    instruction — or ``None`` when the block must stay on the threaded
+    tier.
     """
-    tb = exc.__traceback__
-    hit = None
-    while tb is not None:
-        if tb.tb_frame.f_code.co_filename == region.filename:
-            hit = tb
-        tb = tb.tb_next
-    if hit is None:
-        return None
-    entry = region.line_table.get(hit.tb_lineno)
-    if entry is None:
-        return None
-    member_idx, k = entry
-    return member_idx, k, hit.tb_frame.f_locals
+    lines: list[tuple[str, int]] = []
+    used: set[int] = set()
+    written: set[int] = set()
+    last = len(pairs) - 1
+    npc_expr = str((pairs[last][0] + 4) & U32)
+    for k, (pc, instr) in enumerate(pairs):
+        if k == last and instr.iclass in CONTROL_CLASSES:
+            gen = term_source(pc, instr)
+            if gen is None:
+                return None
+            line, npc_expr, regs, wr = gen
+        else:
+            gen = instr_source(pc, instr)
+            if gen is None:
+                return None
+            line, regs, wr = gen
+        used |= regs
+        if wr:
+            written.add(wr)
+        lines.append((line, k))
+    return lines, npc_expr, used, written, pairs[last][1]
+
+
+class Region:
+    """A compiled region: the function plus fault-replay metadata."""
+
+    __slots__ = ("fn", "members", "filename", "line_table", "used_regs",
+                 "member_meta", "source")
+
+    def __init__(self, fn, members, filename, line_table, used_regs,
+                 member_meta, source):
+        self.fn = fn
+        #: member blocks (interpreter) or fragments (SDT), head first
+        self.members = members
+        self.filename = filename
+        #: source line number -> (member index, in-block index)
+        self.line_table = line_table
+        self.used_regs = used_regs
+        #: per-member ``(pcs, iclasses)`` snapshots for fault replay —
+        #: snapshots, not live plans, because a store inside the region
+        #: may invalidate a member (clearing its plan) before a later
+        #: instruction faults
+        self.member_meta = member_meta
+        self.source = source
+
+    @property
+    def entry_pc(self) -> int:
+        return self.member_meta[0][0][0]
+
+
+class _Regions:
+    """Region formation, compilation, execution and fault replay.
+
+    Shared by both harnesses.  A subclass supplies the harness hooks:
+    ``_pairs`` (eligibility: a member's ``(pc, instruction)`` pairs, or
+    ``None``), ``_plan`` (a member's :class:`Superblock`), ``_successor``
+    (the edge to grow along), ``_namespace``, the ``_exit`` and
+    ``_boundary`` source emitters, and its discard hooks.  Promotions,
+    compile errors and discards are counted in ``stats``.
+    """
+
+    #: generated-code filename prefix (``<TAG 0xHEAD>``)
+    TAG = "tier2"
+
+    def __init__(self, owner: "BlockRunner", stats: Counter):
+        self.owner = owner
+        self.stats = stats
+        self.threshold = promote_threshold()
+        #: id(head member) -> region
+        self._regions: dict[int, Region] = {}
+
+    # -- promotion -----------------------------------------------------------
+
+    def _probe(self, member):
+        pairs = self._pairs(member)
+        return None if pairs is None else _body(pairs)
+
+    def try_promote(self, head) -> Region | None:
+        """Grow and compile a region headed by ``head``.
+
+        On success the region is installed on ``head.region``; on
+        ineligibility the sentinel ``False`` is stored so the member is
+        never probed again (a fresh block or fragment starts clean).
+        """
+        body = self._probe(head)
+        if body is None:
+            head.region = False
+            return None
+        members = [head]
+        bodies = [body]
+        keys: list = []
+        seen = {id(head)}
+        loop = False
+        current = head
+        while len(members) < MAX_REGION_BLOCKS:
+            edge = self._successor(current, bodies[-1], head)
+            if edge is None:
+                break
+            key, nxt = edge
+            if nxt is head:
+                keys.append(key)
+                loop = True
+                break
+            if id(nxt) in seen:
+                break
+            nxt_body = self._probe(nxt)
+            if nxt_body is None:
+                break
+            keys.append(key)
+            members.append(nxt)
+            bodies.append(nxt_body)
+            seen.add(id(nxt))
+            current = nxt
+        try:
+            region = self._compile(members, keys, loop, bodies)
+        except Exception:
+            # a compile failure must never take the run down — the
+            # threaded tier is always correct; surface it in stats so
+            # the tier-2 checks can assert it never happens
+            self.stats["compile_error"] += 1
+            head.region = False
+            return None
+        head.region = region
+        self._regions[id(head)] = region
+        self.stats["promote"] += 1
+        trace = self.owner.trace
+        if trace is not None:
+            trace.emit("tier2.promote", pc=region.entry_pc,
+                       blocks=len(members), loop=loop)
+        return region
+
+    # -- code generation -----------------------------------------------------
+
+    def _compile(self, members, keys, loop: bool, bodies) -> Region:
+        """Emit and compile the region source.
+
+        ``bodies`` carries the per-member :func:`_body` tuples the
+        promotion probe already generated — codegen never re-walks the
+        instructions.
+
+        Code-size discipline keeps ``compile()`` cheap (it dominates the
+        cost of a promotion): exits spill only registers the region
+        *writes* (anything else still equals its entry value in
+        ``_regs``), each internal boundary folds its guards into one
+        conditional, and the def line binds only names the body
+        references.
+        """
+        owner = self.owner
+        model = owner.model
+        mem = owner.mem
+        plans = [self._plan(member) for member in members]
+        used: set[int] = set()
+        written: set[int] = set()
+        for _lines, _npc, regs, wregs, _term in bodies:
+            used |= regs
+            written |= wregs
+
+        order = sorted(used)
+        spill = _spill(sorted(written))
+        filename = f"<{self.TAG} {plans[0].entry_pc:#x}>"
+
+        ns = {
+            "_mlw": mem.load_word, "_mlh": mem.load_half,
+            "_mlb": mem.load_byte, "_msw": mem.store_word,
+            "_msh": mem.store_half, "_msb": mem.store_byte,
+            "_sx": s32, "_sdiv": _sdiv, "_srem": _srem,
+            "_regs": owner.cpu.regs, "_cpu": owner.cpu, "_rt": owner,
+            "_cnt": owner.iclass_counts,
+        }
+        if model is not None:
+            ns.update(_cyc=model.cycles, _APP=Category.APP)
+        for iclass in InstrClass:
+            ns[f"_ic_{iclass.name}"] = iclass
+        self._namespace(ns, members)
+
+        sb = _SourceBuilder(filename)
+        sb.add(0, "")  # def line patched in once the body names are known
+        indent = 4
+        sb.add(indent, _loads(order))
+        if loop:
+            sb.add(indent, "while True:")
+            indent = 8
+
+        last = len(members) - 1
+        for i, plan in enumerate(plans):
+            lines, npc_expr = bodies[i][0], bodies[i][1]
+            for text, k in lines:
+                sb.add(indent, text, member=i, k=k)
+            sb.add(indent, f"_rt.retired += {plan.n}; rem -= {plan.n}")
+            sb.add(indent, _class_commit(plan.class_counts))
+            if model is not None:
+                sb.add(indent, f"_cyc[_APP] += {plan.app_cycles}")
+            if i == last and not loop:
+                tail = self._exit(i, members[i], plan, npc_expr, spill)
+            else:
+                # region-internal boundary (or loop backedge): guards,
+                # then fall through into the next member / the loop top
+                tail = self._boundary(
+                    ns, i, 0 if i == last else i + 1, members, plans,
+                    keys[i], npc_expr, spill,
+                )
+            for text in tail:
+                sb.add(indent, text)
+
+        sb.lines[0] = _def_line(_extra_binds(ns, "\n".join(sb.lines[1:])))
+        source = sb.source()
+        exec(_compile_cached(source, filename), ns)
+        member_meta = tuple((plan.pcs, plan.iclasses) for plan in plans)
+        return Region(ns["_region"], members, filename, sb.line_table,
+                      order, member_meta, source)
+
+    # -- execution -----------------------------------------------------------
+
+    def execute(self, region: Region, budget: int):
+        """Run a region with ``budget`` fuel left.
+
+        The caller has already checked that the head block fits the
+        budget and — under chaos — that its plan is coherent, the gate
+        of the whole-block body; every further member is guarded in the
+        region.  Returns what the region returns: the successor fragment
+        (SDT) or the remaining fuel (interpreter).
+        """
+        trace = self.owner.trace
+        if trace is None:
+            try:
+                return region.fn(budget)
+            except BaseException as exc:
+                self._recover(region, exc)
+                raise
+        trace.emit("tier2.enter", pc=region.entry_pc)
+        try:
+            return region.fn(budget)
+        except BaseException as exc:
+            self._recover(region, exc)
+            raise
+        finally:
+            trace.emit("tier2.exit", pc=region.entry_pc)
+
+    def _recover(self, region: Region, exc: BaseException) -> None:
+        """Replay a faulted partial member like the whole-block body.
+
+        Finds the region frame in the traceback and maps its line to
+        (member, instruction index).  An exception raised by an exit
+        call, after the state was already spilled and committed, maps
+        to no body line and needs nothing.
+        """
+        tb = exc.__traceback__
+        hit = None
+        while tb is not None:
+            if tb.tb_frame.f_code.co_filename == region.filename:
+                hit = tb
+            tb = tb.tb_next
+        entry = region.line_table.get(hit.tb_lineno) if hit else None
+        if entry is None:
+            return
+        member_idx, k = entry
+        frame_locals = hit.tb_frame.f_locals
+        regs = self.owner.cpu.regs
+        for reg in region.used_regs:
+            value = frame_locals.get(f"r{reg}")
+            if value is not None:
+                regs[reg] = value
+        pcs, iclasses = region.member_meta[member_idx]
+        self.owner._account_partial(pcs, iclasses, k)
+
+    # -- discard -------------------------------------------------------------
+
+    def _discard(self, doomed: list[Region], reason: str) -> None:
+        trace = self.owner.trace
+        for region in doomed:
+            head = region.members[0]
+            if head.region is region:
+                head.region = None
+            del self._regions[id(head)]
+            self.stats[f"discard.{reason}"] += 1
+            if trace is not None:
+                trace.emit("tier2.discard", pc=region.entry_pc,
+                           reason=reason)
 
 
 # -- SDT regions --------------------------------------------------------------
@@ -416,389 +684,151 @@ def _boundary_deopt(vm: "SDTVM", frag, key: str, nxt, nxt_n: int):
     return _db
 
 
-class SDTRegion:
-    """A compiled SDT region: the function plus recovery metadata."""
+class Tier2Runtime(_Regions):
+    """Per-VM tier-2 state: regions grow along patched fragment links."""
 
-    __slots__ = ("fn", "members", "filename", "line_table", "used_regs",
-                 "member_meta", "source")
-
-    def __init__(self, fn, members, filename, line_table, used_regs,
-                 member_meta, source):
-        self.fn = fn
-        self.members = members
-        self.filename = filename
-        self.line_table = line_table
-        self.used_regs = used_regs
-        #: per-member ``(pcs, iclasses)`` snapshots for fault replay —
-        #: snapshots, not live plans, because a store inside the region
-        #: may invalidate a member (clearing its plan) before a later
-        #: instruction faults
-        self.member_meta = member_meta
-        self.source = source
-
-
-class Tier2Runtime:
-    """Per-VM tier-2 state: promotion, execution, discard hooks."""
+    # the per-layer benchmark probes each harness's entry points on its
+    # own class, so the shared methods are bound here by name
+    try_promote = _Regions.try_promote
+    execute = _Regions.execute
 
     def __init__(self, vm: "SDTVM"):
-        self.vm = vm
-        self.threshold = promote_threshold()
-        self.max_blocks = max_region_blocks()
-        #: id(head fragment) -> region
-        self._regions: dict[int, SDTRegion] = {}
-        #: id(member fragment) -> regions containing it
-        self._by_member: dict[int, list[SDTRegion]] = {}
+        super().__init__(vm, vm.stats.tier2)
         vm.cache.on_flush(self.on_flush)
 
-    # -- promotion -----------------------------------------------------------
+    # -- harness hooks -------------------------------------------------------
 
-    def _probe(self, fragment: "Fragment"):
-        """Eligibility check and body codegen in a single walk.
-
-        Returns ``(lines, npc_expr, used_regs, written_regs)`` — the
-        per-instruction source lines (with their in-block index ``k``),
-        the expression for the next guest PC after the terminator, the
-        non-zero registers the body touches and the subset it writes —
-        or ``None`` when the fragment must stay on the threaded tier.
-        """
-        from repro.sdt.fragment import ExitKind
-
+    def _pairs(self, fragment: "Fragment"):
         plan = fragment.plan
         if (not fragment.valid or fragment.demoted or plan is None
                 or plan.has_syscall or not fragment.instrs
                 or fragment.exit_kind is ExitKind.HALT):
             return None
-        if self.vm._chaos and not plan.coherent_with(
+        if self.owner._chaos and not plan.coherent_with(
             fragment.guest_pc, fragment.instrs
         ):
             return None
-        lines: list[tuple[str, int]] = []
-        used: set[int] = set()
-        written: set[int] = set()
-        last = len(fragment.instrs) - 1
-        npc_expr = str((fragment.instrs[last][0] + 4) & U32)
-        for k, (pc, instr) in enumerate(fragment.instrs):
-            if k == last and instr.iclass in CONTROL_CLASSES:
-                gen = term_source(pc, instr)
-                if gen is None:
-                    return None
-                line, npc_expr, regs, wr = gen
-            else:
-                gen = instr_source(pc, instr)
-                if gen is None:
-                    return None
-                line, regs, wr = gen
-            used |= regs
-            if wr:
-                written.add(wr)
-            lines.append((line, k))
-        return lines, npc_expr, used, written
+        return fragment.instrs
 
-    def _hot_key(self, fragment: "Fragment") -> str | None:
-        """The direct-exit key to grow the region along (None = stop)."""
-        from repro.sdt.fragment import ExitKind
+    @staticmethod
+    def _plan(fragment: "Fragment") -> "Superblock":
+        return fragment.plan
 
+    def _successor(self, fragment: "Fragment", body, head):
+        """The hot direct exit to grow along: ``(key, fragment)``."""
         kind = fragment.exit_kind
         if kind in (ExitKind.JUMP, ExitKind.FALL, ExitKind.CALL):
-            return "J"
-        if kind is ExitKind.COND:
+            key = "J"
+        elif kind is ExitKind.COND:
             taken = fragment.links.get("T")
             fall = fragment.links.get("F")
             taken_ok = taken is not None and taken.valid
             fall_ok = fall is not None and fall.valid
             if taken_ok and fall_ok:
-                return "T" if taken.executions >= fall.executions else "F"
-            if taken_ok:
-                return "T"
-            if fall_ok:
-                return "F"
-        return None  # IB exits (fused in-region) and HALT end the region
-
-    def try_promote(self, fragment: "Fragment") -> SDTRegion | None:
-        """Grow and compile a region headed by ``fragment``.
-
-        On success the region is installed on ``fragment.region``; on
-        ineligibility the sentinel ``False`` is stored so the fragment
-        is never probed again (a fresh fragment after retranslation
-        starts clean).
-        """
-        body = self._probe(fragment)
-        if body is None:
-            fragment.region = False
+                key = "T" if taken.executions >= fall.executions else "F"
+            elif taken_ok or fall_ok:
+                key = "T" if taken_ok else "F"
+            else:
+                return None
+        else:
+            return None  # IB exits (fused in-region) and HALT end the region
+        nxt = fragment.links.get(key)
+        if nxt is None or not nxt.valid:
             return None
-        members = [fragment]
-        bodies = [body]
-        keys: list[str] = []
-        seen = {id(fragment)}
-        loop = False
-        current = fragment
-        while len(members) < self.max_blocks:
-            key = self._hot_key(current)
-            if key is None:
-                break
-            nxt = current.links.get(key)
-            if nxt is None or not nxt.valid:
-                break
-            if nxt is fragment:
-                keys.append(key)
-                loop = True
-                break
-            if id(nxt) in seen:
-                break
-            nxt_body = self._probe(nxt)
-            if nxt_body is None:
-                break
-            keys.append(key)
-            members.append(nxt)
-            bodies.append(nxt_body)
-            seen.add(id(nxt))
-            current = nxt
-        try:
-            region = self._compile(members, keys, loop, bodies)
-        except Exception:
-            # a compile failure must never take the run down — the
-            # threaded tier is always correct; surface it in stats so
-            # the tier-2 test suite can assert it never happens
-            self.vm.stats.tier2["compile_error"] += 1
-            fragment.region = False
-            return None
-        fragment.region = region
-        self._regions[id(fragment)] = region
-        for member in members:
-            self._by_member.setdefault(id(member), []).append(region)
-        self.vm.stats.tier2["promote"] += 1
-        if self.vm.trace is not None:
-            self.vm.trace.emit("tier2.promote", pc=fragment.guest_pc,
-                               blocks=len(members), loop=loop)
-        return region
+        return key, nxt
 
-    # -- code generation -----------------------------------------------------
-
-    def _compile(self, members, keys, loop: bool, bodies) -> SDTRegion:
-        """Emit and compile the region source.
-
-        ``bodies`` carries the per-member ``(lines, npc_expr, used,
-        written)`` tuples the promotion probe already generated — codegen
-        never re-walks the instructions.
-
-        Code-size discipline keeps ``compile()`` cheap (it dominates the
-        cost of a promotion): exits spill only registers the region
-        *writes* (anything else still equals its entry value in
-        ``_regs``), each internal boundary folds its link/fuel(/plan)
-        guards into one conditional whose cold path is a prebuilt
-        closure, and the def line binds only names the body references.
-        """
-        from repro.sdt.fragment import ExitKind
-
-        vm = self.vm
-        chaos = vm._chaos
-        used: set[int] = set()
-        written: set[int] = set()
-        for _lines, _npc, regs, wregs in bodies:
-            used |= regs
-            written |= wregs
-
-        order = sorted(used)
-        spill = _spill(sorted(written))
-        filename = f"<tier2 {members[0].guest_pc:#x}>"
-
-        ns = _base_namespace(vm.mem)
+    def _namespace(self, ns: dict, members) -> None:
+        vm = self.owner
         ns.update(
-            _regs=vm.cpu.regs, _vm=vm, _cnt=vm.iclass_counts,
-            _cyc=vm.model.cycles, _APP=Category.APP,
-            _cb=vm.model.cond_branch,
-            _ds=vm._direct_successor, _oc=vm.return_mech.on_call,
-            _cpu=vm.cpu, _dib=vm._dispatch_ib,
+            _cb=vm.model.cond_branch, _ds=vm._direct_successor,
+            _oc=vm.return_mech.on_call, _dib=vm._dispatch_ib,
             _gd=vm.generic_ib.dispatch, _rd=vm.return_mech.dispatch_ret,
             _ibs=vm.stats.ib_dispatches,
         )
-        for iclass in InstrClass:
-            ns[f"_ic_{iclass.name}"] = iclass
         for i, fragment in enumerate(members):
             ns[f"_f{i}"] = fragment
-            if chaos:
+            if vm._chaos:
                 ns[f"_p{i}"] = fragment.plan
 
-        sb = _SourceBuilder(filename)
-        sb.add(0, "")  # def line patched in once the body names are known
-        indent = 4
-        sb.add(indent, _loads(order))
-        if loop:
-            sb.add(indent, "while True:")
-            indent = 8
+    def _exit(self, i, fragment, plan, npc_expr, spill) -> list[str]:
+        """Region exit: spill everything, run the tier-1 exit protocol
+        and hand its successor to the main loop."""
+        kind = fragment.exit_kind
+        term_pc = plan.term_pc
+        fall = (term_pc + 4) & U32
+        if kind is ExitKind.COND:
+            return [f"_cb({fragment.exit_site}, _npc != {fall})",
+                    _guard(f"_npc != {fall}", spill,
+                           f'return _ds(_f{i}, "T", _npc)'),
+                    _join(spill, f'return _ds(_f{i}, "F", {fall})')]
+        if kind is ExitKind.CALL:
+            return [_join(spill, f"_oc(_cpu, {REG_RA}, {fall})",
+                          f'return _ds(_f{i}, "J", {npc_expr})')]
+        if kind is ExitKind.ICALL:
+            return [_join(
+                spill, '_ibs["icall"] += 1',
+                f"_oc(_cpu, {plan.term_rd}, {fall})",
+                f'return _dib("icall", _f{i}, {term_pc}, _npc, _gd)')]
+        if kind is ExitKind.IJUMP:
+            return [_join(
+                spill, '_ibs["ijump"] += 1',
+                f'return _dib("ijump", _f{i}, {term_pc}, _npc, _gd)')]
+        if kind is ExitKind.RET:
+            return [_join(
+                spill, '_ibs["ret"] += 1',
+                f'return _dib("ret", _f{i}, {term_pc}, _npc, _rd)')]
+        # JUMP / FALL
+        return [_join(spill, f'return _ds(_f{i}, "J", {npc_expr})')]
 
-        count = len(members)
-        for i, fragment in enumerate(members):
-            plan = fragment.plan
-            lines, npc_expr, _regs, _wregs = bodies[i]
-            for text, k in lines:
-                sb.add(indent, text, member=i, k=k)
-            sb.add(indent, f"_vm.retired += {plan.n}; rem -= {plan.n}")
-            sb.add(indent, _class_commit(plan.class_counts))
-            sb.add(indent, f"_cyc[_APP] += {plan.app_cycles}")
-
-            kind = fragment.exit_kind
-            term_pc = plan.term_pc
-            fall = (term_pc + 4) & U32
-            is_last = i == count - 1
-            if is_last and not loop:
-                # region exit: spill everything, run the tier-1 exit
-                # protocol and hand its successor to the main loop
-                if kind is ExitKind.COND:
-                    sb.add(indent, f"_cb({fragment.exit_site}, _npc != {fall})")
-                    sb.add(indent, _join(
-                        f"if _npc != {fall}: {spill}" if spill
-                        else f"if _npc != {fall}: pass",
-                        f'return _ds(_f{i}, "T", _npc)'))
-                    sb.add(indent, _join(
-                        spill, f'return _ds(_f{i}, "F", {fall})'))
-                elif kind is ExitKind.CALL:
-                    sb.add(indent, _join(
-                        spill, f"_oc(_cpu, {REG_RA}, {fall})",
-                        f'return _ds(_f{i}, "J", {npc_expr})'))
-                elif kind is ExitKind.ICALL:
-                    sb.add(indent, _join(
-                        spill, '_ibs["icall"] += 1',
-                        f"_oc(_cpu, {plan.term_rd}, {fall})",
-                        f'return _dib("icall", _f{i}, {term_pc}, _npc, _gd)'))
-                elif kind is ExitKind.IJUMP:
-                    sb.add(indent, _join(
-                        spill, '_ibs["ijump"] += 1',
-                        f'return _dib("ijump", _f{i}, {term_pc}, _npc, _gd)'))
-                elif kind is ExitKind.RET:
-                    sb.add(indent, _join(
-                        spill, '_ibs["ret"] += 1',
-                        f'return _dib("ret", _f{i}, {term_pc}, _npc, _rd)'))
-                else:  # JUMP / FALL
-                    sb.add(indent, _join(
-                        spill, f'return _ds(_f{i}, "J", {npc_expr})'))
-                continue
-
-            # region-internal boundary (or loop backedge): guards, then
-            # fall through into the next member's body / the loop top
-            j = 0 if is_last else i + 1
-            key = keys[i]
-            nxt = members[j]
-            nplan = nxt.plan
-            if kind is ExitKind.COND:
-                sb.add(indent, f"_cb({fragment.exit_site}, _npc != {fall})")
-                if key == "T":
-                    sb.add(indent, _join(
-                        f"if _npc == {fall}: {spill}" if spill
-                        else f"if _npc == {fall}: pass",
-                        f'return _ds(_f{i}, "F", {fall})'))
-                else:
-                    sb.add(indent, _join(
-                        f"if _npc != {fall}: {spill}" if spill
-                        else f"if _npc != {fall}: pass",
-                        f'return _ds(_f{i}, "T", _npc)'))
-            elif kind is ExitKind.CALL:
-                # tier-1 calls on_call after the body; the return scheme
-                # may rewrite the link register (fast returns), so spill
-                # it, let the scheme run, and reload the rewritten value
-                sb.add(indent, _join(
-                    f"_regs[{REG_RA}] = r{REG_RA}",
-                    f"_oc(_cpu, {REG_RA}, {fall})",
-                    f"r{REG_RA} = _regs[{REG_RA}]"))
-            ns[f"_db{i}"] = _boundary_deopt(vm, fragment, key, nxt, nplan.n)
-            cond = (f'_f{i}.links.get("{key}") is not _f{j} '
-                    f"or not _f{j}.valid or rem < {nplan.n}")
-            if chaos:
-                cond += (f" or _f{j}.plan is not _p{j} or not "
-                         f"_p{j}.coherent_with({nxt.guest_pc}, _f{j}.instrs)")
-            sb.add(indent, _join(
-                f"if {cond}: {spill}" if spill else f"if {cond}: pass",
-                f"return _db{i}({npc_expr}, rem)"))
-
-        sb.lines[0] = _def_line(_extra_binds(ns, "\n".join(sb.lines[1:])))
-        source = sb.source()
-        exec(_compile_cached(source, filename), ns)
-        member_meta = tuple(
-            (m.plan.pcs, m.plan.iclasses) for m in members
-        )
-        return SDTRegion(ns["_region"], list(members), filename,
-                         sb.line_table, order, member_meta, source)
-
-    # -- execution -----------------------------------------------------------
-
-    def execute(self, fragment: "Fragment", region: SDTRegion,
-                budget: int) -> "Fragment | None":
-        """Run a region; returns the successor fragment (or None on exit).
-
-        The caller (``SDTVM.execute_fragment``) has already verified the
-        head block fits the remaining fuel and — under chaos — that its
-        plan is coherent, the same gate the threaded fast path uses.
-        """
-        trace = self.vm.trace
-        if trace is None:
-            try:
-                return region.fn(budget)
-            except BaseException as exc:
-                self._recover(region, exc)
-                raise
-        trace.emit("tier2.enter", pc=fragment.guest_pc)
-        try:
-            return region.fn(budget)
-        except BaseException as exc:
-            self._recover(region, exc)
-            raise
-        finally:
-            trace.emit("tier2.exit", pc=fragment.guest_pc)
-
-    def _recover(self, region: SDTRegion, exc: BaseException) -> None:
-        """Replay a faulted partial block exactly like ``_flush_partial``."""
-        hit = _recover_frame(region, exc)
-        if hit is None:
-            return  # raised by an exit call, after spill + commit
-        member_idx, k, frame_locals = hit
-        vm = self.vm
-        regs = vm.cpu.regs
-        for reg in region.used_regs:
-            value = frame_locals.get(f"r{reg}")
-            if value is not None:
-                regs[reg] = value
-        pcs, iclasses = region.member_meta[member_idx]
-        counts = vm.iclass_counts
-        model = vm.model
-        for iclass in iclasses[:k]:
-            counts[iclass] += 1
-            model.charge_instr(iclass)
-        vm.retired += k
-        vm.cpu.pc = pcs[min(k, len(pcs) - 1)]
+    def _boundary(self, ns, i, j, members, plans, key, npc_expr,
+                  spill) -> list[str]:
+        """Edge into member ``j``: the exit's own effects, then one
+        folded link/fuel(/plan) guard whose cold path is a prebuilt
+        :func:`_boundary_deopt` closure."""
+        fragment, nxt = members[i], members[j]
+        fall = (plans[i].term_pc + 4) & U32
+        nxt_n = plans[j].n
+        tail = []
+        kind = fragment.exit_kind
+        if kind is ExitKind.COND:
+            tail.append(f"_cb({fragment.exit_site}, _npc != {fall})")
+            if key == "T":
+                tail.append(_guard(f"_npc == {fall}", spill,
+                                   f'return _ds(_f{i}, "F", {fall})'))
+            else:
+                tail.append(_guard(f"_npc != {fall}", spill,
+                                   f'return _ds(_f{i}, "T", _npc)'))
+        elif kind is ExitKind.CALL:
+            # tier-1 calls on_call after the body; the return scheme
+            # may rewrite the link register (fast returns), so spill
+            # it, let the scheme run, and reload the rewritten value
+            tail.append(_join(
+                f"_regs[{REG_RA}] = r{REG_RA}",
+                f"_oc(_cpu, {REG_RA}, {fall})",
+                f"r{REG_RA} = _regs[{REG_RA}]"))
+        ns[f"_db{i}"] = _boundary_deopt(self.owner, fragment, key, nxt,
+                                        nxt_n)
+        cond = (f'_f{i}.links.get("{key}") is not _f{j} '
+                f"or not _f{j}.valid or rem < {nxt_n}")
+        if self.owner._chaos:
+            cond += (f" or _f{j}.plan is not _p{j} or not "
+                     f"_p{j}.coherent_with({nxt.guest_pc}, _f{j}.instrs)")
+        tail.append(_guard(cond, spill, f"return _db{i}({npc_expr}, rem)"))
+        return tail
 
     # -- discard hooks -------------------------------------------------------
-
-    def _discard(self, region: SDTRegion, reason: str) -> None:
-        head = region.members[0]
-        if head.region is region:
-            head.region = None
-        self._regions.pop(id(head), None)
-        for member in region.members:
-            bucket = self._by_member.get(id(member))
-            if bucket is not None:
-                try:
-                    bucket.remove(region)
-                except ValueError:
-                    pass
-                if not bucket:
-                    del self._by_member[id(member)]
-        self.vm.stats.tier2[f"discard.{reason}"] += 1
-        if self.vm.trace is not None:
-            self.vm.trace.emit("tier2.discard", pc=head.guest_pc,
-                               reason=reason)
 
     def on_invalidate(self, dead) -> None:
         """Selective invalidation: drop every region holding a dead
         member (called by the coherence manager before its checker walk,
         so a surviving stale region would be a CI violation)."""
-        if not self._by_member:
+        if not self._regions:
             return
-        doomed: dict[int, SDTRegion] = {}
-        for fragment in dead:
-            for region in self._by_member.get(id(fragment), ()):
-                doomed[id(region)] = region
-        for region in doomed.values():
-            self._discard(region, "invalidate")
+        dead_ids = {id(fragment) for fragment in dead}
+        self._discard([
+            region for region in self._regions.values()
+            if any(id(member) in dead_ids for member in region.members)
+        ], "invalidate")
 
     def on_flush(self) -> None:
         """Whole-cache flush: every member fragment just died."""
@@ -810,10 +840,10 @@ class Tier2Runtime:
             if head.region is region:
                 head.region = None
         self._regions.clear()
-        self._by_member.clear()
-        self.vm.stats.tier2["discard.flush"] += count
-        if self.vm.trace is not None:
-            self.vm.trace.emit("tier2.discard", reason="flush", count=count)
+        self.stats["discard.flush"] += count
+        if self.owner.trace is not None:
+            self.owner.trace.emit("tier2.discard", reason="flush",
+                                  count=count)
 
     def live_fragment_refs(self):
         """Every fragment pointer tier-2 state holds (invariant walks)."""
@@ -823,24 +853,17 @@ class Tier2Runtime:
 
 # -- interpreter regions ------------------------------------------------------
 
-class InterpRegion:
-    """A compiled interpreter region (native-baseline tier 2)."""
-
-    __slots__ = ("fn", "members", "filename", "line_table", "used_regs",
-                 "member_meta", "source")
-
-    def __init__(self, fn, members, filename, line_table, used_regs,
-                 member_meta, source):
-        self.fn = fn
-        self.members = members
-        self.filename = filename
-        self.line_table = line_table
-        self.used_regs = used_regs
-        self.member_meta = member_meta
-        self.source = source
+#: ``native_exit_event``, inlined per terminator class (``JUMP`` has none)
+_NATIVE_EXIT_EVENTS = {
+    InstrClass.BRANCH: "_cbr({pc}, _npc != {fall})",
+    InstrClass.CALL: "_hc({fall})",
+    InstrClass.ICALL: "_hc({fall}); _ij({pc}, _npc)",
+    InstrClass.IJUMP: "_ij({pc}, _npc)",
+    InstrClass.RET: "_hr(_npc)",
+}
 
 
-class InterpreterTier2:
+class InterpreterTier2(_Regions):
     """Tier-2 runtime for the reference interpreter.
 
     Regions are grown over cached superblocks along *static* direct
@@ -853,254 +876,92 @@ class InterpreterTier2:
     so the rebuilt blocks can re-promote.
     """
 
-    def __init__(self, interp: "Interpreter"):
-        self.interp = interp
-        self.threshold = promote_threshold()
-        self.max_blocks = max_region_blocks()
-        self._regions: list[InterpRegion] = []
+    TAG = "tier2i"
+    # probed per harness class, like Tier2Runtime's
+    try_promote = _Regions.try_promote
+    execute = _Regions.execute
 
-    # -- promotion -----------------------------------------------------------
+    def __init__(self, interp: "Interpreter"):
+        super().__init__(interp, Counter())
+
+    # -- harness hooks -------------------------------------------------------
 
     def _pairs(self, block: "Superblock"):
         """Re-fetch the block's instructions (superblocks keep closures,
         not the decoded :class:`Instruction` objects)."""
-        fetch = self.interp.fetch
-        pairs = []
-        for k, pc in enumerate(block.pcs):
-            instr = fetch(pc)
-            if instr.iclass is not block.iclasses[k]:
-                return None  # decode drifted under the block (defensive)
-            pairs.append((pc, instr))
-        return pairs
-
-    def _probe(self, block: "Superblock"):
-        """Eligibility check and body codegen in a single walk.
-
-        Returns ``(lines, npc_expr, used_regs, written_regs,
-        term_instr)`` or ``None`` when the block must stay on the
-        threaded tier.
-        """
         if block.has_syscall or block.term_iclass is InstrClass.HALT:
             return None
+        fetch = self.owner.fetch
+        pairs = []
         try:
-            pairs = self._pairs(block)
+            for pc, iclass in zip(block.pcs, block.iclasses):
+                instr = fetch(pc)
+                if instr.iclass is not iclass:
+                    return None  # decode drifted under the block (defensive)
+                pairs.append((pc, instr))
         except Exception:
             return None
-        if pairs is None:
-            return None
-        lines: list[tuple[str, int]] = []
-        used: set[int] = set()
-        written: set[int] = set()
-        last = block.n - 1
-        npc_expr = str((block.term_pc + 4) & U32)
-        for k, (pc, instr) in enumerate(pairs):
-            if k == last and instr.iclass in CONTROL_CLASSES:
-                gen = term_source(pc, instr)
-                if gen is None:
-                    return None
-                line, npc_expr, regs, wr = gen
-            else:
-                gen = instr_source(pc, instr)
-                if gen is None:
-                    return None
-                line, regs, wr = gen
-            used |= regs
-            if wr:
-                written.add(wr)
-            lines.append((line, k))
-        return lines, npc_expr, used, written, pairs[-1][1]
+        return pairs
 
-    def _successor_pc(self, block: "Superblock", term: Instruction,
-                      head_pc: int) -> int | None:
-        """Static follow-edge out of ``block`` (None ends the region)."""
+    @staticmethod
+    def _plan(block: "Superblock") -> "Superblock":
+        return block
+
+    def _successor(self, block: "Superblock", body, head):
+        """The static follow-edge out of ``block``: ``(None, block)``."""
         iclass = block.term_iclass
         pc = block.term_pc
+        term = body[4]
         if iclass in (InstrClass.JUMP, InstrClass.CALL):
-            return term.branch_target(pc)
-        if iclass not in CONTROL_CLASSES:
-            return (pc + 4) & U32  # length-capped / truncated block
-        if iclass is InstrClass.BRANCH:
+            nxt_pc = term.branch_target(pc)
+        elif iclass not in CONTROL_CLASSES:
+            nxt_pc = (pc + 4) & U32  # length-capped / truncated block
+        elif iclass is InstrClass.BRANCH:
             taken = term.branch_target(pc)
-            fall = (pc + 4) & U32
-            if taken == head_pc:
-                return taken
-            return fall
-        return None  # IJUMP / ICALL / RET fuse the exit and end the region
+            nxt_pc = taken if taken == head.entry_pc else (pc + 4) & U32
+        else:
+            return None  # IJUMP / ICALL / RET fuse the exit and end the region
+        nxt = self.owner._blocks.get(nxt_pc)
+        return None if nxt is None else (None, nxt)
 
-    def try_promote(self, block: "Superblock") -> InterpRegion | None:
-        body = self._probe(block)
-        if body is None:
-            block.region = False
-            return None
-        blocks = self.interp._blocks
-        members = [block]
-        bodies = [body]
-        seen = {block.entry_pc}
-        loop = False
-        current, term = block, body[4]
-        while len(members) < self.max_blocks:
-            nxt_pc = self._successor_pc(current, term, block.entry_pc)
-            if nxt_pc is None:
-                break
-            if nxt_pc == block.entry_pc:
-                loop = True
-                break
-            nxt = blocks.get(nxt_pc)
-            if nxt is None or nxt_pc in seen:
-                break
-            nxt_body = self._probe(nxt)
-            if nxt_body is None:
-                break
-            members.append(nxt)
-            bodies.append(nxt_body)
-            seen.add(nxt_pc)
-            current, term = nxt, nxt_body[4]
-        try:
-            region = self._compile(members, loop, bodies)
-        except Exception:
-            block.region = False
-            return None
-        block.region = region
-        self._regions.append(region)
-        return region
-
-    def _compile(self, members, loop: bool, bodies) -> InterpRegion:
-        """Emit and compile the region source from the probe output."""
-        interp = self.interp
-        observer = interp.observer
-        model = observer.model if observer is not None else None
-        count_classes = interp.count_classes
-
-        used: set[int] = set()
-        written: set[int] = set()
-        for _lines, _npc, regs, wregs, _term in bodies:
-            used |= regs
-            written |= wregs
-
-        order = sorted(used)
-        spill = _spill(sorted(written))
-        filename = f"<tier2i {members[0].entry_pc:#x}>"
-
-        ns = _base_namespace(interp.mem)
-        ns.update(
-            _regs=interp.cpu.regs, _cpu=interp.cpu, _it=interp,
-            _blocks=interp._blocks, _cnt=interp.iclass_counts,
-        )
+    def _namespace(self, ns: dict, members) -> None:
+        ns["_blocks"] = self.owner._blocks
+        model = self.owner.model
         if model is not None:
-            ns.update(_cyc=model.cycles, _APP=Category.APP,
-                      _cbr=model.cond_branch,
-                      _hc=model.host_call, _ij=model.indirect_jump,
-                      _hr=model.host_return)
-        for iclass in InstrClass:
-            ns[f"_ic_{iclass.name}"] = iclass
-        nmembers = len(members)
-        for i in range(nmembers):
-            if i == nmembers - 1 and not loop:
-                continue
-            nxt_block = members[0] if i == nmembers - 1 else members[i + 1]
-            ns[f"_b{i}"] = nxt_block
-            nxt_block.hits += 1  # formation itself is evidence of heat
+            ns.update(_cbr=model.cond_branch, _hc=model.host_call,
+                      _ij=model.indirect_jump, _hr=model.host_return)
 
-        sb = _SourceBuilder(filename)
-        sb.add(0, "")  # def line patched in once the body names are known
-        indent = 4
-        sb.add(indent, _loads(order))
-        if loop:
-            sb.add(indent, "while True:")
-            indent = 8
+    def _exit_event(self, plan: "Superblock") -> list[str]:
+        if self.owner.model is None:
+            return []
+        tpl = _NATIVE_EXIT_EVENTS.get(plan.term_iclass)
+        if tpl is None:
+            return []
+        pc = plan.term_pc
+        return [tpl.format(pc=pc, fall=(pc + 4) & U32)]
 
-        count = len(members)
-        for i, block in enumerate(members):
-            lines, npc_expr, _regs, _wregs, _term = bodies[i]
-            for text, k in lines:
-                sb.add(indent, text, member=i, k=k)
-            sb.add(indent, f"_it.retired += {block.n}; rem -= {block.n}")
-            if count_classes:
-                sb.add(indent, _class_commit(block.class_counts))
-            if model is not None:
-                sb.add(indent, f"_cyc[_APP] += {block.app_cycles}")
+    def _exit(self, i, block, plan, npc_expr, spill) -> list[str]:
+        return self._exit_event(plan) + [
+            _join(spill, f"_cpu.pc = {npc_expr}", "return rem")]
 
-            iclass = block.term_iclass
-            term_pc = block.term_pc
-            fall = (term_pc + 4) & U32
-            if model is not None and iclass in CONTROL_CLASSES:
-                # native_exit_event, inlined case by case
-                if iclass is InstrClass.BRANCH:
-                    sb.add(indent, f"_cbr({term_pc}, _npc != {fall})")
-                elif iclass is InstrClass.CALL:
-                    sb.add(indent, f"_hc({fall})")
-                elif iclass is InstrClass.ICALL:
-                    sb.add(indent, f"_hc({fall}); _ij({term_pc}, _npc)")
-                elif iclass is InstrClass.IJUMP:
-                    sb.add(indent, f"_ij({term_pc}, _npc)")
-                elif iclass is InstrClass.RET:
-                    sb.add(indent, f"_hr(_npc)")
-
-            is_last = i == count - 1
-            if is_last and not loop:
-                sb.add(indent, _join(
-                    spill, f"_cpu.pc = {npc_expr}", "return rem"))
-                continue
-
-            # boundary into the next member (or the loop backedge): the
-            # next block may be off the follow-edge (conditional branch
-            # went the other way), dropped by a code write, or too big
-            # for the remaining fuel — all exit to the tier-1 loop
-            nxt_block = members[0] if is_last else members[i + 1]
-            target = nxt_block.entry_pc
-            if iclass is InstrClass.BRANCH:
-                sb.add(indent, _join(
-                    f"if _npc != {target}: {spill}" if spill
-                    else f"if _npc != {target}: pass",
-                    "_cpu.pc = _npc", "return rem"))
-            sb.add(indent, _join(
-                f"if _blocks.get({target}) is not _b{i} or rem < "
-                f"{nxt_block.n}: {spill}" if spill else
-                f"if _blocks.get({target}) is not _b{i} or rem < "
-                f"{nxt_block.n}: pass",
-                f"_cpu.pc = {target}", "return rem"))
-
-        sb.lines[0] = _def_line(_extra_binds(ns, "\n".join(sb.lines[1:])))
-        source = sb.source()
-        exec(_compile_cached(source, filename), ns)
-        member_meta = tuple(
-            (block.pcs, block.iclasses) for block in members
-        )
-        return InterpRegion(ns["_region"], list(members), filename,
-                            sb.line_table, order, member_meta, source)
-
-    # -- execution -----------------------------------------------------------
-
-    def execute(self, region: InterpRegion, remaining: int) -> int:
-        try:
-            return region.fn(remaining)
-        except BaseException as exc:
-            self._recover(region, exc)
-            raise
-
-    def _recover(self, region: InterpRegion, exc: BaseException) -> None:
-        hit = _recover_frame(region, exc)
-        if hit is None:
-            return
-        member_idx, k, frame_locals = hit
-        interp = self.interp
-        regs = interp.cpu.regs
-        for reg in region.used_regs:
-            value = frame_locals.get(f"r{reg}")
-            if value is not None:
-                regs[reg] = value
-        pcs, iclasses = region.member_meta[member_idx]
-        interp.retired += k
-        if interp.count_classes:
-            counts = interp.iclass_counts
-            for iclass in iclasses[:k]:
-                counts[iclass] += 1
-        observer = interp.observer
-        if observer is not None:
-            model = observer.model
-            for iclass in iclasses[:k]:
-                model.charge_instr(iclass)
-        interp.cpu.pc = pcs[min(k, len(pcs) - 1)]
+    def _boundary(self, ns, i, j, members, plans, key, npc_expr,
+                  spill) -> list[str]:
+        """Edge into member ``j``.  The next block may be off the
+        follow-edge (a conditional branch went the other way), dropped by
+        a code write, or too big for the remaining fuel — all exit to
+        the tier-1 loop."""
+        block, nxt = members[i], members[j]
+        ns[f"_b{i}"] = nxt
+        nxt.hits += 1  # formation itself is evidence of heat
+        target = nxt.entry_pc
+        tail = self._exit_event(block)
+        if block.term_iclass is InstrClass.BRANCH:
+            tail.append(_guard(f"_npc != {target}", spill,
+                               "_cpu.pc = _npc", "return rem"))
+        tail.append(_guard(
+            f"_blocks.get({target}) is not _b{i} or rem < {nxt.n}", spill,
+            f"_cpu.pc = {target}", "return rem"))
+        return tail
 
     # -- discard -------------------------------------------------------------
 
@@ -1109,16 +970,8 @@ class InterpreterTier2:
         if not self._regions:
             return
         end = addr + length
-        survivors = []
-        for region in self._regions:
-            stale = any(
-                pcs[0] < end and pcs[0] + 4 * len(pcs) > addr
-                for pcs, _ic in region.member_meta
-            )
-            if stale:
-                head = region.members[0]
-                if head.region is region:
-                    head.region = None
-            else:
-                survivors.append(region)
-        self._regions = survivors
+        self._discard([
+            region for region in self._regions.values()
+            if any(pcs[0] < end and pcs[0] + 4 * len(pcs) > addr
+                   for pcs, _ic in region.member_meta)
+        ], "invalidate")

@@ -66,7 +66,7 @@ class Fragment:
             docs/robustness.md).  Never set without fault injection.
         region: tier-2 promotion state (engine ``tier2`` only): ``None``
             until the fragment is probed for promotion, a compiled
-            :class:`repro.machine.tier2.SDTRegion` headed by this
+            :class:`repro.machine.tier2.Region` headed by this
             fragment once promoted, or ``False`` when the fragment is
             permanently region-ineligible.  Profile state, not
             architecture — results are identical with or without it.

@@ -22,7 +22,7 @@ from repro.machine.engine import Superblock
 from repro.machine.errors import FuelExhausted
 from repro.machine.executor import execute
 from repro.machine.interpreter import DEFAULT_FUEL
-from repro.machine.loader import load_program
+from repro.machine.runner import BlockRunner
 from repro.sdt.cache import FragmentCache
 from repro.sdt.config import SDTConfig
 from repro.sdt.fragment import ExitKind, Fragment
@@ -59,7 +59,7 @@ class SDTRunResult:
         return self.total_cycles / native_cycles
 
 
-class SDTVM:
+class SDTVM(BlockRunner):
     """Software dynamic translator for SR32 programs."""
 
     def __init__(
@@ -69,8 +69,7 @@ class SDTVM:
         inputs: list[int] | None = None,
     ):
         self.config = config if config is not None else SDTConfig()
-        self.program = program
-        self.model = HostModel(self.config.profile)
+        super().__init__(program, inputs, HostModel(self.config.profile))
         self.stats = SDTStats()
         # observability (repro.trace): one session per VM, or None when
         # tracing is off — every emit site guards on that None, so the
@@ -84,7 +83,6 @@ class SDTVM:
             capacity=self.config.fragment_cache_bytes, stats=self.stats
         )
         self.cache.trace = self.trace
-        self.cpu, self.mem, self.syscalls = load_program(program, inputs)
         # tier2 layers region compilation on top of the threaded tier, so
         # every threaded structure (plans, block accounting) stays active
         self._threaded = self.config.engine in ("threaded", "tier2")
@@ -149,8 +147,6 @@ class SDTVM:
             self.invariant_checker = InvariantChecker(self)
             self.invariant_checker.install()
         self._chaos = self.fault_injector is not None
-        self.retired = 0
-        self.iclass_counts: Counter = Counter()
         self._fuel = DEFAULT_FUEL
 
     def _compile_plan(self, instrs: list[tuple[int, Instruction]]) -> Superblock:
@@ -218,7 +214,8 @@ class SDTVM:
         Fuel semantics match the interpreter instruction-for-instruction:
         when the budget would be exceeded *inside* this fragment,
         :class:`FuelExhausted` is raised after retiring exactly the
-        budgeted prefix, so ``self.retired == fuel`` at the raise.
+        budgeted prefix, so ``self.retired == fuel`` at the raise and
+        ``cpu.pc`` is the next unexecuted guest instruction.
         """
         fragment.executions += 1
         if self._threaded and not fragment.demoted:
@@ -249,9 +246,17 @@ class SDTVM:
                         # (under chaos) its plan is coherent — both were
                         # just checked above; every further block is
                         # guarded inside the region.
-                        return tier2.execute(fragment, region, budget)
-                return self._run_fast(fragment, plan)
-            return self._run_slow(fragment, plan, budget)
+                        return tier2.execute(region, budget)
+                next_pc = self._run_block(plan)
+            else:
+                # the plan may exit mid-block (SYSCALL) or fuel runs out
+                # inside it: per-instruction checks
+                next_pc = self._run_steps(plan, budget, self._fuel)
+                if next_pc is None:
+                    return None
+            return self._dispatch_exit(
+                fragment, next_pc, plan.term_pc, plan.term_rd
+            )
         return self._run_oracle(fragment)
 
     def _demote(self, fragment: Fragment) -> None:
@@ -278,9 +283,9 @@ class SDTVM:
         executed = 0
         try:
             for guest_pc, instr in fragment.instrs:
+                cpu.pc = guest_pc
                 if executed >= budget:
                     raise FuelExhausted(self._fuel)
-                cpu.pc = guest_pc
                 next_pc = execute(instr, cpu, mem, syscalls)
                 executed += 1
                 iclass = instr.iclass
@@ -292,81 +297,6 @@ class SDTVM:
             self.retired += executed
         assert instr is not None
         return self._dispatch_exit(fragment, next_pc, guest_pc, instr.rd)
-
-    def _run_fast(
-        self, fragment: Fragment, plan: Superblock
-    ) -> Fragment | None:
-        """Threaded block body: flat closure list, block-level accounting.
-
-        Only entered for syscall-free plans that fit the remaining fuel,
-        so no per-instruction exit or fuel checks are needed.
-        """
-        k = 0
-        next_pc = plan.entry_pc
-        try:
-            for fn in plan.fns:
-                next_pc = fn()
-                k += 1
-        except BaseException:
-            self._flush_partial(plan, k)
-            raise
-        self.retired += plan.n
-        counts = self.iclass_counts
-        for iclass, count in plan.class_counts.items():
-            counts[iclass] += count
-        self.model.charge_block(plan.app_cycles)
-        return self._dispatch_exit(
-            fragment, next_pc, plan.term_pc, plan.term_rd
-        )
-
-    def _run_slow(
-        self, fragment: Fragment, plan: Superblock, budget: int
-    ) -> Fragment | None:
-        """Threaded per-instruction body: syscall exits and fuel strides.
-
-        Used when the plan contains a ``SYSCALL`` (the program may exit
-        mid-fragment) or when fuel runs out inside the block.
-        """
-        syscalls = self.syscalls
-        counts = self.iclass_counts
-        model = self.model
-        iclasses = plan.iclasses
-        k = 0
-        next_pc = plan.entry_pc
-        try:
-            for fn in plan.fns:
-                if k >= budget:
-                    raise FuelExhausted(self._fuel)
-                next_pc = fn()
-                iclass = iclasses[k]
-                k += 1
-                counts[iclass] += 1
-                model.charge_instr(iclass)
-                if iclass is InstrClass.SYSCALL and syscalls.exited:
-                    return None
-        except FuelExhausted:
-            if k:  # cpu.pc parity with the oracle body: last executed pc
-                self.cpu.pc = plan.pcs[k - 1]
-            raise
-        except BaseException:
-            self.cpu.pc = plan.pcs[min(k, plan.n - 1)]
-            raise
-        finally:
-            self.retired += k
-        return self._dispatch_exit(
-            fragment, next_pc, plan.term_pc, plan.term_rd
-        )
-
-    def _flush_partial(self, plan: Superblock, k: int) -> None:
-        """Account a fast-path block's first ``k`` instructions on a fault."""
-        counts = self.iclass_counts
-        model = self.model
-        for iclass in plan.iclasses[:k]:
-            counts[iclass] += 1
-            model.charge_instr(iclass)
-        self.retired += k
-        # leave cpu.pc on the faulting instruction, like the oracle body
-        self.cpu.pc = plan.pcs[min(k, plan.n - 1)]
 
     def _dispatch_exit(
         self, fragment: Fragment, next_pc: int, last_pc: int, term_rd: int

@@ -209,9 +209,66 @@ int main() {
 """
 
 
+#: Fuel-stop sweep: workload -> number of fuel values drawn from [1, full).
+_SWEEP_DRAWS = {"fib": 40, "perl_like": 12, "eon_like": 12}
+_SWEEP_SEED = 1234
+_RETURN_SCHEMES = ("same", "fast", "shadow", "retcache")
+
+
+def _fuel_stop(runner, model: HostModel, fuel: int) -> dict:
+    """Run ``runner`` with ``fuel`` and snapshot the state it stops in."""
+    try:
+        runner.run(fuel)
+    except FuelExhausted:
+        pass
+    return {
+        "retired": runner.retired,
+        "pc": runner.cpu.pc,
+        "regs": list(runner.cpu.regs),
+        "iclass_counts": dict(runner.iclass_counts),
+        "cycles": model.breakdown(),
+    }
+
+
 class TestFuelParity:
-    """Satellite 1: SDT stops at exactly the same retired count as the
-    interpreter when fuel runs out, under both engines."""
+    """SDT stops at exactly the same retired count as the interpreter
+    when fuel runs out, under every engine."""
+
+    @pytest.mark.parametrize("name", sorted(_SWEEP_DRAWS))
+    def test_fuel_stop_state_sweep(self, monkeypatch, name):
+        """Random fuel stops: every engine in both harnesses leaves
+        ``cpu.pc`` on the next unexecuted instruction, with registers,
+        class counts and per-category cycles equal to its harness's
+        oracle.  The SDT's return scheme cycles through all four across
+        the sorted draws (a full matrix per stop would double the
+        runtime); threshold 4 keeps tier-2 regions live at small fuel."""
+        monkeypatch.setenv("REPRO_TIER2_THRESHOLD", "4")
+        program = (compile_to_program(_FIB) if name == "fib"
+                   else get_workload(name, "tiny").compile())
+        full = Interpreter(program, engine="oracle").run().retired
+        rng = random.Random(f"{_SWEEP_SEED}:{name}")
+        fuels = sorted(rng.sample(range(1, full), _SWEEP_DRAWS[name]))
+        for index, fuel in enumerate(fuels):
+            returns = _RETURN_SCHEMES[index % len(_RETURN_SCHEMES)]
+            harnesses = {"native": {}, f"sdt/{returns}": {}}
+            for engine in ENGINES:
+                model = HostModel(SIMPLE)
+                interp = Interpreter(program, engine=engine,
+                                     observer=NativeCostObserver(model))
+                harnesses["native"][engine] = _fuel_stop(interp, model, fuel)
+                vm = SDTVM(program, config=SDTConfig(
+                    profile=SIMPLE, engine=engine, returns=returns))
+                harnesses[f"sdt/{returns}"][engine] = _fuel_stop(
+                    vm, vm.model, fuel)
+            stops = set()
+            for harness, states in harnesses.items():
+                for engine, state in states.items():
+                    context = f"{name} fuel={fuel} {harness}/{engine}"
+                    assert state["retired"] == min(fuel, full), context
+                    _assert_same(states["oracle"], state, context)
+                    # registers left out: fast returns rewrite ``ra``
+                    stops.add((state["retired"], state["pc"]))
+            assert len(stops) == 1, (name, fuel, returns, stops)
 
     def test_sdt_retires_exactly_fuel(self):
         program = compile_to_program(_FIB)

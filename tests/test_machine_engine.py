@@ -20,7 +20,6 @@ from repro.machine.engine import (
     ENGINES,
     MAX_SUPERBLOCK_INSTRS,
     Superblock,
-    compile_block,
     compile_instr,
     default_engine,
     resolve_engine,
@@ -208,7 +207,7 @@ class TestSuperblock:
     def test_empty_block_rejected(self):
         cpu, mem, sys_ = _fresh_state(0)
         with pytest.raises(ValueError):
-            compile_block([], cpu, mem, sys_)
+            Superblock([], cpu, mem, sys_)
 
 
 class TestEngineSelection:

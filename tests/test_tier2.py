@@ -78,6 +78,8 @@ class TestPromotion:
         assert result.retired == oracle.retired
         assert result.iclass_counts == oracle.iclass_counts
         assert interp._tier2._regions
+        assert interp._tier2.stats["promote"] == len(interp._tier2._regions)
+        assert interp._tier2.stats["compile_error"] == 0
 
     def test_ineligible_blocks_marked_once(self, hot):
         # a syscall-bearing block must pin region = False, not retry
@@ -181,6 +183,19 @@ class TestSelfModifyingCode:
         assert discards > 0, dict(stats)
         # re-promotion after invalidation: more formations than deaths
         assert stats["promote"] > discards, dict(stats)
+        assert stats["compile_error"] == 0
+
+    def test_native_discards_and_repromotes(self, hottest):
+        """The interpreter's regions die on code writes and re-form."""
+        program = get_coherence_workload("dyn_loader", "tiny").compile()
+        expected = run_program(program, engine="oracle")
+        interp = Interpreter(program, engine="tier2")
+        result = interp.run()
+        assert result.output == expected.output
+        assert result.retired == expected.retired
+        stats = interp._tier2.stats
+        assert stats["discard.invalidate"] > 0, dict(stats)
+        assert stats["promote"] > stats["discard.invalidate"], dict(stats)
         assert stats["compile_error"] == 0
 
     @pytest.mark.parametrize("name", ("smc_loop", "mini_jit"))
