@@ -3,8 +3,9 @@
 
 For every workload in the suite, times a native-baseline run and an SDT
 run under every engine, verifies the results are identical (output, exit
-code, retired count, iclass counts, cycle totals), and reports simulated
-guest instructions per second.  Writes ``results/ci/BENCH_engine.json``
+code, retired count, iclass counts and the per-category cycle breakdown:
+``repro.eval.differential.ALL``), and reports simulated guest
+instructions per second.  Writes ``results/ci/BENCH_engine.json``
 so the performance trajectory of the simulator itself is tracked over
 time; ``scripts/perf_gate.py`` compares that report against the committed
 baseline in ``benchmarks/baselines/``.
@@ -35,70 +36,19 @@ from pathlib import Path
 QUICK_WORKLOADS = ("gzip_like", "perl_like", "mcf_like")
 
 
-def _run_native(program, profile, engine: str, fuel: int):
-    from repro.host.costs import HostModel, NativeCostObserver
-    from repro.machine.interpreter import Interpreter
+def _timed(program, profile, harness: str, engine: str, fuel: int):
+    """Time ``run(fuel)`` alone, then snapshot the runner."""
+    from repro.eval.differential import make_runner, snapshot
 
-    model = HostModel(profile)
-    interp = Interpreter(
-        program, observer=NativeCostObserver(model), engine=engine
-    )
+    runner = make_runner(program, harness, engine=engine, profile=profile)
     start = time.perf_counter()
-    result = interp.run(fuel)
+    runner.run(fuel)
     seconds = time.perf_counter() - start
-    return {
-        "seconds": seconds,
-        "retired": result.retired,
-        "output": result.output,
-        "exit_code": result.exit_code,
-        "iclass_counts": {
-            ic.value: n for ic, n in sorted(
-                result.iclass_counts.items(), key=lambda kv: kv[0].value
-            )
-        },
-        "cycles": model.total_cycles,
-    }
-
-
-def _run_sdt(program, profile, engine: str, fuel: int):
-    from repro.sdt.config import SDTConfig
-    from repro.sdt.vm import SDTVM
-
-    config = SDTConfig(profile=profile, engine=engine)
-    vm = SDTVM(program, config=config)
-    start = time.perf_counter()
-    result = vm.run(fuel)
-    seconds = time.perf_counter() - start
-    return {
-        "seconds": seconds,
-        "retired": result.retired,
-        "output": result.output,
-        "exit_code": result.exit_code,
-        "iclass_counts": {
-            ic.value: n for ic, n in sorted(
-                result.iclass_counts.items(), key=lambda kv: kv[0].value
-            )
-        },
-        "cycles": result.total_cycles,
-    }
-
-
-def _assert_identical(workload: str, mode: str, per_engine: dict):
-    oracle = per_engine["oracle"]
-    for engine, stats in per_engine.items():
-        if engine == "oracle":
-            continue
-        for field in ("output", "exit_code", "retired", "iclass_counts",
-                      "cycles"):
-            if oracle[field] != stats[field]:
-                raise SystemExit(
-                    f"ENGINE DIVERGENCE: {workload}/{mode} differs on "
-                    f"{field}: oracle={oracle[field]!r} "
-                    f"{engine}={stats[field]!r}"
-                )
+    return seconds, snapshot(runner)
 
 
 def bench(scale: str, names: list[str], profile_name: str, fuel: int) -> dict:
+    from repro.eval.differential import ALL, HARNESSES, diff
     from repro.host.profile import get_profile
     from repro.machine.engine import ENGINES
     from repro.workloads import get_workload
@@ -112,25 +62,32 @@ def bench(scale: str, names: list[str], profile_name: str, fuel: int) -> dict:
         workload = get_workload(name, scale)
         program = workload.compile()  # compile outside the timed region
         row: dict = {"workload": name}
-        for mode, runner in (("native", _run_native), ("sdt", _run_sdt)):
+        for mode in HARNESSES:
             per_engine = {
-                engine: runner(program, profile, engine, fuel)
+                engine: _timed(program, profile, mode, engine, fuel)
                 for engine in ENGINES
             }
-            _assert_identical(name, mode, per_engine)
+            oracle = per_engine["oracle"][1]
+            for engine, (_, observation) in per_engine.items():
+                field = diff(oracle, observation, ALL)
+                if field is not None:
+                    raise SystemExit(
+                        f"ENGINE DIVERGENCE: {name}/{mode}: {engine} "
+                        f"differs from oracle on {field}"
+                    )
             row[mode] = {
                 engine: {
-                    "seconds": round(stats["seconds"], 6),
-                    "retired": stats["retired"],
+                    "seconds": round(seconds, 6),
+                    "retired": observation.retired,
                     "instrs_per_sec": round(
-                        stats["retired"] / stats["seconds"]
-                    ) if stats["seconds"] else None,
+                        observation.retired / seconds
+                    ) if seconds else None,
                 }
-                for engine, stats in per_engine.items()
+                for engine, (seconds, observation) in per_engine.items()
             }
-            for engine, stats in per_engine.items():
-                totals[engine]["retired"] += stats["retired"]
-                totals[engine]["seconds"] += stats["seconds"]
+            for engine, (seconds, observation) in per_engine.items():
+                totals[engine]["retired"] += observation.retired
+                totals[engine]["seconds"] += seconds
         rows.append(row)
         print(
             f"{name:16s} native thr {_speedup(row['native']):5.2f}x "

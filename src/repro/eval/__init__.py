@@ -3,6 +3,9 @@
 - :mod:`repro.eval.runner` — measure one (workload, SDT-config, profile)
   cell, with equivalence checking against the reference interpreter and
   in-process caching,
+- :mod:`repro.eval.differential` — run a program in either harness,
+  snapshot what it left behind and name the first field two runs
+  differ on (the correctness gates' one comparison),
 - :mod:`repro.eval.cells` — the declarative cell model (one schedulable,
   cacheable simulation) with content-addressed fingerprints,
 - :mod:`repro.eval.diskcache` — persistent result store under

@@ -11,7 +11,8 @@ attached to.
 
 :class:`InvariantChecker` runs the walk after every flush (it registers
 its hook *after* the mechanisms', so it sees their post-invalidation
-state) and accumulates a report the chaos CI job uploads as an artifact.
+state) and accumulates a report; :mod:`repro.eval.differential` reads
+its counts into every observation of a faulted run.
 :func:`collect_violations` can also be called directly at any point, with
 or without fault injection.
 """
@@ -187,7 +188,7 @@ class InvariantChecker:
             stats.faults["invariant.violations"] += len(found)
 
     def report(self) -> dict:
-        """JSON-ready summary (the chaos CI artifact's per-run record)."""
+        """JSON-ready summary of the walks and their findings."""
         return {
             "flushes_checked": self.flushes_checked,
             "invalidations_checked": self.invalidations_checked,

@@ -16,7 +16,7 @@ fault-free cached measurements to faulted cells — see
 :meth:`repro.eval.cells.Cell.cacheable`.
 
 The ``REPRO_FAULTS`` environment variable supplies the default plan (the
-chaos CI job sets it for the whole test suite):
+``differential`` CI job sets it for the whole test suite):
 
 - ``off`` / ``none`` / ``0`` / empty — no injection (``None``),
 - a profile name — ``light``, ``chaos`` or ``storm``,

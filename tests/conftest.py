@@ -56,9 +56,9 @@ def simple_profile():
 def no_faults(monkeypatch):
     """Pin fault injection off regardless of the REPRO_FAULTS environment.
 
-    The chaos CI job runs this suite with ``REPRO_FAULTS=chaos:<seed>``;
-    most tests pass unchanged because injected faults never alter
-    architectural results.  Tests that assert *clean-spec* behaviour —
+    The ``differential`` CI job runs this suite with
+    ``REPRO_FAULTS=chaos:<seed>``; most tests pass unchanged because
+    injected faults never alter architectural results.  Tests that assert *clean-spec* behaviour —
     exact hit rates, memo/disk-cache hits, cycle orderings — opt out via
     this fixture (module-wide with
     ``pytestmark = pytest.mark.usefixtures("no_faults")``).

@@ -4,7 +4,8 @@ The acceptance bar for the coherence subsystem (docs/robustness.md):
 every scenario stays byte-identical to the reference interpreter under
 every invalidation policy, mechanism and engine, with the invariant
 checker reporting zero stale-fragment violations — including when the
-chaos CI job re-runs this file under ``REPRO_FAULTS=chaos:1234``.
+``differential`` CI job runs the whole suite under
+``REPRO_FAULTS=chaos:1234``.
 """
 
 import pytest
@@ -69,8 +70,9 @@ class TestReferenceInterpreter:
 class TestScenarioParity:
     """SDT == interpreter for every scenario x policy x mechanism.
 
-    Runs under whatever REPRO_FAULTS the environment sets — the chaos CI
-    job re-executes exactly this matrix with fault injection on.
+    Runs under whatever REPRO_FAULTS the environment sets — the
+    ``differential`` CI job re-executes exactly this matrix with fault
+    injection on.
     """
 
     @pytest.mark.parametrize("name", COHERENCE_WORKLOADS)

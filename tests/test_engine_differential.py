@@ -3,10 +3,11 @@
 The threaded engine (repro.machine.engine) must be a pure performance
 change: for every workload, profile and execution mode the observable
 results — output, exit code, retired count, per-class instruction
-counts, total cycles and the full cycle breakdown — must match the
-oracle engine exactly.  These tests enforce that, plus the fuel-parity
-contract (both the interpreter and the SDT stop at *exactly* the fuel
-limit) and engine-neutral disk caching.
+counts and the full per-category cycle breakdown
+(:data:`repro.eval.differential.ALL`) — must match the oracle engine
+exactly.  These tests enforce that, plus the fuel-parity contract (both
+the interpreter and the SDT stop at *exactly* the fuel limit, in the
+same state) and engine-neutral disk caching.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 
 import pytest
 
-from repro.host.costs import HostModel, NativeCostObserver
+from repro.eval.differential import ALL, ARCH, HARNESSES, diff, observe, snapshot
 from repro.host.profile import SIMPLE, X86_P4
 from repro.isa.assembler import assemble
 from repro.isa.program import DATA_BASE
@@ -28,42 +29,18 @@ from repro.sdt.vm import SDTVM
 from repro.workloads import get_workload, workload_names
 
 PROFILES = (SIMPLE, X86_P4)
+#: what two runs stopped by the same fuel must agree on
+STOP = ALL + ("pc", "regs")
 
 
-def _native(program, profile, engine):
-    model = HostModel(profile)
-    result = Interpreter(
-        program, observer=NativeCostObserver(model), engine=engine
-    ).run()
-    return {
-        "output": result.output,
-        "exit_code": result.exit_code,
-        "retired": result.retired,
-        "iclass_counts": dict(result.iclass_counts),
-        "total_cycles": model.total_cycles,
-        "cycles": dict(model.cycles),
-    }
-
-
-def _sdt(program, profile, engine, **config_kwargs):
-    config = SDTConfig(profile=profile, engine=engine, **config_kwargs)
-    result = SDTVM(program, config=config).run()
-    return {
-        "output": result.output,
-        "exit_code": result.exit_code,
-        "retired": result.retired,
-        "iclass_counts": dict(result.iclass_counts),
-        "total_cycles": result.total_cycles,
-        "cycles": dict(result.cycles),
-    }
-
-
-def _assert_same(oracle: dict, threaded: dict, context: str) -> None:
-    for key in oracle:
-        assert oracle[key] == threaded[key], (
-            f"{context}: engines diverge on {key}: "
-            f"oracle={oracle[key]!r} threaded={threaded[key]!r}"
-        )
+def _engine_diff(program, harness, **kwargs) -> str | None:
+    """The first ``ALL`` field the threaded engine differs from the
+    oracle on, or ``None``."""
+    oracle, threaded = (
+        observe(program, harness, engine=engine, **kwargs)
+        for engine in ("oracle", "threaded")
+    )
+    return diff(oracle, threaded, ALL)
 
 
 class TestWorkloadDifferential:
@@ -73,21 +50,13 @@ class TestWorkloadDifferential:
     @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
     def test_native_identical(self, name, profile):
         program = get_workload(name, "tiny").compile()
-        _assert_same(
-            _native(program, profile, "oracle"),
-            _native(program, profile, "threaded"),
-            f"native/{name}@{profile.name}",
-        )
+        assert _engine_diff(program, "native", profile=profile) is None
 
     @pytest.mark.parametrize("name", workload_names())
     @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
     def test_sdt_identical(self, name, profile):
         program = get_workload(name, "tiny").compile()
-        _assert_same(
-            _sdt(program, profile, "oracle"),
-            _sdt(program, profile, "threaded"),
-            f"sdt/{name}@{profile.name}",
-        )
+        assert _engine_diff(program, "sdt", profile=profile) is None
 
     @pytest.mark.parametrize(
         "ib", ["reentry", "ibtc", "sieve"], ids=lambda s: f"ib={s}"
@@ -95,11 +64,7 @@ class TestWorkloadDifferential:
     def test_sdt_identical_across_ib_mechanisms(self, ib):
         """Engine parity holds whatever IB handling the SDT uses."""
         program = get_workload("gzip_like", "tiny").compile()
-        _assert_same(
-            _sdt(program, SIMPLE, "oracle", ib=ib),
-            _sdt(program, SIMPLE, "threaded", ib=ib),
-            f"sdt/gzip_like ib={ib}",
-        )
+        assert _engine_diff(program, "sdt", ib=ib) is None
 
 
 # -- randomized instruction sequences ----------------------------------------
@@ -163,20 +128,12 @@ class TestRandomizedSequences:
     @pytest.mark.parametrize("seed", range(8))
     def test_native_identical(self, seed):
         program = assemble(_random_program(seed))
-        _assert_same(
-            _native(program, SIMPLE, "oracle"),
-            _native(program, SIMPLE, "threaded"),
-            f"random[{seed}]",
-        )
+        assert _engine_diff(program, "native") is None
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sdt_identical(self, seed):
         program = assemble(_random_program(seed))
-        _assert_same(
-            _sdt(program, X86_P4, "oracle"),
-            _sdt(program, X86_P4, "threaded"),
-            f"random-sdt[{seed}]",
-        )
+        assert _engine_diff(program, "sdt", profile=X86_P4) is None
 
     def test_final_register_state_identical(self):
         program = _random_program(99)
@@ -186,8 +143,8 @@ class TestRandomizedSequences:
         }
         for interp in interps.values():
             interp.run()
-        assert (interps["oracle"].cpu.regs
-                == interps["threaded"].cpu.regs)
+        assert diff(snapshot(interps["oracle"]), snapshot(interps["threaded"]),
+                    ("pc", "regs")) is None
         base = interps["oracle"].mem
         other = interps["threaded"].mem
         for off in range(0, 256, 4):
@@ -215,21 +172,6 @@ _SWEEP_SEED = 1234
 _RETURN_SCHEMES = ("same", "fast", "shadow", "retcache")
 
 
-def _fuel_stop(runner, model: HostModel, fuel: int) -> dict:
-    """Run ``runner`` with ``fuel`` and snapshot the state it stops in."""
-    try:
-        runner.run(fuel)
-    except FuelExhausted:
-        pass
-    return {
-        "retired": runner.retired,
-        "pc": runner.cpu.pc,
-        "regs": list(runner.cpu.regs),
-        "iclass_counts": dict(runner.iclass_counts),
-        "cycles": model.breakdown(),
-    }
-
-
 class TestFuelParity:
     """SDT stops at exactly the same retired count as the interpreter
     when fuel runs out, under every engine."""
@@ -250,25 +192,22 @@ class TestFuelParity:
         fuels = sorted(rng.sample(range(1, full), _SWEEP_DRAWS[name]))
         for index, fuel in enumerate(fuels):
             returns = _RETURN_SCHEMES[index % len(_RETURN_SCHEMES)]
-            harnesses = {"native": {}, f"sdt/{returns}": {}}
-            for engine in ENGINES:
-                model = HostModel(SIMPLE)
-                interp = Interpreter(program, engine=engine,
-                                     observer=NativeCostObserver(model))
-                harnesses["native"][engine] = _fuel_stop(interp, model, fuel)
-                vm = SDTVM(program, config=SDTConfig(
-                    profile=SIMPLE, engine=engine, returns=returns))
-                harnesses[f"sdt/{returns}"][engine] = _fuel_stop(
-                    vm, vm.model, fuel)
-            stops = set()
-            for harness, states in harnesses.items():
+            oracles = []
+            for harness in HARNESSES:
+                config = {"returns": returns} if harness == "sdt" else {}
+                states = {
+                    engine: observe(program, harness, engine=engine,
+                                    fuel=fuel, **config)
+                    for engine in ENGINES
+                }
                 for engine, state in states.items():
-                    context = f"{name} fuel={fuel} {harness}/{engine}"
-                    assert state["retired"] == min(fuel, full), context
-                    _assert_same(states["oracle"], state, context)
-                    # registers left out: fast returns rewrite ``ra``
-                    stops.add((state["retired"], state["pc"]))
-            assert len(stops) == 1, (name, fuel, returns, stops)
+                    context = f"{name} fuel={fuel} {harness}/{engine} {config}"
+                    assert state.retired == min(fuel, full), context
+                    assert diff(states["oracle"], state, STOP) is None, context
+                oracles.append(states["oracle"])
+            # across harnesses: no cycles (the SDT charges its own) and no
+            # registers (fast returns rewrite ``ra``)
+            assert diff(*oracles, ARCH + ("pc",)) is None, (name, fuel, returns)
 
     def test_sdt_retires_exactly_fuel(self):
         program = compile_to_program(_FIB)
@@ -285,19 +224,11 @@ class TestFuelParity:
         """Regression: native and SDT pinned to identical retired counts."""
         program = compile_to_program(_FIB)
         for fuel in (50, 333, 2000):
-            counts = set()
-            for engine in ENGINES:
-                interp = Interpreter(program, engine=engine)
-                with pytest.raises(FuelExhausted):
-                    interp.run(fuel)
-                counts.add(interp.retired)
-                vm = SDTVM(
-                    program, config=SDTConfig(profile=SIMPLE, engine=engine)
-                )
-                with pytest.raises(FuelExhausted):
-                    vm.run(fuel)
-                counts.add(vm.retired)
-            assert counts == {fuel}
+            stops = [
+                observe(program, harness, engine=engine, fuel=fuel)
+                for harness in HARNESSES for engine in ENGINES
+            ]
+            assert {(s.retired, s.exit_code) for s in stops} == {(fuel, None)}
 
     def test_exact_fuel_completes_without_exhaustion(self):
         program = compile_to_program(_FIB)

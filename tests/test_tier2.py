@@ -2,24 +2,35 @@
 
 The tier's contract (docs/performance.md): ``engine="tier2"`` is
 observationally identical to the oracle engine — output, exit code,
-retired count, iclass counts *and* cycle totals — under clean runs,
-chaos fault plans, fuel exhaustion, mid-region guest faults and
-self-modifying code.  Regions are pure profile state, so everything
-here also holds when the chaos CI job re-runs this file with
+retired count, iclass counts *and* the per-category cycle breakdown
+(:data:`repro.eval.differential.ALL`) — under clean runs, chaos fault
+plans, fuel exhaustion, mid-region guest faults and self-modifying
+code.  Regions are pure profile state, so everything here also holds
+when the ``differential`` CI job runs the whole suite with
 ``REPRO_FAULTS=chaos:1234``.
 """
 
 import pytest
 
+from repro.eval.differential import (
+    ALL,
+    ARCH,
+    diff,
+    make_runner,
+    observe,
+    snapshot,
+)
 from repro.isa.assembler import assemble
 from repro.machine.engine import ENGINES
-from repro.machine.interpreter import Interpreter, run_program
+from repro.machine.interpreter import Interpreter
 from repro.sdt.config import SDTConfig
 from repro.sdt.vm import SDTVM
 from repro.workloads import get_coherence_workload, get_workload
 
 #: Deopt-storm seeds: arbitrary, spread across the plan space.
 STORM_SEEDS = (1, 7, 42, 1234, 99991)
+#: what two runs stopped at the same point (fuel or guest fault) agree on
+STOP = ALL + ("pc", "regs")
 
 
 @pytest.fixture
@@ -33,12 +44,19 @@ def run_sdt(program, **kwargs):
     return vm, vm.run()
 
 
-def assert_identical(a, b, context):
-    assert a.output == b.output, context
-    assert a.exit_code == b.exit_code, context
-    assert a.retired == b.retired, context
-    assert a.iclass_counts == b.iclass_counts, context
-    assert a.total_cycles == b.total_cycles, context
+def assert_fault_parity(program, harness):
+    """Every engine stops on the oracle's guest fault in the oracle's
+    state."""
+    stops = {}
+    for engine in ENGINES:
+        runner = make_runner(program, harness, engine=engine)
+        with pytest.raises(Exception) as excinfo:
+            runner.run()
+        stops[engine] = excinfo.type, snapshot(runner)
+    fault, oracle = stops["oracle"]
+    for engine, (kind, stop) in stops.items():
+        assert kind is fault, engine
+        assert diff(oracle, stop, STOP) is None, engine
 
 
 class TestEnginesRegistry:
@@ -49,11 +67,11 @@ class TestEnginesRegistry:
 class TestPromotion:
     def test_regions_form_and_match_oracle(self, hot):
         program = get_workload("gzip_like", "tiny").compile()
-        _, oracle = run_sdt(program, engine="oracle")
-        vm, tiered = run_sdt(program, engine="tier2")
-        assert_identical(tiered, oracle, "gzip_like tier2 vs oracle")
-        assert vm.stats.tier2["promote"] > 0
-        assert vm.stats.tier2["compile_error"] == 0
+        oracle = observe(program, "sdt", engine="oracle")
+        tiered = observe(program, "sdt", engine="tier2")
+        assert diff(oracle, tiered, ALL) is None
+        assert tiered.counters["tier2.promote"] > 0
+        assert tiered.counters["tier2.compile_error"] == 0
 
     def test_region_source_sanity(self, hot):
         program = get_workload("gzip_like", "tiny").compile()
@@ -71,12 +89,10 @@ class TestPromotion:
 
     def test_native_interpreter_promotes(self, hot):
         program = get_workload("gzip_like", "tiny").compile()
-        oracle = Interpreter(program, engine="oracle").run()
+        oracle = observe(program, "native", engine="oracle")
         interp = Interpreter(program, engine="tier2")
-        result = interp.run()
-        assert result.output == oracle.output
-        assert result.retired == oracle.retired
-        assert result.iclass_counts == oracle.iclass_counts
+        interp.run()
+        assert diff(oracle, snapshot(interp), ARCH) is None
         assert interp._tier2._regions
         assert interp._tier2.stats["promote"] == len(interp._tier2._regions)
         assert interp._tier2.stats["compile_error"] == 0
@@ -103,39 +119,38 @@ class TestDeoptStorm:
         deopts = 0
         for seed in STORM_SEEDS:
             plan = f"chaos:{seed}"
-            _, oracle = run_sdt(program, engine="oracle", faults=plan)
-            vm, tiered = run_sdt(program, engine="tier2", faults=plan)
-            assert_identical(tiered, oracle, f"perl_like {plan}")
-            assert vm.stats.tier2["compile_error"] == 0
+            oracle = observe(program, "sdt", engine="oracle", faults=plan)
+            tiered = observe(program, "sdt", engine="tier2", faults=plan)
+            assert diff(oracle, tiered, ALL) is None, plan
+            assert tiered.counters["tier2.compile_error"] == 0
             deopts += sum(
-                count for key, count in vm.stats.tier2.items()
-                if key.startswith(("deopt.", "discard."))
+                count for key, count in tiered.counters.items()
+                if key.startswith(("tier2.deopt.", "tier2.discard."))
             )
         assert deopts > 0, "no storm seed exercised a deopt guard"
 
     @pytest.mark.parametrize("name", ("gzip_like", "mcf_like"))
     def test_chaos_parity_per_workload(self, hot, name):
         program = get_workload(name, "tiny").compile()
-        _, oracle = run_sdt(program, engine="oracle", faults="chaos:1234")
-        _, tiered = run_sdt(program, engine="tier2", faults="chaos:1234")
-        assert_identical(tiered, oracle, f"{name} chaos:1234")
+        oracle, tiered = (
+            observe(program, "sdt", engine=engine, faults="chaos:1234")
+            for engine in ("oracle", "tier2")
+        )
+        assert diff(oracle, tiered, ALL) is None
 
 
 class TestFuelGuard:
     def test_fuel_exhaustion_parity(self, hot):
-        from repro.machine.errors import FuelExhausted
-
         program = get_workload("gzip_like", "tiny").compile()
-        full = run_sdt(program, engine="oracle")[1].retired
+        full = observe(program, "sdt", engine="oracle").retired
         for fuel in (full // 3, full // 2, full - 1):
-            outcomes = {}
-            for engine in ENGINES:
-                vm = SDTVM(program, config=SDTConfig(engine=engine))
-                with pytest.raises(FuelExhausted):
-                    vm.run(fuel)
-                outcomes[engine] = (vm.retired, vm.model.total_cycles)
-                assert vm.retired == fuel, (engine, fuel)
-            assert outcomes["tier2"] == outcomes["oracle"], fuel
+            stops = {
+                engine: observe(program, "sdt", engine=engine, fuel=fuel)
+                for engine in ENGINES
+            }
+            for engine, stop in stops.items():
+                assert (stop.retired, stop.exit_code) == (fuel, None), engine
+            assert diff(stops["oracle"], stops["tier2"], STOP) is None, fuel
 
     def test_fuel_deopt_counted(self, hot):
         from repro.machine.errors import FuelExhausted
@@ -166,12 +181,10 @@ class TestSelfModifyingCode:
     @pytest.mark.parametrize("name", ("smc_loop", "mini_jit"))
     def test_coherence_parity(self, hot, name):
         program = get_coherence_workload(name, "tiny").compile()
-        expected = run_program(program)
-        vm, result = run_sdt(program, engine="tier2", coherence="targeted")
-        assert result.output == expected.output, name
-        assert result.exit_code == expected.exit_code, name
-        assert result.retired == expected.retired, name
-        assert vm.stats.tier2["compile_error"] == 0
+        expected = observe(program, "native")
+        result = observe(program, "sdt", engine="tier2", coherence="targeted")
+        assert diff(expected, result, ARCH) is None, name
+        assert result.counters["tier2.compile_error"] == 0
 
     @pytest.mark.parametrize("name", ("smc_loop", "mini_jit"))
     def test_discards_and_repromotes(self, hottest, name):
@@ -188,11 +201,10 @@ class TestSelfModifyingCode:
     def test_native_discards_and_repromotes(self, hottest):
         """The interpreter's regions die on code writes and re-form."""
         program = get_coherence_workload("dyn_loader", "tiny").compile()
-        expected = run_program(program, engine="oracle")
+        expected = observe(program, "native", engine="oracle")
         interp = Interpreter(program, engine="tier2")
-        result = interp.run()
-        assert result.output == expected.output
-        assert result.retired == expected.retired
+        interp.run()
+        assert diff(expected, snapshot(interp), ARCH) is None
         stats = interp._tier2.stats
         assert stats["discard.invalidate"] > 0, dict(stats)
         assert stats["promote"] > stats["discard.invalidate"], dict(stats)
@@ -201,10 +213,9 @@ class TestSelfModifyingCode:
     @pytest.mark.parametrize("name", ("smc_loop", "mini_jit"))
     def test_flush_policy_parity(self, hot, name):
         program = get_coherence_workload(name, "tiny").compile()
-        expected = run_program(program)
-        vm, result = run_sdt(program, engine="tier2", coherence="flush")
-        assert result.output == expected.output, name
-        assert result.retired == expected.retired, name
+        expected = observe(program, "native")
+        result = observe(program, "sdt", engine="tier2", coherence="flush")
+        assert diff(expected, result, ARCH) is None, name
 
 
 class TestFaultReplay:
@@ -227,31 +238,10 @@ class TestFaultReplay:
     """
 
     def test_native_parity(self, hot):
-        program = assemble(self.SOURCE)
-        outcomes = {}
-        for engine in ENGINES:
-            interp = Interpreter(program, engine=engine)
-            with pytest.raises(Exception) as excinfo:
-                interp.run()
-            outcomes[engine] = (
-                type(excinfo.value), interp.retired, interp.cpu.pc,
-                list(interp.cpu.regs), dict(interp.iclass_counts),
-            )
-        assert outcomes["tier2"] == outcomes["oracle"]
-        assert outcomes["threaded"] == outcomes["oracle"]
+        assert_fault_parity(assemble(self.SOURCE), "native")
 
     def test_sdt_parity(self, hot):
-        program = assemble(self.SOURCE)
-        outcomes = {}
-        for engine in ENGINES:
-            vm = SDTVM(program, config=SDTConfig(engine=engine))
-            with pytest.raises(Exception) as excinfo:
-                vm.run()
-            outcomes[engine] = (
-                type(excinfo.value), vm.retired, vm.cpu.pc,
-                list(vm.cpu.regs), dict(vm.iclass_counts),
-            )
-        assert outcomes["tier2"] == outcomes["oracle"]
+        assert_fault_parity(assemble(self.SOURCE), "sdt")
 
     def test_mid_region_fault_replays(self, hot):
         """The fault lands inside the hot region itself: two clean trips
@@ -270,13 +260,4 @@ class TestFaultReplay:
             bne t0, t1, loop
             halt
         """)
-        outcomes = {}
-        for engine in ENGINES:
-            interp = Interpreter(program, engine=engine)
-            with pytest.raises(Exception) as excinfo:
-                interp.run()
-            outcomes[engine] = (
-                type(excinfo.value), interp.retired, interp.cpu.pc,
-                list(interp.cpu.regs),
-            )
-        assert outcomes["tier2"] == outcomes["oracle"]
+        assert_fault_parity(program, "native")
