@@ -7,10 +7,10 @@ differs on (``ARCH``: output, exit code, retired count, class counts;
 ``ALL``: those plus the per-category cycle breakdown):
 
 - ``engines`` — 12 workloads x {native, sdt} x {clean, fuel 5000, chaos
-  (sdt only)}: oracle -> threaded, tier2 on ``ALL``, plus ``pc`` and
-  registers at the fuel stop.  Bars: in each harness at least one
-  promotion and no region compile error; at least one ``deopt.fuel`` at
-  the SDT's fuel stops and one ``discard.*`` under its chaos plan.
+  (sdt only)}: oracle -> threaded, tier2 on ``ALL`` plus ``pc`` and
+  registers.  Bars: in each harness at least one promotion and no
+  region compile error; at least one ``deopt.fuel`` at the SDT's fuel
+  stops and one ``discard.*`` under its chaos plan.
 - ``faults`` — 12 workloads x {reentry, ibtc, sieve}: clean ->
   ``chaos:1234`` on ``ARCH``.  Bar: every cell injects a fault.
 - ``storm`` — gzip/bzip2/vortex/perl x 3 mechanisms at 1 KiB: clean ->
@@ -122,11 +122,10 @@ def engines(failures: list[str]):
                 tier2[harness].update(candidates["tier2"].counters)
                 tier2[f"{harness}/{variant}"].update(
                     candidates["tier2"].counters)
-                # a fuel stop pins the next unexecuted instruction; an
-                # exit leaves cpu.pc wherever the harness's loop left it
-                fields = ALL + ("pc", "regs") if variant == "fuel" else ALL
-                yield (f"{name}/{harness}/{variant}", fields, reference,
-                       candidates)
+                # a fuel stop leaves cpu.pc on the next unexecuted
+                # instruction, a clean exit where the exit sent it
+                yield (f"{name}/{harness}/{variant}", ALL + ("pc", "regs"),
+                       reference, candidates)
     for harness in HARNESSES:
         _bar(failures, f"engines {harness} promotions",
              tier2[harness]["tier2.promote"])

@@ -16,7 +16,8 @@ apart" means, once, for every gate that checks it:
 Runs are judged on :data:`ARCH` when only architecture must hold (a
 fault plan or devirtualization may move cycles) and on :data:`ALL` when
 the cycle ledger must hold too (execution engines).  ``pc`` and ``regs``
-are compared where both runs stop at the same point by construction.
+are compared where both runs stop at the same point by construction:
+across engines, at a fuel stop or a clean exit.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ class Observation:
         cycles: per-category cycle breakdown, or ``{}`` without a cost
             model.
         pc: ``cpu.pc`` where the run stopped (at a fuel stop the next
-            unexecuted instruction, at a fault the faulting one).
+            unexecuted instruction, at a fault the faulting one, at a
+            clean exit where the exiting instruction sent it).
         regs: the register file where the run stopped.
         counters: flat ``group.key -> count`` view of the run's event
             counters: ``tier2.*`` (either harness), ``static.*``,

@@ -25,6 +25,10 @@ from repro.host.profile import ArchProfile
 class Category(enum.Enum):
     """Where cycles went (the paper's overhead decomposition)."""
 
+    # members are singletons: hash by identity in C, not by Enum's
+    # Python-level hash(name) (docs/performance.md, "Host hot path")
+    __hash__ = object.__hash__
+
     APP = "app"                      # the application's own instructions
     COND_MISPREDICT = "cond_mispredict"
     IND_MISPREDICT = "ind_mispredict"
@@ -68,15 +72,6 @@ class HostModel:
     def charge_instr(self, iclass: InstrClass) -> None:
         """Base cost of one retired application instruction."""
         self.cycles[Category.APP] += self._class_cycles[iclass]
-
-    def charge_block(self, cycles: int) -> None:
-        """Bulk APP charge for a whole block of retired instructions.
-
-        ``cycles`` must be the precomputed per-class sum for the block
-        (see :class:`repro.machine.engine.Superblock`), so charging a
-        block once is cycle-identical to charging each instruction.
-        """
-        self.cycles[Category.APP] += cycles
 
     def block_cycles(self, counts: dict[InstrClass, int]) -> int:
         """Total APP cycles for an instruction-class count vector."""

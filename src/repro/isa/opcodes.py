@@ -31,6 +31,10 @@ from dataclasses import dataclass
 class InstrClass(enum.Enum):
     """Semantic/cost class of an instruction."""
 
+    # members are singletons: hash by identity in C, not by Enum's
+    # Python-level hash(name) (docs/performance.md, "Host hot path")
+    __hash__ = object.__hash__
+
     ALU = "alu"
     SHIFT = "shift"
     MUL = "mul"
@@ -96,6 +100,10 @@ class OpSpec:
 
 class Op(enum.Enum):
     """All SR32 mnemonics."""
+
+    # members are singletons: hash by identity in C, not by Enum's
+    # Python-level hash(name) (docs/performance.md, "Host hot path")
+    __hash__ = object.__hash__
 
     # R-format ALU
     ADD = "add"

@@ -15,7 +15,9 @@ executed as a flat list — and each plan precomputes its
 cycle cost under the active :class:`~repro.host.profile.ArchProfile`, so
 cycle accounting and instruction-class counting are charged once per
 block execution instead of once per instruction
-(:meth:`repro.host.costs.HostModel.charge_block`).
+(:meth:`repro.machine.runner.BlockRunner._run_block`).  The ``lw`` and
+``sw`` closures come from :class:`~repro.machine.memory.Memory`, which
+owns the page layout they access in place.
 
 Invariants the block layer relies on (see docs/performance.md):
 
@@ -321,18 +323,9 @@ def compile_instr(
     if op is Op.LW:
         if not rt:
             return oracle
-
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, load=mem.load_word,
-                 npc=npc):
-            regs[rt] = load((regs[rs] + imm) & U32)
-            return npc
-        return step
+        return mem.load_word_step(regs, rt, rs, imm, npc)
     if op is Op.SW:
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, store=mem.store_word,
-                 npc=npc):
-            store((regs[rs] + imm) & U32, regs[rt])
-            return npc
-        return step
+        return mem.store_word_step(regs, rt, rs, imm, npc)
     if op is Op.LB:
         if not rt:
             return oracle

@@ -14,14 +14,28 @@ code (:mod:`repro.sdt.coherence`, the interpreter's block caches).  The
 owner registers a hook with :meth:`Memory.set_write_watch` and marks
 pages of interest with :meth:`Memory.watch_page`; the hook fires *after*
 the bytes land, with the store's address and length.  When no watch is
-installed the per-store cost is a single attribute load and ``is None``
-test, so coherence-off configurations pay nothing measurable.
+installed the per-store cost is one membership test on an empty set, so
+coherence-off configurations pay nothing measurable.
+
+Word closures
+-------------
+
+The threaded engine (:mod:`repro.machine.engine`) gets its ``lw`` and
+``sw`` closures from :meth:`Memory.load_word_step` and
+:meth:`Memory.store_word_step`, so the page layout stays in this module.
+A closure reads or writes the page ``bytearray`` in place only for a
+resident page and an aligned address (for a store, on an unwatched
+page); every other access calls :meth:`Memory.load_word` /
+:meth:`Memory.store_word`, the only code that faults, allocates pages
+and fires the watch hook.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Callable
 
+from repro.machine.cpu import U32
 from repro.machine.errors import AlignmentFault, MemoryFault
 
 PAGE_SHIFT = 12
@@ -32,6 +46,9 @@ ADDR_LIMIT = 1 << 32
 #: Write-watch callback: ``hook(addr, length)`` after the store landed.
 WriteWatch = Callable[[int, int], None]
 
+#: One little-endian guest word.
+_WORD = struct.Struct("<I")
+
 
 class Memory:
     """Sparse 32-bit guest address space."""
@@ -39,10 +56,10 @@ class Memory:
     __slots__ = ("_pages", "_watched", "_watch_hook")
 
     def __init__(self) -> None:
+        # the word closures hold both containers: never rebind them
         self._pages: dict[int, bytearray] = {}
-        #: watched page indices, or None when no watch is installed (the
-        #: fast-path guard tests this one attribute)
-        self._watched: set[int] | None = None
+        #: watched page indices, empty when no watch is installed
+        self._watched: set[int] = set()
         self._watch_hook: WriteWatch | None = None
 
     def _page(self, addr: int) -> bytearray:
@@ -75,28 +92,22 @@ class Memory:
         multiplexes if it needs more.
         """
         if hook is None:
-            self._watched = None
-            self._watch_hook = None
-            return
+            self._watched.clear()
         self._watch_hook = hook
-        if self._watched is None:
-            self._watched = set()
 
     def watch_page(self, page_index: int) -> None:
         """Mark one page so stores into it invoke the watch hook."""
         if self._watch_hook is None:
             raise ValueError("watch_page requires set_write_watch first")
-        assert self._watched is not None
         self._watched.add(page_index)
 
     def unwatch_page(self, page_index: int) -> None:
         """Stop watching one page (missing pages are ignored)."""
-        if self._watched is not None:
-            self._watched.discard(page_index)
+        self._watched.discard(page_index)
 
     def watched_pages(self) -> frozenset[int]:
         """Currently watched page indices (introspection/tests)."""
-        return frozenset(self._watched) if self._watched is not None else frozenset()
+        return frozenset(self._watched)
 
     # -- loads -------------------------------------------------------------
     #
@@ -136,8 +147,7 @@ class Memory:
         if not 0 <= addr < ADDR_LIMIT:
             raise MemoryFault(addr, "store")
         self._page(addr)[addr & PAGE_MASK] = value & 0xFF
-        watched = self._watched
-        if watched is not None and (addr >> PAGE_SHIFT) in watched:
+        if (addr >> PAGE_SHIFT) in self._watched:
             self._watch_hook(addr, 1)
 
     def store_half(self, addr: int, value: int) -> None:
@@ -147,8 +157,7 @@ class Memory:
         off = addr & PAGE_MASK
         page[off] = value & 0xFF
         page[off + 1] = (value >> 8) & 0xFF
-        watched = self._watched
-        if watched is not None and (addr >> PAGE_SHIFT) in watched:
+        if (addr >> PAGE_SHIFT) in self._watched:
             self._watch_hook(addr, 2)
 
     def store_word(self, addr: int, value: int) -> None:
@@ -157,9 +166,43 @@ class Memory:
         page = self._page(addr)
         off = addr & PAGE_MASK
         page[off : off + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
-        watched = self._watched
-        if watched is not None and (addr >> PAGE_SHIFT) in watched:
+        if (addr >> PAGE_SHIFT) in self._watched:
             self._watch_hook(addr, 4)
+
+    # -- word closures (see "Word closures" above) ----------------------------
+
+    def load_word_step(self, regs: list[int], rt: int, rs: int, imm: int,
+                       npc: int) -> Callable[[], int]:
+        """``lw rt, imm(rs)`` on this memory as a closure returning
+        ``npc``; ``rt`` must not be ``r0``."""
+        def step(regs=regs, rt=rt, rs=rs, imm=imm, npc=npc,
+                 page_of=self._pages.get, unpack=_WORD.unpack_from,
+                 load=self.load_word):
+            addr = (regs[rs] + imm) & U32
+            page = page_of(addr >> PAGE_SHIFT)
+            if page is None or addr & 3:
+                regs[rt] = load(addr)
+            else:
+                regs[rt] = unpack(page, addr & PAGE_MASK)[0]
+            return npc
+        return step
+
+    def store_word_step(self, regs: list[int], rt: int, rs: int, imm: int,
+                        npc: int) -> Callable[[], int]:
+        """``sw rt, imm(rs)`` on this memory as a closure returning
+        ``npc``."""
+        def step(regs=regs, rt=rt, rs=rs, imm=imm, npc=npc,
+                 page_of=self._pages.get, watched=self._watched,
+                 pack=_WORD.pack_into, store=self.store_word):
+            addr = (regs[rs] + imm) & U32
+            index = addr >> PAGE_SHIFT
+            page = page_of(index)
+            if page is None or addr & 3 or index in watched:
+                store(addr, regs[rt])
+            else:
+                pack(page, addr & PAGE_MASK, regs[rt] & U32)
+            return npc
+        return step
 
     # -- bulk --------------------------------------------------------------
 
@@ -190,7 +233,7 @@ class Memory:
                 page = bytearray(PAGE_SIZE)
                 pages[index] = page
             page[off : off + take] = data[pos : pos + take]
-            if watched is not None and index in watched:
+            if index in watched:
                 self._watch_hook(cursor, take)
             pos += take
             cursor += take

@@ -5,22 +5,24 @@ differs (a static edge in the interpreter, a patched link or an IB
 mechanism dispatch in the SDT).  :class:`BlockRunner` therefore owns
 everything below the exit for both harnesses:
 
-- the whole-block body (closure list, one class-count commit, one
-  ``HostModel.charge_block``),
+- the whole-block body (closure list, one class-count commit, one APP
+  cycle commit),
 - the per-instruction body (exact fuel stop, mid-block exit ``SYSCALL``),
 - the partial-block accounting after a fault, which the tier-2 fault
   replay (:mod:`repro.machine.tier2`) reuses.
 
 A stop — fault or fuel — leaves ``cpu.pc`` on the next unexecuted guest
 instruction (the faulting one, for a fault), exactly like the oracle
-loops.  Each harness keeps its oracle reference loop, its block lookup
-and its exit hook.
+loops.  A clean exit leaves it where the exiting instruction sent it.
+Each harness keeps its oracle reference loop, its block lookup and its
+exit hook.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+from repro.host.costs import Category
 from repro.isa.opcodes import InstrClass
 from repro.isa.program import Program
 from repro.machine.engine import Superblock
@@ -57,11 +59,9 @@ class BlockRunner:
         next guest PC.
         """
         k = 0
-        next_pc = block.entry_pc
         try:
-            for fn in block.fns:
+            for k, fn in enumerate(block.fns):
                 next_pc = fn()
-                k += 1
         except BaseException:
             self._account_partial(block.pcs, block.iclasses, k)
             raise
@@ -69,8 +69,11 @@ class BlockRunner:
         counts = self.iclass_counts
         for iclass, count in block.class_counts.items():
             counts[iclass] += count
-        if self.model is not None:
-            self.model.charge_block(block.app_cycles)
+        model = self.model
+        if model is not None:
+            # the block's precomputed APP sum: cycle-identical to
+            # charging each instruction
+            model.cycles[Category.APP] += block.app_cycles
         return next_pc
 
     def _run_steps(self, block: Superblock, budget: int,
@@ -79,7 +82,8 @@ class BlockRunner:
 
         Raises :class:`FuelExhausted` after exactly ``budget``
         instructions and returns ``None`` when a ``SYSCALL`` exits the
-        program mid-block; otherwise returns the next guest PC.
+        program mid-block (``cpu.pc`` on its successor); otherwise
+        returns the next guest PC.
         """
         syscalls = self.syscalls
         counts = self.iclass_counts
@@ -98,6 +102,7 @@ class BlockRunner:
                 if model is not None:
                     model.charge_instr(iclass)
                 if iclass is InstrClass.SYSCALL and syscalls.exited:
+                    self.cpu.pc = next_pc
                     return None
         except BaseException:
             # fault or fuel stop: cpu.pc on the next unexecuted instruction

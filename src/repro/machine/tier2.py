@@ -13,9 +13,9 @@ single Python function of straight-line source:
   register file at all;
 - immediates, branch targets, sign-extension masks and r0 reads are
   constant-folded into the source;
-- block-level accounting is preserved exactly: one
-  ``HostModel.charge_block`` and one class-count commit per block, and
-  the same predictor events at the same sites as the tier below;
+- block-level accounting is preserved exactly: one APP cycle commit
+  and one class-count commit per block, and the same predictor events
+  at the same sites as the tier below;
 - region exits fuse the tier-1 exit protocol (link following, return
   bookkeeping, IBTC/sieve dispatch) directly into the generated code.
 

@@ -19,6 +19,10 @@ RETURN_PAD_BASE = 0xFE00_0000
 class ExitKind(enum.Enum):
     """How a fragment transfers control when it falls off the end."""
 
+    # members are singletons: hash by identity in C, not by Enum's
+    # Python-level hash(name) (docs/performance.md, "Host hot path")
+    __hash__ = object.__hash__
+
     COND = "cond"      # conditional branch: taken + fallthrough successors
     JUMP = "jump"      # unconditional direct jump
     CALL = "call"      # direct call (direct successor + return address)

@@ -148,6 +148,19 @@ class SDTVM(BlockRunner):
             self.invariant_checker.install()
         self._chaos = self.fault_injector is not None
         self._fuel = DEFAULT_FUEL
+        #: one exit handler per kind, ``handler(fragment, next_pc,
+        #: last_pc, term_rd) -> successor | None``, shared by the block
+        #: and oracle bodies
+        self._exits = {
+            ExitKind.HALT: self._exit_halt,
+            ExitKind.FALL: self._exit_jump,
+            ExitKind.COND: self._exit_cond,
+            ExitKind.JUMP: self._exit_jump,
+            ExitKind.CALL: self._exit_call,
+            ExitKind.ICALL: self._exit_icall,
+            ExitKind.IJUMP: self._exit_ijump,
+            ExitKind.RET: self._exit_ret,
+        }
 
     def _compile_plan(self, instrs: list[tuple[int, Instruction]]) -> Superblock:
         """Compile a fragment body into a threaded execution plan."""
@@ -254,7 +267,7 @@ class SDTVM(BlockRunner):
                 next_pc = self._run_steps(plan, budget, self._fuel)
                 if next_pc is None:
                     return None
-            return self._dispatch_exit(
+            return self._exits[fragment.exit_kind](
                 fragment, next_pc, plan.term_pc, plan.term_rd
             )
         return self._run_oracle(fragment)
@@ -292,51 +305,49 @@ class SDTVM(BlockRunner):
                 counts[iclass] += 1
                 model.charge_instr(iclass)
                 if iclass is InstrClass.SYSCALL and syscalls.exited:
+                    cpu.pc = next_pc
                     return None
         finally:
             self.retired += executed
         assert instr is not None
-        return self._dispatch_exit(fragment, next_pc, guest_pc, instr.rd)
+        return self._exits[fragment.exit_kind](
+            fragment, next_pc, guest_pc, instr.rd
+        )
 
-    def _dispatch_exit(
-        self, fragment: Fragment, next_pc: int, last_pc: int, term_rd: int
-    ) -> Fragment | None:
-        """Shared fragment-exit handling: predictor events + successor."""
-        exit_kind = fragment.exit_kind
-        if exit_kind is ExitKind.HALT:
-            return None
-        if exit_kind is ExitKind.FALL:
-            return self._direct_successor(fragment, "J", next_pc)
-        if exit_kind is ExitKind.COND:
-            taken = next_pc != last_pc + 4
-            self.model.cond_branch(fragment.exit_site, taken)
-            key = "T" if taken else "F"
-            return self._direct_successor(fragment, key, next_pc)
-        if exit_kind is ExitKind.JUMP:
-            return self._direct_successor(fragment, "J", next_pc)
-        if exit_kind is ExitKind.CALL:
-            self.return_mech.on_call(self.cpu, REG_RA, last_pc + 4)
-            return self._direct_successor(fragment, "J", next_pc)
-        if exit_kind is ExitKind.ICALL:
-            self.stats.ib_dispatches["icall"] += 1
-            self.return_mech.on_call(self.cpu, term_rd, last_pc + 4)
-            return self._dispatch_ib(
-                "icall", fragment, last_pc, next_pc,
-                self.generic_ib.dispatch,
-            )
-        if exit_kind is ExitKind.IJUMP:
-            self.stats.ib_dispatches["ijump"] += 1
-            return self._dispatch_ib(
-                "ijump", fragment, last_pc, next_pc,
-                self.generic_ib.dispatch,
-            )
-        if exit_kind is ExitKind.RET:
-            self.stats.ib_dispatches["ret"] += 1
-            return self._dispatch_ib(
-                "ret", fragment, last_pc, next_pc,
-                self.return_mech.dispatch_ret,
-            )
-        raise AssertionError(f"unhandled exit kind {exit_kind}")
+    # -- fragment exits (one handler per ExitKind, see ``_exits``) -----------
+
+    def _exit_halt(self, fragment, next_pc, last_pc, term_rd) -> None:
+        self.cpu.pc = next_pc
+        return None
+
+    def _exit_jump(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
+        return self._direct_successor(fragment, "J", next_pc)
+
+    def _exit_cond(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
+        taken = next_pc != last_pc + 4
+        self.model.cond_branch(fragment.exit_site, taken)
+        return self._direct_successor(fragment, "T" if taken else "F",
+                                      next_pc)
+
+    def _exit_call(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
+        self.return_mech.on_call(self.cpu, REG_RA, last_pc + 4)
+        return self._direct_successor(fragment, "J", next_pc)
+
+    def _exit_icall(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
+        self.stats.ib_dispatches["icall"] += 1
+        self.return_mech.on_call(self.cpu, term_rd, last_pc + 4)
+        return self._dispatch_ib("icall", fragment, last_pc, next_pc,
+                                 self.generic_ib.dispatch)
+
+    def _exit_ijump(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
+        self.stats.ib_dispatches["ijump"] += 1
+        return self._dispatch_ib("ijump", fragment, last_pc, next_pc,
+                                 self.generic_ib.dispatch)
+
+    def _exit_ret(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
+        self.stats.ib_dispatches["ret"] += 1
+        return self._dispatch_ib("ret", fragment, last_pc, next_pc,
+                                 self.return_mech.dispatch_ret)
 
     def _dispatch_ib(
         self, ib: str, fragment: Fragment, ib_pc: int, target: int,

@@ -12,6 +12,7 @@ from repro.eval.differential import (
     observe,
     snapshot,
 )
+from repro.isa.assembler import assemble
 from repro.lang import compile_to_program
 from repro.machine.engine import ENGINES
 from repro.machine.interpreter import Interpreter
@@ -74,6 +75,30 @@ class TestObserve:
                 assert stop.retired == fuel, context
                 assert stop.pc == stepped.cpu.pc, context
         assert observe(fib, "native").exit_code == 0
+
+    @pytest.mark.parametrize("guest", (
+        "fib", "halt", "gzip_like", "parser_like", "eon_like",
+    ))
+    def test_clean_exit_pc_and_regs(self, fib, guest):
+        """A clean exit leaves ``cpu.pc`` where the exiting instruction
+        sent it (the exit syscall's successor, or the spinning ``halt``)
+        and the same registers, in every harness and engine."""
+        if guest == "fib":
+            program = fib
+        elif guest == "halt":
+            program = assemble(
+                ".text\nmain:\nli r8, 5\nloop:\naddi r8, r8, -1\n"
+                "bne r8, r0, loop\nhalt\n")
+        else:
+            program = get_workload(guest, "tiny").compile()
+        reference = observe(program, "native", engine="oracle")
+        assert reference.exit_code == 0
+        for harness in HARNESSES:
+            for engine in ENGINES:
+                options = {"faults": None} if harness == "sdt" else {}
+                run = observe(program, harness, engine=engine, **options)
+                assert diff(reference, run, ARCH + ("pc", "regs")) is None, \
+                    (harness, engine, hex(run.pc), hex(reference.pc))
 
     def test_tier2_counters_in_both_harnesses(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIER2_THRESHOLD", "2")

@@ -8,10 +8,11 @@ randomised machine state and compare the complete architectural outcome.
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
-from repro.host.costs import HostModel, NativeCostObserver
+from repro.host.costs import Category, HostModel, NativeCostObserver
 from repro.host.profile import SIMPLE
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OP_TABLE, Fmt, InstrClass, Op
@@ -24,11 +25,18 @@ from repro.machine.engine import (
     default_engine,
     resolve_engine,
 )
-from repro.machine.errors import DivideByZeroFault, FuelExhausted, MemoryFault
+from repro.machine.errors import (
+    AlignmentFault,
+    DivideByZeroFault,
+    FuelExhausted,
+    GuestFault,
+    MemoryFault,
+)
 from repro.machine.executor import execute
 from repro.machine.interpreter import Interpreter
-from repro.machine.memory import Memory
+from repro.machine.memory import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, Memory
 from repro.machine.syscalls import SyscallHandler
+from repro.sdt.fragment import ExitKind
 
 from conftest import run_minic
 
@@ -112,10 +120,62 @@ def _run_both(instr: Instruction, seed: int):
 NON_SYSCALL_OPS = [op for op in Op if op is not Op.SYSCALL]
 
 
+#: ``lw``/``sw`` effective addresses beyond the resident aligned words
+#: of ``_fresh_state``: every fallback of the word closures' fast path,
+#: and the top of the address space
+WORD_ADDRESSES = {
+    "untouched": 0x3000_0000,  # no page yet: a load reads 0, a store allocates
+    "misaligned": MEM_BASE + 6,
+    "top": 0xFFFF_FFFC,  # last aligned word below 2**32, page made resident
+    "watched": MEM_BASE + 16,  # resident page under a write watch
+}
+
+
+def _word_outcome(instr: Instruction, addr: int, kind: str, closure: bool):
+    """Run one ``lw``/``sw`` at ``addr`` through the oracle executor or
+    the threaded closure; return everything it can observably change."""
+    cpu, mem, syscalls = _fresh_state(5)
+    calls: list[tuple[int, int]] = []
+    mem.set_write_watch(lambda at, length: calls.append((at, length)))
+    if kind == "watched":
+        mem.watch_page(addr >> PAGE_SHIFT)
+    if kind == "top":
+        mem.store_word(addr, 0x1234_5678)
+    cpu.regs[instr.rs] = (addr - instr.imm) & 0xFFFFFFFF
+    cpu.pc = PC
+    fault = None
+    try:
+        if closure:
+            compile_instr(PC, instr, cpu, mem, syscalls)()
+        else:
+            execute(instr, cpu, mem, syscalls)
+    except GuestFault as exc:
+        fault = (type(exc), str(exc))
+    page = addr & ~PAGE_MASK
+    return {
+        "fault": fault,
+        "regs": list(cpu.regs),
+        "resident": mem.resident_pages,
+        "page": mem.read_bytes(page, PAGE_SIZE),
+        "data": mem.read_bytes(MEM_BASE, 64),
+        "calls": calls,
+    }
+
+
+@pytest.mark.parametrize("cls", (InstrClass, Op, ExitKind, Category),
+                         ids=lambda cls: cls.__name__)
+def test_hot_enums_hash_by_identity(cls):
+    """The enums keyed on every block hash in C, not through
+    ``Enum.__hash__`` (docs/performance.md, "Host hot path")."""
+    assert cls.__hash__ is object.__hash__
+    assert all(hash(member) == object.__hash__(member) for member in cls)
+
+
 class TestClosureSemantics:
     @pytest.mark.parametrize("op", NON_SYSCALL_OPS, ids=lambda o: o.value)
     def test_matches_oracle_on_random_state(self, op):
-        rng = random.Random(hash(op.value) & 0xFFFF)
+        # crc32, not hash(): str hashes are salted per process
+        rng = random.Random(zlib.crc32(op.value.encode()) & 0xFFFF)
         for trial in range(16):
             instr = _random_instr(op, rng)
             _run_both(instr, seed=trial * 1021 + 7)
@@ -148,6 +208,25 @@ class TestClosureSemantics:
         fn = compile_instr(PC, instr, cpu_b, mem_b, sys_b)
         with pytest.raises(DivideByZeroFault):
             fn()
+
+    @pytest.mark.parametrize("kind", WORD_ADDRESSES)
+    @pytest.mark.parametrize("op", (Op.LW, Op.SW), ids=lambda o: o.value)
+    def test_word_fallbacks_match_oracle(self, op, kind):
+        """On every address the word fast path hands on to
+        ``load_word``/``store_word``, and at the top of memory, the
+        closure ends exactly as the oracle: registers, memory, page
+        allocation, fault type and message, watch-hook calls."""
+        addr = WORD_ADDRESSES[kind]
+        instr = Instruction(op=op, rt=3, rs=1, imm=8)
+        oracle = _word_outcome(instr, addr, kind, closure=False)
+        threaded = _word_outcome(instr, addr, kind, closure=True)
+        assert threaded == oracle
+        watched_store = op is Op.SW and kind == "watched"
+        assert threaded["calls"] == ([(addr, 4)] if watched_store else [])
+        if kind == "misaligned":
+            assert threaded["fault"][0] is AlignmentFault
+        else:
+            assert threaded["fault"] is None
 
     def test_memory_fault_raises_in_both(self):
         instr = Instruction(op=Op.LW, rt=3, rs=1, imm=0)
