@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import INDIRECT_CLASSES
+from repro.isa.opcodes import INDIRECT_CLASSES, InstrClass
 from repro.machine.interpreter import Interpreter
 from repro.workloads import Workload, get_workload
 
@@ -79,12 +78,20 @@ class FanoutProfile:
         ) / total
 
 
-class _FanoutObserver:
+class FanoutObserver:
+    """Interpreter observer recording every IB site's dynamic targets.
+
+    It charges no cycles (``model`` is ``None``).  The block engines call
+    :meth:`exit` once per block, at its terminator, so profiling runs at
+    block speed.
+    """
+
+    model = None
+
     def __init__(self) -> None:
         self.sites: dict[int, SiteProfile] = {}
 
-    def __call__(self, pc: int, instr: Instruction, next_pc: int) -> None:
-        iclass = instr.iclass
+    def exit(self, pc: int, iclass: InstrClass, next_pc: int) -> None:
         if iclass not in INDIRECT_CLASSES:
             return
         site = self.sites.get(pc)
@@ -103,6 +110,6 @@ def collect_fanout(
     """Run a workload natively and profile every IB site's targets."""
     if isinstance(workload, str):
         workload = get_workload(workload, scale)
-    observer = _FanoutObserver()
+    observer = FanoutObserver()
     Interpreter(workload.compile(), observer=observer).run(fuel)
     return FanoutProfile(sites=observer.sites)

@@ -1,6 +1,6 @@
 """Static-vs-dynamic indirect-branch fan-out cross-validation.
 
-Runs a workload under the reference interpreter with the E1/E11 fan-out
+Runs a workload under the reference interpreter with the E11 fan-out
 observer, then joins every *dynamic* IB site against the *static*
 classification from :mod:`repro.analysis`.  For each site the static
 fan-out bound must be a sound upper bound:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import InstrClass
 from repro.host.predictors import (
     BimodalPredictor,
@@ -44,6 +43,15 @@ class Category(enum.Enum):
     STATIC = "static"                # static-targets guards + preseeding
 
 
+# Enum members bound once: reading one off its class goes through
+# ``EnumType.__getattr__`` (docs/performance.md, "Host hot path").
+_APP = Category.APP
+_BRANCH = InstrClass.BRANCH
+_CALL = InstrClass.CALL
+_ICALL = InstrClass.ICALL
+_IJUMP = InstrClass.IJUMP
+_RET = InstrClass.RET
+
 #: Categories counted as SDT overhead (everything except app work and the
 #: mispredictions the native run would also have paid).
 OVERHEAD_CATEGORIES = frozenset(Category) - {
@@ -71,7 +79,7 @@ class HostModel:
 
     def charge_instr(self, iclass: InstrClass) -> None:
         """Base cost of one retired application instruction."""
-        self.cycles[Category.APP] += self._class_cycles[iclass]
+        self.cycles[_APP] += self._class_cycles[iclass]
 
     def block_cycles(self, counts: dict[InstrClass, int]) -> int:
         """Total APP cycles for an instruction-class count vector."""
@@ -147,24 +155,26 @@ class NativeCostObserver:
     """Interpreter observer charging native-execution costs.
 
     Attach to :class:`repro.machine.interpreter.Interpreter` to obtain the
-    denominator of every overhead figure in the paper.
+    denominator of every overhead figure in the paper.  The interpreter
+    charges each retired instruction's APP cycles to :attr:`model`;
+    :meth:`exit` adds the host-predictor event of each control transfer.
     """
 
     def __init__(self, model: HostModel):
         self.model = model
 
-    def __call__(self, pc: int, instr: Instruction, next_pc: int) -> None:
+    def exit(self, pc: int, iclass: InstrClass, next_pc: int) -> None:
+        """Charge the host-predictor event of the control transfer at
+        ``pc`` (``JUMP`` and ``HALT`` have none)."""
         model = self.model
-        iclass = instr.iclass
-        model.charge_instr(iclass)
-        if iclass is InstrClass.BRANCH:
+        if iclass is _BRANCH:
             model.cond_branch(pc, taken=next_pc != pc + 4)
-        elif iclass is InstrClass.CALL:
+        elif iclass is _CALL:
             model.host_call(pc + 4)
-        elif iclass is InstrClass.ICALL:
+        elif iclass is _ICALL:
             model.host_call(pc + 4)
             model.indirect_jump(pc, next_pc)
-        elif iclass is InstrClass.IJUMP:
+        elif iclass is _IJUMP:
             model.indirect_jump(pc, next_pc)
-        elif iclass is InstrClass.RET:
+        elif iclass is _RET:
             model.host_return(next_pc)

@@ -543,24 +543,3 @@ class Superblock:
             f"term={self.term_iclass.value})"
         )
 
-
-def native_exit_event(model, block: Superblock, next_pc: int) -> None:
-    """Charge the host-predictor event for a block's terminator.
-
-    Mirrors :class:`repro.host.costs.NativeCostObserver` exactly; only
-    terminators can transfer control, so this is the one predictor event
-    per block execution.
-    """
-    iclass = block.term_iclass
-    pc = block.term_pc
-    if iclass is InstrClass.BRANCH:
-        model.cond_branch(pc, taken=next_pc != pc + 4)
-    elif iclass is InstrClass.CALL:
-        model.host_call(pc + 4)
-    elif iclass is InstrClass.ICALL:
-        model.host_call(pc + 4)
-        model.indirect_jump(pc, next_pc)
-    elif iclass is InstrClass.IJUMP:
-        model.indirect_jump(pc, next_pc)
-    elif iclass is InstrClass.RET:
-        model.host_return(next_pc)

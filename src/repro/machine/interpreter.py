@@ -9,7 +9,14 @@ text section, with no translation.  It serves two roles:
    ``observer`` and the interpreter charges exactly the cycles the program
    would cost when running natively (no SDT dispatch code).
 
-Two execution engines are available (see docs/performance.md):
+An :class:`Observer` sees a run at its control transfers: every engine
+charges APP cycles to ``observer.model`` and calls ``observer.exit`` once
+per retired control-transfer instruction — per instruction in the oracle
+loop, at the block terminator in the block engines.  The native cost
+model and the fan-out profiler (:mod:`repro.eval.fanout`) are its two
+implementations.
+
+Three execution engines are available (see docs/performance.md):
 
 ``oracle``
     one :func:`repro.machine.executor.execute` call per instruction — the
@@ -18,24 +25,27 @@ Two execution engines are available (see docs/performance.md):
     closure-specialised superblocks from :mod:`repro.machine.engine`,
     cached by entry PC and invalidated together with ``_decoded``.
     Observable results (output, exit code, retired count, iclass counts,
-    charged cycles, fault timing, fuel semantics) are identical; only
-    wall-clock speed differs.
+    charged cycles, observer exits, fault timing, fuel semantics) are
+    identical; only wall-clock speed differs.
 ``tier2``
     the threaded engine plus profile-guided region compilation
     (:mod:`repro.machine.tier2`): superblocks whose execution counter
     crosses the promotion threshold are compiled — along their hot
     static successors — into generated Python functions with registers
     as locals, deoptimizing back to this loop at any guard failure.
-    Same observable-identity contract as ``threaded``.
+    Same observable-identity contract as ``threaded``.  Region code
+    inlines the native cost model's exit events, so an observer other
+    than a :class:`~repro.host.costs.NativeCostObserver` runs the
+    threaded tier.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Protocol
 
-from repro.host.costs import NativeCostObserver
+from repro.host.costs import HostModel, NativeCostObserver
 from repro.isa.encoding import DecodeError, decode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import CONTROL_CLASSES, InstrClass
@@ -43,7 +53,6 @@ from repro.isa.program import Program
 from repro.machine.engine import (
     MAX_SUPERBLOCK_INSTRS,
     Superblock,
-    native_exit_event,
     resolve_engine,
 )
 from repro.machine.errors import FuelExhausted, MemoryFault
@@ -55,10 +64,14 @@ DEFAULT_FUEL = 50_000_000
 
 
 class Observer(Protocol):
-    """Per-instruction hook: called after each retired instruction."""
+    """What a run reports to, once per retired control transfer."""
 
-    def __call__(self, pc: int, instr: Instruction, next_pc: int) -> None:
-        ...
+    #: charged each retired instruction's APP cycles; ``None`` for none
+    model: HostModel | None
+
+    def exit(self, pc: int, iclass: InstrClass, next_pc: int) -> None:
+        """Called after each retired instruction in ``CONTROL_CLASSES``;
+        ``next_pc`` is where it sent control."""
 
 
 @dataclass(slots=True)
@@ -87,20 +100,22 @@ class Interpreter(BlockRunner):
         self,
         program: Program,
         inputs: list[int] | None = None,
-        observer: Callable[[int, Instruction, int], None] | None = None,
+        observer: Observer | None = None,
         engine: str | None = None,
     ):
         super().__init__(
-            program, inputs,
-            observer.model if isinstance(observer, NativeCostObserver)
-            else None,
+            program, inputs, observer.model if observer is not None else None
         )
         self.observer = observer
         self.engine = resolve_engine(engine)
         self._decoded: dict[int, Instruction] = {}
         self._blocks: dict[int, Superblock] = {}
         self._tier2 = None
-        if self.engine == "tier2":
+        # region code inlines the native exit events, so any other
+        # observer runs the threaded tier
+        if self.engine == "tier2" and (
+            observer is None or isinstance(observer, NativeCostObserver)
+        ):
             from repro.machine.tier2 import InterpreterTier2
 
             self._tier2 = InterpreterTier2(self)
@@ -158,22 +173,21 @@ class Interpreter(BlockRunner):
         next_pc = execute(instr, cpu, self.mem, self.syscalls)
         cpu.pc = next_pc
         self.retired += 1
-        self.iclass_counts[instr.iclass] += 1
-        if self.observer is not None:
-            self.observer(pc, instr, next_pc)
+        iclass = instr.iclass
+        self.iclass_counts[iclass] += 1
+        model = self.model
+        if model is not None:
+            model.charge_instr(iclass)
+        observer = self.observer
+        if observer is not None and iclass in CONTROL_CLASSES:
+            observer.exit(pc, iclass, next_pc)
 
     def run(self, fuel: int = DEFAULT_FUEL) -> RunResult:
         """Run until the program exits or ``fuel`` instructions retire."""
-        # The block engines only model the cost events the native
-        # observer generates; arbitrary observers (profilers etc.) need
-        # the per-instruction callback, so they get the oracle loop.
-        if self.engine in ("threaded", "tier2") and (
-            self.observer is None
-            or isinstance(self.observer, NativeCostObserver)
-        ):
-            self._run_threaded(fuel)
-        else:
+        if self.engine == "oracle":
             self._run_oracle(fuel)
+        else:
+            self._run_threaded(fuel)
         syscalls = self.syscalls
         return RunResult(
             output=syscalls.output,
@@ -230,7 +244,7 @@ class Interpreter(BlockRunner):
     def _run_threaded(self, fuel: int) -> None:
         cpu = self.cpu
         syscalls = self.syscalls
-        model = self.model
+        on_exit = self.observer.exit if self.observer is not None else None
         blocks = self._blocks
         block_at = self._block_at
         run_block = self._run_block
@@ -263,8 +277,8 @@ class Interpreter(BlockRunner):
                 block.hits += 1
             next_pc = run_block(block)
             remaining -= n
-            if model is not None and block.term_iclass in CONTROL_CLASSES:
-                native_exit_event(model, block, next_pc)
+            if on_exit is not None and block.term_iclass in CONTROL_CLASSES:
+                on_exit(block.term_pc, block.term_iclass, next_pc)
             cpu.pc = next_pc
 
 
@@ -272,7 +286,7 @@ def run_program(
     program: Program,
     inputs: list[int] | None = None,
     fuel: int = DEFAULT_FUEL,
-    observer: Callable[[int, Instruction, int], None] | None = None,
+    observer: Observer | None = None,
     engine: str | None = None,
 ) -> RunResult:
     """Convenience wrapper: load and run a program to completion."""

@@ -29,6 +29,11 @@ from repro.machine.engine import Superblock
 from repro.machine.errors import FuelExhausted
 from repro.machine.loader import load_program
 
+# enum members bound once: reading one off its class goes through
+# ``EnumType.__getattr__`` (docs/performance.md, "Host hot path")
+_APP = Category.APP
+_SYSCALL = InstrClass.SYSCALL
+
 
 class BlockRunner:
     """Machine state plus the block bodies both harnesses execute.
@@ -73,7 +78,7 @@ class BlockRunner:
         if model is not None:
             # the block's precomputed APP sum: cycle-identical to
             # charging each instruction
-            model.cycles[Category.APP] += block.app_cycles
+            model.cycles[_APP] += block.app_cycles
         return next_pc
 
     def _run_steps(self, block: Superblock, budget: int,
@@ -101,7 +106,7 @@ class BlockRunner:
                 counts[iclass] += 1
                 if model is not None:
                     model.charge_instr(iclass)
-                if iclass is InstrClass.SYSCALL and syscalls.exited:
+                if iclass is _SYSCALL and syscalls.exited:
                     self.cpu.pc = next_pc
                     return None
         except BaseException:

@@ -853,7 +853,9 @@ class Tier2Runtime(_Regions):
 
 # -- interpreter regions ------------------------------------------------------
 
-#: ``native_exit_event``, inlined per terminator class (``JUMP`` has none)
+#: :meth:`repro.host.costs.NativeCostObserver.exit`, inlined per
+#: terminator class (``JUMP`` has none).  Only a native observer builds
+#: the tier-2 runtime; any other observer runs the threaded tier.
 _NATIVE_EXIT_EVENTS = {
     InstrClass.BRANCH: "_cbr({pc}, _npc != {fall})",
     InstrClass.CALL: "_hc({fall})",

@@ -6,6 +6,7 @@ import pytest
 
 from repro.host.profile import SIMPLE
 from repro.isa.assembler import assemble
+from repro.isa.opcodes import CONTROL_CLASSES
 from repro.lang import compile_to_program
 from repro.machine.interpreter import Interpreter, RunResult
 from repro.sdt.config import SDTConfig
@@ -45,6 +46,33 @@ def assert_equivalent(source: str, config: SDTConfig,
     assert translated.exit_code == native.exit_code
     assert translated.retired == native.retired
     return translated
+
+
+class ExitRecorder:
+    """An interpreter observer that records every ``exit`` call and
+    charges no cycles."""
+
+    model = None
+
+    def __init__(self) -> None:
+        self.exits: list[tuple] = []
+
+    def exit(self, pc, iclass, next_pc) -> None:
+        self.exits.append((pc, iclass, next_pc))
+
+
+def stepped_exits(program) -> list[tuple]:
+    """``(pc, iclass, next_pc)`` of every control transfer of a run,
+    found by stepping the oracle loop with no observer attached."""
+    interp = Interpreter(program, engine="oracle")
+    exits = []
+    while not interp.syscalls.exited:
+        pc = interp.cpu.pc
+        iclass = interp.fetch(pc).iclass
+        interp.step()
+        if iclass in CONTROL_CLASSES:
+            exits.append((pc, iclass, interp.cpu.pc))
+    return exits
 
 
 @pytest.fixture

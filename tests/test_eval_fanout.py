@@ -2,16 +2,27 @@
 
 import pytest
 
-from repro.eval.fanout import FanoutProfile, SiteProfile, collect_fanout
+from repro.eval.cells import encode_result
+from repro.eval.fanout import (
+    FanoutObserver,
+    FanoutProfile,
+    SiteProfile,
+    collect_fanout,
+)
 from repro.lang import compile_to_program
+from repro.machine.engine import ENGINES
 from repro.machine.interpreter import Interpreter
+from repro.workloads import (
+    COHERENCE_WORKLOADS,
+    get_coherence_workload,
+    get_workload,
+    workload_names,
+)
 from repro.workloads.base import Workload
 
 
 def profile_source(source: str) -> FanoutProfile:
-    from repro.eval.fanout import _FanoutObserver
-
-    observer = _FanoutObserver()
+    observer = FanoutObserver()
     Interpreter(compile_to_program(source), observer=observer).run()
     return FanoutProfile(sites=observer.sites)
 
@@ -108,3 +119,34 @@ class TestWorkloadIntegration:
         assert isinstance(workload, Workload)
         profile = collect_fanout(workload, scale="tiny")
         assert profile.total_dispatches > 0
+
+
+#: the 12 guests at ``tiny`` and the self-modifying scenarios at ``large``
+PARITY_GUESTS = (
+    [(name, "tiny") for name in workload_names()]
+    + [(name, "large") for name in COHERENCE_WORKLOADS]
+)
+
+
+@pytest.mark.parametrize("name,scale", PARITY_GUESTS,
+                         ids=[f"{n}-{s}" for n, s in PARITY_GUESTS])
+def test_profile_identical_across_engines(name, scale):
+    """The block engines profile fan-out at their terminators and get
+    exactly the oracle loop's profile."""
+    if name in COHERENCE_WORKLOADS:
+        program = get_coherence_workload(name, scale).compile()
+    else:
+        program = get_workload(name, scale).compile()
+    runs = {}
+    for engine in ENGINES:
+        observer = FanoutObserver()
+        interp = Interpreter(program, observer=observer, engine=engine)
+        result = interp.run(30_000_000)
+        if engine != "oracle":
+            assert interp._blocks, engine  # ran superblocks
+        profile = FanoutProfile(sites=observer.sites)
+        runs[engine] = (encode_result(profile), result.output,
+                        result.retired)
+    assert runs["oracle"][0]["data"]["sites"]
+    for engine in ENGINES[1:]:
+        assert runs[engine] == runs["oracle"], engine

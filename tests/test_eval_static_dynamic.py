@@ -3,7 +3,12 @@
 from conftest import ALL_IB_KINDS_SOURCE
 
 from repro.analysis.classify import analyze_program
-from repro.eval.fanout import FanoutProfile, SiteProfile, collect_fanout
+from repro.eval.fanout import (
+    FanoutObserver,
+    FanoutProfile,
+    SiteProfile,
+    collect_fanout,
+)
 from repro.eval.static_dynamic import cross_validate, join_static_dynamic
 from repro.isa.assembler import assemble
 from repro.lang import compile_to_program
@@ -11,9 +16,7 @@ from repro.machine.interpreter import Interpreter
 
 
 def profile_program(program, fuel=5_000_000):
-    from repro.eval.fanout import _FanoutObserver
-
-    observer = _FanoutObserver()
+    observer = FanoutObserver()
     Interpreter(program, observer=observer).run(fuel)
     return FanoutProfile(sites=observer.sites)
 

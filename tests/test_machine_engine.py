@@ -35,10 +35,11 @@ from repro.machine.errors import (
 from repro.machine.executor import execute
 from repro.machine.interpreter import Interpreter
 from repro.machine.memory import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, Memory
+from repro.machine.runner import BlockRunner
 from repro.machine.syscalls import SyscallHandler
 from repro.sdt.fragment import ExitKind
 
-from conftest import run_minic
+from conftest import ExitRecorder, run_minic, stepped_exits
 
 PC = 0x0040_0100
 MEM_BASE = 0x2000_0000  # scratch data region for load/store operands
@@ -169,6 +170,18 @@ def test_hot_enums_hash_by_identity(cls):
     ``Enum.__hash__`` (docs/performance.md, "Host hot path")."""
     assert cls.__hash__ is object.__hash__
     assert all(hash(member) == object.__hash__(member) for member in cls)
+
+
+@pytest.mark.parametrize("fn", (
+    NativeCostObserver.exit, BlockRunner._run_block, HostModel.charge_instr,
+), ids=lambda fn: fn.__qualname__)
+def test_hot_enum_members_bound_once(fn):
+    """Per-block code reads enum members from module globals, not off
+    the class through ``EnumType.__getattr__`` (docs/performance.md,
+    "Host hot path")."""
+    names = fn.__code__.co_names
+    assert "InstrClass" not in names
+    assert "Category" not in names
 
 
 class TestClosureSemantics:
@@ -396,17 +409,18 @@ class TestInterpreterThreaded:
         for engine in ENGINES[1:]:
             assert outcomes[engine] == outcomes["oracle"], engine
 
-    def test_arbitrary_observer_falls_back_to_oracle(self):
-        """Custom observers still see every instruction under threaded."""
+    def test_arbitrary_observer_runs_block_engine(self):
+        """A non-native observer runs superblocks, not the oracle loop,
+        and sees the oracle's exit sequence."""
         program = self._program()
-        seen = []
-        Interpreter(
-            program,
-            observer=lambda pc, instr, next_pc: seen.append(pc),
-            engine="threaded",
-        ).run()
-        reference = Interpreter(program, engine="oracle").run()
-        assert len(seen) == reference.retired
+        expected = stepped_exits(program)
+        assert expected
+        for engine in ENGINES[1:]:
+            recorder = ExitRecorder()
+            interp = Interpreter(program, observer=recorder, engine=engine)
+            interp.run()
+            assert interp._blocks, engine
+            assert recorder.exits == expected, engine
 
     def test_blocks_cached_by_entry_pc(self):
         program = self._program()

@@ -5,10 +5,11 @@ import pytest
 from repro.isa.assembler import assemble
 from repro.isa.opcodes import InstrClass
 from repro.machine.cpu import CPUState, s32, u32
+from repro.machine.engine import ENGINES
 from repro.machine.errors import FuelExhausted, InvalidSyscall
 from repro.machine.interpreter import Interpreter
 
-from conftest import run_asm
+from conftest import ExitRecorder, run_asm, stepped_exits
 
 
 class TestCPUState:
@@ -110,29 +111,37 @@ class TestCounting:
 
 
 class TestObserver:
-    def test_observer_sees_every_instruction(self):
-        prog = assemble(".text\nmain:\nnop\nli v0, 10\nsyscall\n")
-        seen = []
-        interp = Interpreter(
-            prog, observer=lambda pc, instr, next_pc: seen.append(pc)
+    def test_observer_sees_every_control_transfer(self):
+        """``exit`` fires once per retired control transfer, in order,
+        with the same sequence under every engine."""
+        prog = assemble(
+            ".text\nmain:\nli t0, 3\nloop:\njal f\naddi t0, t0, -1\n"
+            "bnez t0, loop\nla t1, done\njr t1\ndone:\nli v0, 10\n"
+            "syscall\nf:\nret\n"
         )
-        result = interp.run()
-        assert len(seen) == result.retired
-        assert seen[0] == prog.entry
+        expected = stepped_exits(prog)
+        assert {iclass for _pc, iclass, _next in expected} == {
+            InstrClass.CALL, InstrClass.RET, InstrClass.BRANCH,
+            InstrClass.IJUMP,
+        }
+        for engine in ENGINES:
+            recorder = ExitRecorder()
+            Interpreter(prog, observer=recorder, engine=engine).run()
+            assert recorder.exits == expected, engine
 
     def test_observer_gets_branch_resolution(self):
         prog = assemble(
             ".text\nmain:\nli t0, 1\nbeq t0, zero, skip\nli v0, 10\n"
             "syscall\nskip:\nhalt\n"
         )
-        transfers = []
-
-        def observe(pc, instr, next_pc):
-            if instr.iclass is InstrClass.BRANCH:
-                transfers.append(next_pc == pc + 4)
-
-        Interpreter(prog, observer=observe).run()
-        assert transfers == [True]  # not taken -> fallthrough
+        for engine in ENGINES:
+            recorder = ExitRecorder()
+            Interpreter(prog, observer=recorder, engine=engine).run()
+            transfers = [
+                next_pc == pc + 4 for pc, iclass, next_pc in recorder.exits
+                if iclass is InstrClass.BRANCH
+            ]
+            assert transfers == [True], engine  # not taken -> fallthrough
 
 
 class TestDeterminism:
