@@ -465,27 +465,6 @@ def _cmd_asm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    from pathlib import Path
-
-    from repro.serve.server import run_daemon
-    from repro.serve.service import ServeSettings
-
-    settings = ServeSettings(
-        queue_depth=args.queue_depth,
-        jobs=args.jobs,
-        timeout=args.timeout if args.timeout > 0 else None,
-        retries=args.retries,
-        state_dir=Path(args.state_dir),
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        lru_entries=args.lru_entries,
-        breaker_threshold=args.breaker_threshold,
-        drain_timeout=args.drain_timeout,
-    )
-    return asyncio.run(run_daemon(settings, host=args.host, port=args.port))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-sdt",
@@ -703,36 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     asm.add_argument("file")
     asm.add_argument("--run", action="store_true")
 
-    serve = sub.add_parser(
-        "serve",
-        help="long-running HTTP experiment service (see docs/serve.md)",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="0 binds an ephemeral port; the bound port "
-                       "is printed in the JSON ready line")
-    serve.add_argument("--queue-depth", type=int, default=64,
-                       help="admission queue bound; beyond it requests "
-                       "are shed with 429")
-    serve.add_argument("--jobs", type=int, default=2,
-                       help="worker processes / max dispatch batch size")
-    serve.add_argument("--timeout", type=float, default=60.0,
-                       help="default per-cell watchdog seconds "
-                       "(0 disables)")
-    serve.add_argument("--retries", type=int, default=1,
-                       help="executor retry budget per cell")
-    serve.add_argument("--state-dir", default="results/serve",
-                       help="journal directory (survives restarts)")
-    serve.add_argument("--cache-dir", default="results/.cache",
-                       help="disk result cache ('' disables caching)")
-    serve.add_argument("--lru-entries", type=int, default=1024,
-                       help="in-memory result tier size (0 disables)")
-    serve.add_argument("--breaker-threshold", type=int, default=3,
-                       help="consecutive family failures that open the "
-                       "circuit")
-    serve.add_argument("--drain-timeout", type=float, default=30.0,
-                       help="SIGTERM grace period for in-flight work")
-
     return parser
 
 
@@ -749,7 +698,6 @@ _COMMANDS = {
     "crossval": _cmd_crossval,
     "compile": _cmd_compile,
     "asm": _cmd_asm,
-    "serve": _cmd_serve,
 }
 
 

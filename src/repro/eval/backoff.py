@@ -1,21 +1,14 @@
-"""Deterministic exponential backoff shared by the executor and the
-serve-layer circuit breaker.
+"""Deterministic exponential backoff for the executor's retry rounds.
 
 The schedule is a pure function of a frozen :class:`BackoffPolicy` and a
 1-based attempt number, so retry timing is reproducible across runs,
-processes and hosts.  Jitter — needed by the circuit breaker so that a
-fleet of quarantined cell families does not re-probe in lockstep — is
-*seeded*: it draws from CRC32 over ``(seed, token, attempt)``, never
-from wall-clock or per-process ``hash()`` salting, so a given
-``(policy, token)`` pair always produces the same jittered schedule.
-Tests exercise schedules with a fake sleeper/clock; nothing in this
-module sleeps unless the caller's injected sleeper does.
+processes and hosts.  Tests exercise schedules with a fake sleeper;
+nothing in this module sleeps unless the caller's injected sleeper does.
 """
 
 from __future__ import annotations
 
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,20 +22,11 @@ class BackoffPolicy:
             backoff entirely — every delay is 0.0).
         factor: multiplier applied per additional attempt.
         ceiling: upper bound on any single delay.
-        jitter: fraction of each delay that may be *subtracted* by the
-            deterministic jitter draw (0.0 = none, 1.0 = full jitter).
-            Delays shrink rather than grow so a configured ceiling is a
-            hard bound.
-        seed: jitter stream seed; combined with the per-call ``token``
-            so distinct consumers (e.g. distinct breaker families)
-            decorrelate without losing determinism.
     """
 
     base: float = 0.25
     factor: float = 2.0
     ceiling: float = 30.0
-    jitter: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.base < 0:
@@ -51,47 +35,30 @@ class BackoffPolicy:
             raise ValueError("backoff factor must be >= 1")
         if self.ceiling < 0:
             raise ValueError("backoff ceiling must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
 
-    def delay(self, attempt: int, token: str = "") -> float:
-        """Delay in seconds before retry ``attempt`` (1-based).
-
-        Deterministic: equal ``(policy, attempt, token)`` triples always
-        produce the same delay.
-        """
+    def delay(self, attempt: int) -> float:
+        """Delay in seconds before retry ``attempt`` (1-based)."""
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
         if self.base <= 0:
             return 0.0
-        raw = min(self.base * self.factor ** (attempt - 1), self.ceiling)
-        if not self.jitter:
-            return raw
-        draw = zlib.crc32(f"{self.seed}:{token}:{attempt}".encode("utf-8"))
-        fraction = draw / 0xFFFFFFFF  # uniform-ish in [0, 1]
-        return raw * (1.0 - self.jitter * fraction)
-
-    def schedule(self, attempts: int, token: str = "") -> list[float]:
-        """The first ``attempts`` delays, for inspection and tests."""
-        return [self.delay(n, token) for n in range(1, attempts + 1)]
+        return min(self.base * self.factor ** (attempt - 1), self.ceiling)
 
 
 class Backoff:
     """Stateful schedule walker with an injectable sleeper.
 
     Each :meth:`sleep` call advances to the next attempt and sleeps for
-    that attempt's (possibly jittered) delay via the injected callable —
-    ``time.sleep`` by default, a fake clock in tests.
+    that attempt's delay via the injected callable — ``time.sleep`` by
+    default, a fake clock in tests.
     """
 
     def __init__(
         self,
         policy: BackoffPolicy,
         sleep: Callable[[float], None] = time.sleep,
-        token: str = "",
     ) -> None:
         self.policy = policy
-        self.token = token
         self.attempt = 0
         self.slept = 0.0
         self._sleep = sleep
@@ -99,15 +66,11 @@ class Backoff:
     def sleep(self) -> float:
         """Sleep for the next attempt's delay; returns the delay used."""
         self.attempt += 1
-        delay = self.policy.delay(self.attempt, self.token)
+        delay = self.policy.delay(self.attempt)
         if delay > 0:
             self._sleep(delay)
         self.slept += delay
         return delay
-
-    def reset(self) -> None:
-        """Restart the schedule (a success ends the failure streak)."""
-        self.attempt = 0
 
 
 __all__ = ["Backoff", "BackoffPolicy"]

@@ -15,13 +15,6 @@ fails to parse or validate is discarded and recomputed.  Concurrent
 multi-process access is safe by construction: readers see either the old
 or the new complete entry (tests/test_eval_diskcache.py stresses this
 with racing writer/reader processes).
-
-An optional in-memory LRU tier (``lru_entries > 0``) sits read-through
-in front of the files, so a hot serving loop — the ``repro-sdt serve``
-daemon — answers repeated lookups without touching the filesystem.  The
-tier is a pure cache of immutable results keyed by the same complete
-fingerprint digest, so it can never serve a stale or aliased entry
-either; it is process-local and never consulted for invalidation.
 """
 
 from __future__ import annotations
@@ -29,8 +22,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
-from collections import OrderedDict
 from pathlib import Path
 
 from repro.eval.cells import Cell, decode_result, encode_result
@@ -39,49 +30,13 @@ from repro.eval.cells import Cell, decode_result, encode_result
 DEFAULT_CACHE_DIR = Path("results") / ".cache"
 
 
-class _LruTier:
-    """Bounded in-memory key→result map with LRU eviction (thread-safe)."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._entries: OrderedDict[str, object] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: str):
-        with self._lock:
-            try:
-                self._entries.move_to_end(key)
-            except KeyError:
-                return None
-            return self._entries[key]
-
-    def put(self, key: str, result: object) -> None:
-        with self._lock:
-            self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 class DiskCache:
-    """Persistent cell-result store with hit/miss accounting.
+    """Persistent cell-result store with hit/miss accounting."""
 
-    ``lru_entries > 0`` adds the read-through memory tier: ``get`` serves
-    from memory when it can (counted in ``memory_hits``), falls back to
-    the files and populates the tier on a disk hit; ``put`` fills both.
-    """
-
-    def __init__(self, root: Path | str | None = None,
-                 lru_entries: int = 0) -> None:
+    def __init__(self, root: Path | str | None = None) -> None:
         self.root = Path(root) if root is not None else DEFAULT_CACHE_DIR
         self.hits = 0
         self.misses = 0
-        self.memory_hits = 0
-        self.lru = _LruTier(lru_entries) if lru_entries > 0 else None
 
     def path_for(self, cell: Cell) -> Path:
         key = cell.key()
@@ -94,14 +49,7 @@ class DiskCache:
         (truncated JSON, wrong shape, fingerprint mismatch) is deleted
         and reported as a miss so the caller recomputes it.
         """
-        key = cell.key()
-        if self.lru is not None:
-            cached = self.lru.get(key)
-            if cached is not None:
-                self.hits += 1
-                self.memory_hits += 1
-                return cached
-        path = self.root / key[:2] / f"{key[2:]}.json"
+        path = self.path_for(cell)
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
             if payload.get("fingerprint") != repr(cell.fingerprint()):
@@ -118,14 +66,10 @@ class DiskCache:
             self.misses += 1
             return None
         self.hits += 1
-        if self.lru is not None:
-            self.lru.put(key, result)
         return result
 
     def put(self, cell: Cell, result) -> None:
         """Persist ``result`` for ``cell`` atomically."""
-        if self.lru is not None:
-            self.lru.put(cell.key(), result)
         path = self.path_for(cell)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"fingerprint": repr(cell.fingerprint())}

@@ -159,7 +159,7 @@ def _run_serial(
 ) -> None:
     """In-process execution with bounded retry (no watchdog possible)."""
     for key, cell in pending:
-        pacer = Backoff(policy, token=key)
+        pacer = Backoff(policy)
         for attempt in range(1, retries + 2):
             try:
                 result, seconds = _execute_cell(cell)
@@ -183,7 +183,6 @@ def _run_pooled(
     finish: Callable[[str, Cell, object, float], None],
     fail: Callable[[str, Cell, str, int, BaseException], None],
     report: ExecutionReport,
-    mp_context=None,
 ) -> None:
     """Process-pool execution with watchdog, retry and crash recovery.
 
@@ -213,7 +212,7 @@ def _run_pooled(
             else:
                 fail(key, cell, kind, attempts[key], exc)
 
-        pool = ProcessPoolExecutor(max_workers=jobs, mp_context=mp_context)
+        pool = ProcessPoolExecutor(max_workers=jobs)
         try:
             submitted: list[tuple[str, Cell, object]] = []
             try:
@@ -283,7 +282,6 @@ def execute_cells(
     timeout: float | None = None,
     retries: int = DEFAULT_RETRIES,
     backoff: "float | BackoffPolicy" = DEFAULT_BACKOFF,
-    mp_context=None,
 ) -> tuple[dict[str, object], ExecutionReport]:
     """Execute a batch of cells; returns ``(results_by_key, report)``.
 
@@ -293,19 +291,11 @@ def execute_cells(
     in-process; larger values fan misses across that many worker
     processes.  ``timeout`` is the per-cell watchdog in seconds (it
     forces pool execution even for ``jobs == 1``, since a hung cell can
-    only be killed from outside its process) — external callers with
-    their own deadlines, e.g. the serve daemon, pass the remaining
-    deadline here so a client timeout *kills* the worker instead of
-    orphaning it; ``retries`` bounds re-execution of failing cells, with
-    exponential ``backoff`` (a base in seconds, or a full
-    :class:`repro.eval.backoff.BackoffPolicy`) between rounds.
-    Uncacheable cells (fault-injected measurements) skip the disk cache
-    in both directions.  ``mp_context`` selects the multiprocessing
-    start method for worker pools (default: the platform's) — callers
-    that execute from a *multithreaded* process (the serve daemon's
-    dispatcher thread) must pass a fork-safe context such as
-    ``forkserver``, because fork-starting workers from a threaded parent
-    can deadlock the child.
+    only be killed from outside its process); ``retries`` bounds
+    re-execution of failing cells, with exponential ``backoff`` (a base
+    in seconds, or a full :class:`repro.eval.backoff.BackoffPolicy`)
+    between rounds.  Uncacheable cells (fault-injected measurements) skip
+    the disk cache in both directions.
     """
     start = time.perf_counter()
     cell_list = list(cells)
@@ -342,7 +332,7 @@ def execute_cells(
         policy = _backoff_policy(backoff)
         if jobs > 1 or timeout is not None:
             _run_pooled(pending, max(1, jobs), timeout, retries, policy,
-                        finish, fail, report, mp_context=mp_context)
+                        finish, fail, report)
         else:
             _run_serial(pending, retries, policy, finish, fail, report)
 

@@ -318,7 +318,7 @@ def _extra_binds(ns: dict, body: str) -> str:
 
 #: Compiled region code, keyed by (filename, source).  Regions are
 #: re-promoted after flush storms and re-created for every VM of the same
-#: program (differential tests, chaos sweeps, the serve loop), and the
+#: program (differential tests, chaos sweeps, experiment cells), and the
 #: source fully determines the code object — all per-VM identities bind
 #: at ``exec`` time through the namespace, never into the code.
 _CODE_CACHE: dict[tuple[str, str], object] = {}

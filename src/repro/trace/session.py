@@ -41,7 +41,6 @@ workload × mechanism.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
 from repro.trace.spec import TraceSpec
@@ -102,42 +101,9 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def __bool__(self) -> bool:
-        """Truthiness is "has recorded anything", so gating call sites
-        (``hist.quantile(q) if hist else 0``) treat an allocated-but-
-        empty histogram exactly like a missing one instead of reporting
-        phantom quantiles before the first sample."""
-        return self.count > 0
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> int:
-        """Upper bucket bound at quantile ``q`` in [0, 1].
-
-        An empty histogram always answers 0 — never a bucket bound or a
-        stale ``max`` — for every ``q`` including the extremes; callers
-        that must distinguish "empty" from "all zeros" gate on the
-        histogram's truthiness.  Resolution is the bucket geometry (a
-        power of two), which is exactly what the serve layer's
-        queue-depth and batch-size distributions need; exact latency
-        quantiles use a reservoir instead (see
-        :mod:`repro.serve.service`).
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be within [0, 1], got {q}")
-        if not self.count:
-            return 0
-        # target is clamped to [1, count] and bucket counts sum to
-        # count, so the scan always terminates inside the loop
-        target = max(1, min(self.count, math.ceil(q * self.count)))
-        seen = 0
-        for bound in sorted(self.buckets):
-            seen += self.buckets[bound]
-            if seen >= target:
-                return bound
-        raise AssertionError("bucket counts diverged from self.count")
 
     def as_dict(self) -> dict[str, object]:
         """Deterministic JSON-ready form (buckets sorted numerically)."""

@@ -1,14 +1,30 @@
 """Command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _COMMANDS, build_parser, main
 
 
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_every_subcommand_has_a_handler(self):
+        [subparsers] = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(subparsers.choices) == set(_COMMANDS)
+
+    def test_serve_is_not_a_subcommand(self):
+        # parse only: were serve a subcommand, main() would start its
+        # long-running daemon
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve"])
+        assert exit_info.value.code == 2
 
     def test_run_defaults(self):
         args = build_parser().parse_args(["run", "gzip_like"])

@@ -24,69 +24,28 @@ class TestBackoffPolicy:
         with pytest.raises(ValueError):
             policy.delay(0)
 
-    def test_no_jitter_is_deterministic_and_exact(self):
-        policy = BackoffPolicy(base=0.25, jitter=0.0)
-        assert policy.delay(1, token="anything") == 0.25
-
-    def test_jitter_is_deterministic_per_token_and_attempt(self):
-        policy = BackoffPolicy(base=1.0, jitter=0.5, seed=7)
-        first = policy.delay(3, token="cell-a")
-        assert policy.delay(3, token="cell-a") == first
-        assert policy.delay(3, token="cell-b") != first
-
-    def test_jitter_subtracts_never_exceeds_raw_delay(self):
-        policy = BackoffPolicy(base=1.0, factor=2.0, ceiling=60.0,
-                               jitter=0.5, seed=0)
-        for attempt in range(1, 12):
-            for token in ("a", "b", "c", ""):
-                raw = min(1.0 * 2.0 ** (attempt - 1), 60.0)
-                delay = policy.delay(attempt, token=token)
-                assert raw * 0.5 <= delay <= raw
-
-    def test_seed_changes_jitter_stream(self):
-        a = BackoffPolicy(base=1.0, jitter=0.9, seed=1)
-        b = BackoffPolicy(base=1.0, jitter=0.9, seed=2)
-        assert [a.delay(i, token="t") for i in range(1, 6)] != \
-               [b.delay(i, token="t") for i in range(1, 6)]
-
-    def test_schedule_matches_delay(self):
-        policy = BackoffPolicy(base=0.1, jitter=0.3, seed=5)
-        schedule = policy.schedule(4, token="x")
-        assert schedule == [policy.delay(i, token="x")
-                            for i in range(1, 5)]
-
     @pytest.mark.parametrize("kwargs", [
         {"base": -1.0}, {"factor": 0.5}, {"ceiling": -0.1},
-        {"jitter": -0.1}, {"jitter": 1.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             BackoffPolicy(**kwargs)
 
     def test_zero_base_disables_backoff(self):
-        policy = BackoffPolicy(base=0.0, jitter=0.5)
-        assert policy.schedule(5, token="t") == [0.0] * 5
+        policy = BackoffPolicy(base=0.0)
+        assert [policy.delay(n) for n in range(1, 6)] == [0.0] * 5
 
 
 class TestBackoffWalker:
     def test_sleeps_follow_schedule_with_fake_sleeper(self):
         slept = []
         policy = BackoffPolicy(base=0.5, factor=2.0, ceiling=30.0)
-        pacer = Backoff(policy, sleep=slept.append, token="k")
+        pacer = Backoff(policy, sleep=slept.append)
         for _ in range(3):
             pacer.sleep()
         assert slept == [0.5, 1.0, 2.0]
         assert pacer.slept == pytest.approx(3.5)
         assert pacer.attempt == 3
-
-    def test_reset_restarts_the_schedule(self):
-        slept = []
-        pacer = Backoff(BackoffPolicy(base=1.0), sleep=slept.append)
-        pacer.sleep()
-        pacer.sleep()
-        pacer.reset()
-        pacer.sleep()
-        assert slept == [1.0, 2.0, 1.0]
 
     def test_sleep_returns_the_delay(self):
         pacer = Backoff(BackoffPolicy(base=0.25), sleep=lambda _: None)

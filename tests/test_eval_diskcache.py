@@ -161,60 +161,6 @@ class TestInvalidation:
         assert a.key() != b.key()                  # ... different source
 
 
-class TestLruTier:
-    def test_second_get_is_served_from_memory(self, tmp_path):
-        cache = DiskCache(tmp_path / "cache", lru_entries=4)
-        cell = _measure_cell()
-        cache.put(cell, cell.execute())
-        assert cache.get(cell) is not None
-        assert cache.memory_hits == 1           # put pre-filled the tier
-
-    def test_disk_hit_populates_the_tier(self, tmp_path):
-        writer = DiskCache(tmp_path / "cache")
-        cell = _measure_cell()
-        writer.put(cell, cell.execute())
-
-        reader = DiskCache(tmp_path / "cache", lru_entries=4)
-        assert reader.get(cell) is not None
-        assert reader.memory_hits == 0          # first read came from disk
-        assert reader.get(cell) is not None
-        assert reader.memory_hits == 1          # now resident in memory
-
-    def test_capacity_evicts_least_recently_used(self, tmp_path):
-        cache = DiskCache(tmp_path / "cache", lru_entries=2)
-        cells = [
-            measure_cell("gzip_like", "tiny",
-                         SDTConfig(profile=SIMPLE, ib="ibtc"),
-                         fuel=1_000_000 + n)
-            for n in range(3)
-        ]
-        results = [cell.execute() for cell in cells]
-        for cell, result in zip(cells, results):
-            cache.put(cell, result)
-        assert len(cache.lru) == 2
-        # cells[0] was evicted: served from disk, then re-admitted
-        before = cache.memory_hits
-        assert cache.get(cells[0]) is not None
-        assert cache.memory_hits == before
-
-    def test_memory_result_identical_to_disk_result(self, tmp_path):
-        cache = DiskCache(tmp_path / "cache", lru_entries=4)
-        cell = _measure_cell()
-        cache.put(cell, cell.execute())
-        from_memory = cache.get(cell)
-        cold = DiskCache(tmp_path / "cache")
-        from_disk = cold.get(cell)
-        assert encode_result(from_memory) == encode_result(from_disk)
-
-    def test_zero_entries_disables_the_tier(self, tmp_path):
-        cache = DiskCache(tmp_path / "cache", lru_entries=0)
-        assert cache.lru is None
-        cell = _measure_cell()
-        cache.put(cell, cell.execute())
-        assert cache.get(cell) is not None
-        assert cache.memory_hits == 0
-
-
 def _contend(root, index, barrier, out):
     """Worker: hammer one shared cache dir with puts and gets."""
     from repro.eval.diskcache import DiskCache

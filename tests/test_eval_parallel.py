@@ -6,6 +6,7 @@ import repro.eval.experiments as experiments
 from repro.eval.cells import measure_cell
 from repro.eval.diskcache import DiskCache
 from repro.eval.parallel import (
+    ExecutionReport,
     dedup_cells,
     execute_cells,
     plan_cells,
@@ -95,6 +96,22 @@ class TestExecute:
         assert second.cache_hits == 1 and second.computed == 0
         assert second.hit_rate == 1.0
         assert results[cells[0].key()].overhead > 1.0
+
+
+class TestEmptyPlanRegression:
+    """Ratio properties must survive empty cell plans."""
+
+    def test_execute_cells_empty_plan(self):
+        results, report = execute_cells([])
+        assert results == {}
+        assert report.hit_rate == 0.0     # no ZeroDivisionError
+        assert report.ok
+        assert (report.requested, report.unique) == (0, 0)
+
+    def test_empty_report_defaults(self):
+        report = ExecutionReport()
+        assert report.hit_rate == 0.0
+        assert report.ok
 
 
 class TestParallelSerialEquivalence:
