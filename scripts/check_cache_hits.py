@@ -23,11 +23,15 @@ MIN_HIT_RATE = 0.90
 
 
 def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="repro-cache-check-") as tmp:
+        return check(Path(tmp))
+
+
+def check(workdir: Path) -> int:
     from repro.eval.diskcache import DiskCache
     from repro.eval.parallel import run_experiments
     from repro.eval.runner import clear_caches
 
-    workdir = Path(tempfile.mkdtemp(prefix="repro-cache-check-"))
     cache = DiskCache(workdir / "cache")
 
     _t, serial = run_experiments(["e6"], scale="tiny", jobs=1,

@@ -1,207 +1,183 @@
 #!/usr/bin/env python3
-"""CI performance-regression gate for the simulation engines.
-
-Compares a fresh ``scripts/bench_engine.py`` report against the committed
-baseline (``benchmarks/baselines/BENCH_engine.baseline.json``) and fails
-when either faster engine's advantage over the oracle engine regresses
-by more than the threshold.
-
-The gated metrics are the **aggregate threaded/oracle and tier2/oracle
-speedup ratios** — dimensionless, so they transfer between machines of
-different absolute speed: a CI runner half as fast as the baseline
-machine still shows the same *ratios* unless an engine itself got slower
-relative to the oracle.  Absolute instrs/sec are reported for context but never
-gated.  Engine *divergence* (differing results between engines) is
-detected upstream: ``bench_engine.py`` exits non-zero before writing a
-report, so a missing report also fails the gate.
+"""A/B performance gate: the working tree against a base commit.
 
 Usage::
 
-    python scripts/bench_engine.py --quick          # writes the report
-    python scripts/perf_gate.py                     # gate vs baseline
-    python scripts/perf_gate.py --threshold 0.10
-    python scripts/perf_gate.py --update-baseline   # bless current report
+    python scripts/perf_gate.py BASE
 
-``--update-baseline`` rewrites the baseline from the current report with
-the wall-clock timestamp stripped, so the committed file stays
-deterministic modulo machine speed.
+``BASE`` (a git ref) is checked out into a temporary ``git worktree``;
+the working tree is the change.  Each tree runs its own
+``benchmarks/suite/run.py --trace 0`` in ``PAIRS`` pairs, alternating
+which goes first, both runs of a pair with the same ``--seed``, so drift
+in the host's speed hits both sides.  Every report, its log and
+``summary.json`` land in ``results/ci/perf_gate/``.  The verdict
+(:func:`decide`) reads its bounds from ``BENCHMARK.json``; nothing is
+stored between runs.  Exit 0 only when the change passes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
+import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
-REPORT = Path("results/ci/BENCH_engine.json")
-BASELINE = Path("benchmarks/baselines/BENCH_engine.baseline.json")
-DEFAULT_THRESHOLD = 0.15
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "results" / "ci" / "perf_gate"
+#: Pairs of runs; pair ``i`` runs with ``--seed i``.
+PAIRS = 3
+#: Pairs the change must lose, on top of worse medians, to fail.
+MIN_LOST = 2
+#: The workload gated guest by guest (an op runs both harnesses), and
+#: the metric whose bound is each guest's least threshold.
+PER_OP_WORKLOAD = "run-threaded"
+PER_OP_METRIC = "op_ms_geomean"
 
 
-def _load(path: Path, kind: str) -> dict:
-    if not path.exists():
-        raise SystemExit(
-            f"perf gate: {kind} {path} is missing"
-            + (
-                " (run scripts/bench_engine.py --quick first)"
-                if kind == "report" else
-                " (run scripts/perf_gate.py --update-baseline to create it)"
-            )
-        )
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"perf gate: {kind} {path} is not valid JSON: {exc}")
-    if data.get("bench") != "engine" or "speedup" not in data:
-        raise SystemExit(
-            f"perf gate: {kind} {path} is not a bench_engine report"
-        )
-    return data
+def _check(name: str, base: list[float], change: list[float],
+           threshold: float, higher: bool = False) -> dict:
+    """One gated quantity; a ratio above 1 means the change is worse."""
+    def worse(b: float, c: float) -> float:
+        return b / c if higher else c / b
+
+    median = worse(statistics.median(base), statistics.median(change))
+    ratios = [worse(b, c) for b, c in zip(base, change)]
+    lost = sum(ratio > 1 for ratio in ratios)
+    return {"name": name, "ratios": ratios, "median": median, "lost": lost,
+            "threshold": threshold,
+            "failed": median > 1 + threshold and lost >= MIN_LOST}
 
 
-def _workload_speedups(report: dict) -> dict[str, dict[str, dict[str, float]]]:
-    """Per-workload {mode: {engine: engine/oracle ratio}} table."""
-    table: dict[str, dict[str, dict[str, float]]] = {}
-    for row in report.get("workloads", []):
-        ratios: dict[str, dict[str, float]] = {}
-        for mode in ("native", "sdt"):
-            engines = row.get(mode, {})
-            oracle = (engines.get("oracle") or {}).get("instrs_per_sec") or 0
-            ratios[mode] = {
-                engine: (
-                    ((engines.get(engine) or {}).get("instrs_per_sec") or 0)
-                    / oracle if oracle else 0.0
-                )
-                for engine in ("threaded", "tier2")
-            }
-        table[row["workload"]] = ratios
-    return table
+def _quantities(report: dict) -> dict:
+    """``workload/metric`` -> value, and ``run-threaded/op`` -> op row."""
+    values = {}
+    for workload, entry in report.get("workloads", {}).items():
+        for metric, value in entry.get("end_to_end", {}).items():
+            values[f"{workload}/{metric}"] = value["value"]
+        if workload == PER_OP_WORKLOAD:
+            for row in entry.get("ops", []):
+                values[f"{workload}/{row['op']}"] = row
+    return values
 
 
-def _delta_table(report: dict, baseline: dict) -> list[str]:
-    current = _workload_speedups(report)
-    blessed = _workload_speedups(baseline)
-    lines = [
-        f"{'workload':16s} {'mode':7s} {'engine':9s} {'baseline':>9s} "
-        f"{'current':>9s} {'delta':>8s}"
-    ]
-    for workload in sorted(set(current) | set(blessed)):
-        for mode in ("native", "sdt"):
-            for engine in ("threaded", "tier2"):
-                old = (
-                    blessed.get(workload, {}).get(mode, {}).get(engine, 0.0)
-                )
-                new = (
-                    current.get(workload, {}).get(mode, {}).get(engine, 0.0)
-                )
-                delta = (new - old) / old if old else 0.0
-                marker = "" if workload in blessed and workload in current \
-                    else "  (not in both)"
-                lines.append(
-                    f"{workload:16s} {mode:7s} {engine:9s} {old:8.2f}x "
-                    f"{new:8.2f}x {delta:+7.1%}{marker}"
-                )
-    return lines
+def decide(bench: dict, base: list[dict], change: list[dict]) -> dict:
+    """The verdict on ``run.py -o`` reports, ``base[i]`` paired with ``change[i]``.
+
+    Each end-to-end metric of each workload fails when the ratio of the
+    two sides' medians exceeds 1 + its ``BENCHMARK.json`` bound and the
+    change lost at least ``MIN_LOST`` pairs: the medians say by how much,
+    the pairs how consistently.  Each ``run-threaded`` op gets the same
+    rule, with the larger of the ``op_ms_geomean`` bound and the base's
+    own quartile spread for the op.  That spread is the tightest of the
+    base's runs: host interference only widens a run's spread, and one
+    noisy run must not hide a real slowdown.  A change-side failed op
+    fails too.  Quantities on one side only are listed in ``ungated``.
+    """
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    floor = metrics[PER_OP_METRIC]["bound"]
+    tables = [_quantities(report) for report in base + change]
+    shared = set.intersection(*(set(table) for table in tables))
+    ungated = sorted(set().union(*tables) - shared)
+    checks = []
+    for key in sorted(shared):
+        b = [table[key] for table in tables[:len(base)]]
+        c = [table[key] for table in tables[len(base):]]
+        if isinstance(b[0], dict):  # an op row
+            spread = min((row["q3_ms"] - row["q1_ms"]) / row["median_ms"]
+                         for row in b)
+            checks.append(_check(key, [row["median_ms"] for row in b],
+                                 [row["median_ms"] for row in c],
+                                 max(floor, spread)))
+        else:
+            metric = metrics[key.split("/", 1)[1]]
+            checks.append(_check(key, b, c, metric["bound"],
+                                 higher=metric["better"] == "higher"))
+    errors = [e for report in change for e in report.get("errors", [])]
+    failed_ops = sum(report.get("failed", 0) for report in change)
+    if failed_ops and not errors:
+        errors = [f"{failed_ops} failed op(s)"]
+    return {"passed": not errors and not any(c["failed"] for c in checks),
+            "checks": checks, "ungated": ungated, "errors": errors}
 
 
-def update_baseline(report: dict, baseline_path: Path) -> int:
-    blessed = dict(report)
-    blessed.pop("timestamp", None)  # wall clock: not part of the baseline
-    baseline_path.parent.mkdir(parents=True, exist_ok=True)
-    baseline_path.write_text(
-        json.dumps(blessed, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"perf gate: baseline updated from report -> {baseline_path}")
-    for key, ratio in _aggregate_ratios(blessed).items():
-        print(f"perf gate: blessed aggregate {key} speedup {ratio:.3f}x")
-    return 0
+def format_table(verdict: dict) -> str:
+    """One line per check (each pair's ratio, as a change), then the rest."""
+    width = max([len(c["name"]) for c in verdict["checks"]] + [5])
+    pairs = len(verdict["checks"][0]["ratios"]) if verdict["checks"] else 0
+    head = "".join(f"{f'pair {i + 1}':>8s}" for i in range(pairs))
+    lines = [f"{'check':<{width}s}{head}  medians  lost  bound  verdict"]
+    for c in verdict["checks"]:
+        ratios = "".join(f"{r - 1:>+8.1%}" for r in c["ratios"])
+        lines.append(
+            f"{c['name']:<{width}s}{ratios}  {c['median'] - 1:>+7.1%}  "
+            f"{c['lost']:>2d}/{pairs}  {c['threshold']:>5.1%}  "
+            f"{'FAIL' if c['failed'] else 'ok'}")
+    lines += [f"not gated (one side only): {k}" for k in verdict["ungated"]]
+    return "\n".join(lines + [f"failed op: {e}" for e in verdict["errors"]])
 
 
-def _aggregate_ratios(data: dict) -> dict[str, float]:
-    """Gated aggregate ratios; legacy reports only carry threaded/oracle."""
-    speedups = data.get("speedups")
-    if speedups:
-        return {
-            key: speedups[key]
-            for key in ("threaded/oracle", "tier2/oracle")
-            if speedups.get(key)
-        }
-    return {"threaded/oracle": data.get("speedup")}
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, text=True,
+                          capture_output=True).stdout.strip()
 
 
-def gate(report: dict, baseline: dict, threshold: float) -> int:
-    current = _aggregate_ratios(report)
-    blessed = _aggregate_ratios(baseline)
-    gated = [key for key in blessed if key in current and blessed[key]]
-    if not gated:
-        raise SystemExit(
-            "perf gate: no common aggregate speedup to gate "
-            f"(report={current!r}, baseline={blessed!r})"
-        )
-
-    print(f"baseline: scale={baseline.get('scale')}, "
-          f"{len(baseline.get('workloads', []))} workloads")
-    print(f"current : scale={report.get('scale')}, "
-          f"{len(report.get('workloads', []))} workloads")
-    failures = []
-    for key in gated:
-        old, new = blessed[key], current[key]
-        floor = old * (1.0 - threshold)
-        regression = (old - new) / old
-        status = "ok" if new >= floor else "FAIL"
-        print(f"{key:16s}: baseline {old:.3f}x, current {new:.3f}x, "
-              f"gate >= {floor:.3f}x ({regression:+.1%}) {status}")
-        if new < floor:
-            failures.append((key, old, new, regression))
-    print()
-    print("\n".join(_delta_table(report, baseline)))
-    print()
-
-    if report.get("scale") != baseline.get("scale"):
-        print(
-            f"perf gate: WARNING comparing scale={report.get('scale')} "
-            f"report against scale={baseline.get('scale')} baseline",
-            file=sys.stderr,
-        )
-    if failures:
-        for key, old, new, regression in failures:
-            print(
-                f"perf gate: FAIL - {key} aggregate speedup regressed "
-                f"{regression:.1%} (> {threshold:.0%} allowed): "
-                f"{old:.3f}x -> {new:.3f}x",
-                file=sys.stderr,
-            )
-        return 1
-    print(f"perf gate: OK ({len(gated)} ratios within {threshold:.0%} "
-          f"of baseline)")
-    return 0
+def _run_suite(tree: Path, side: str, pair: int) -> dict:
+    """One run in ``tree``; a non-zero exit counts as a failed op."""
+    out = OUT / f"{side}-{pair}.json"
+    out.unlink(missing_ok=True)
+    started = time.perf_counter()
+    with open(out.with_suffix(".log"), "w") as log:
+        code = subprocess.run(
+            [sys.executable, "benchmarks/suite/run.py", "--trace", "0",
+             "--seed", str(pair), "-o", str(out)],
+            cwd=tree, stdout=log, stderr=subprocess.STDOUT).returncode
+    print(f"pair {pair + 1}/{PAIRS} {side:6s}: exit {code} in "
+          f"{time.perf_counter() - started:.0f}s", flush=True)
+    report = json.loads(out.read_text()) if out.exists() else {}
+    if code:
+        report["failed"] = max(report.get("failed", 0), 1)
+        report.setdefault("errors", []).append(
+            f"{side} run {pair + 1} exited {code}, see {out.with_suffix('.log')}")
+    return report
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--report", type=Path, default=REPORT,
-                        metavar="FILE",
-                        help=f"bench_engine report (default: {REPORT})")
-    parser.add_argument("--baseline", type=Path, default=BASELINE,
-                        metavar="FILE",
-                        help=f"committed baseline (default: {BASELINE})")
-    parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                        metavar="FRACTION",
-                        help="allowed aggregate-speedup regression "
-                        f"(default: {DEFAULT_THRESHOLD})")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="bless the current report as the new baseline")
+    parser.add_argument("base", metavar="BASE",
+                        help="git ref of the parent to compare against")
     args = parser.parse_args(argv)
-
-    if not 0 < args.threshold < 1:
-        raise SystemExit("perf gate: --threshold must be in (0, 1)")
-
-    report = _load(args.report, "report")
-    if args.update_baseline:
-        return update_baseline(report, args.baseline)
-    baseline = _load(args.baseline, "baseline")
-    return gate(report, baseline, args.threshold)
+    try:
+        base = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    except subprocess.CalledProcessError:
+        print(f"perf gate: {args.base!r} is not a commit", file=sys.stderr)
+        return 2
+    OUT.mkdir(parents=True, exist_ok=True)
+    reports: dict[str, list[dict]] = {"base": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="perf-gate-") as tmp:
+        trees = {"base": Path(tmp) / "base", "change": ROOT}
+        _git("worktree", "add", "--detach", str(trees["base"]), base)
+        try:
+            for pair in range(PAIRS):
+                order = ("base", "change") if pair % 2 == 0 else \
+                    ("change", "base")
+                for side in order:
+                    reports[side].append(_run_suite(trees[side], side, pair))
+        finally:
+            _git("worktree", "remove", "--force", str(trees["base"]))
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    verdict = decide(bench, reports["base"], reports["change"])
+    print(f"\nbase {base[:12]} against the working tree, {PAIRS} pairs\n")
+    print(format_table(verdict))
+    (OUT / "summary.json").write_text(json.dumps(
+        {"base": base, "pairs": PAIRS, **verdict}, indent=1) + "\n")
+    failed = [c["name"] for c in verdict["checks"] if c["failed"]]
+    failed += ["failed ops"] if verdict["errors"] else []
+    print(f"\nperf gate: {'FAIL: ' + ', '.join(failed) if failed else 'OK'}")
+    return 0 if verdict["passed"] else 1
 
 
 if __name__ == "__main__":

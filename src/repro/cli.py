@@ -5,7 +5,6 @@
     repro-sdt run <workload> [--scale S] [--ib M] [--returns R]
                              [--profile P] [--engine E] [--trace] [--json]
     repro-sdt trace <workload> [--mechanism M] [--returns R] [--out D]
-    repro-sdt experiment <e1..e12|all> [--scale S]
     repro-sdt experiments [--only e3,e6] [--jobs N] [--no-cache]
                           [--cache-dir D] [--scale S] [--engine E]
                           [--trace SPEC]
@@ -27,7 +26,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.eval.experiments import ALL_EXPERIMENTS
 from repro.eval.runner import measure, run_native
 from repro.host.profile import PROFILES, get_profile
 from repro.isa.assembler import assemble
@@ -44,6 +42,8 @@ from repro.workloads import (
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
+    from repro.eval.experiments import EXPERIMENT_SPECS
+
     print("workloads: ", ", ".join(workload_names()))
     print("scenarios: ", ", ".join(COHERENCE_WORKLOADS),
           "(self-modifying; need --coherence)")
@@ -51,7 +51,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     print("mechanisms: reentry, ibtc, sieve")
     print("returns:    same, fast, shadow, retcache")
     print("coherence: ", ", ".join(COHERENCE_POLICIES))
-    print("experiments:", ", ".join(ALL_EXPERIMENTS))
+    print("experiments:", ", ".join(EXPERIMENT_SPECS))
     return 0
 
 
@@ -223,16 +223,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    names = list(ALL_EXPERIMENTS) if args.name == "all" else [args.name]
-    for name in names:
-        if name not in ALL_EXPERIMENTS:
-            print(f"unknown experiment {name!r}", file=sys.stderr)
-            return 2
-        ALL_EXPERIMENTS[name](args.scale)
-    return 0
-
-
 def _cmd_experiments(args: argparse.Namespace) -> int:
     """Parallel + disk-cached regeneration of the experiment grid."""
     import os
@@ -255,7 +245,8 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     cache = None if args.no_cache else DiskCache(args.cache_dir)
 
     def progress(event) -> None:
-        source = "cache" if event.source == "cache" else f"{event.seconds:.2f}s"
+        source = (f"{event.seconds:.2f}s" if event.source == "run"
+                  else event.source)
         print(f"[{event.index:3d}/{event.total}] {event.label:<55s} {source}",
               file=sys.stderr)
 
@@ -545,10 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--json", action="store_true",
                        help="print the metrics JSON instead of the summary")
 
-    experiment = sub.add_parser("experiment", help="run an E1..E12 driver")
-    experiment.add_argument("name")
-    experiment.add_argument("--scale", default=None)
-
     experiments = sub.add_parser(
         "experiments",
         help="regenerate experiments on the parallel, disk-cached executor",
@@ -557,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--only", default=None, metavar="e3,e6",
         help="comma-separated experiment subset (default: all)",
     )
-    experiments.add_argument("--scale", default=None)
+    experiments.add_argument("--scale", default="small",
+                             choices=("tiny", "small", "large"))
     experiments.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes (1 = serial in-process)",
@@ -689,7 +677,6 @@ _COMMANDS = {
     "list": _cmd_list,
     "run": _cmd_run,
     "trace": _cmd_trace,
-    "experiment": _cmd_experiment,
     "experiments": _cmd_experiments,
     "fragments": _cmd_fragments,
     "fanout": _cmd_fanout,

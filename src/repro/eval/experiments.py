@@ -1,4 +1,4 @@
-"""E1–E12: drivers that regenerate the paper's tables and figures.
+"""E1–E15: the specs that regenerate the paper's tables and figures.
 
 Each experiment is declared in two halves so the shared executor
 (:mod:`repro.eval.parallel`) can schedule, deduplicate, parallelise and
@@ -12,9 +12,10 @@ persist the underlying simulations:
   results, in declared order, so output is byte-identical whatever the
   worker count or execution order.
 
-The public ``eN_*`` drivers keep their historical signatures: they run
-their cells serially in-process and persist the table under ``results/``
-via :func:`repro.eval.report.write_results`.  See DESIGN.md for the
+:func:`repro.eval.parallel.run_experiment` (one) and
+:func:`~repro.eval.parallel.run_experiments` (several, ``repro-sdt
+experiments``) run them and persist each table under ``results/`` via
+:func:`repro.eval.report.write_results`.  See DESIGN.md for the
 experiment index and EXPERIMENTS.md for paper-vs-measured notes.
 
 The default host profile for single-architecture experiments is the
@@ -23,7 +24,6 @@ P4-like x86 profile (the paper's headline machine); E8 sweeps all three.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,11 +59,6 @@ class ExperimentSpec:
     build: Callable[[CellLookup, str], tuple[list[str], list[list[object]]]]
 
 
-def bench_scale() -> str:
-    """Workload scale for experiment runs (``REPRO_SCALE`` overrides)."""
-    return os.environ.get("REPRO_SCALE", "small")
-
-
 def _suite_names() -> list[str]:
     return workload_names()
 
@@ -76,13 +71,6 @@ def _overhead_row_foot(
     for col in range(first_data_col, len(rows[0])):
         foot.append(geomean([float(row[col]) for row in rows]))
     return foot
-
-
-def _run(name: str, scale: str | None):
-    """Serial in-process execution of one experiment (legacy driver body)."""
-    from repro.eval.parallel import run_experiment
-
-    return run_experiment(name, scale=scale)
 
 
 # -- E1: Table 1 — indirect branch characteristics ---------------------------
@@ -109,11 +97,6 @@ def _build_e1(lookup: CellLookup, scale: str):
             ]
         )
     return headers, rows
-
-
-def e1_ib_characteristics(scale: str | None = None):
-    """Dynamic IB counts and rates per benchmark (native run)."""
-    return _run("e1", scale)
 
 
 # -- E2: baseline overhead (translator re-entry on every IB) -----------------
@@ -149,11 +132,6 @@ def _build_e2(lookup: CellLookup, scale: str):
     return headers, rows
 
 
-def e2_baseline_overhead(scale: str | None = None):
-    """Slowdown of the unoptimised SDT, with and without fragment linking."""
-    return _run("e2", scale)
-
-
 # -- E3: shared IBTC size sweep ------------------------------------------------
 
 
@@ -182,11 +160,6 @@ def _build_e3(lookup: CellLookup, scale: str):
         rows.append(row)
     rows.append(_overhead_row_foot(rows))
     return headers, rows
-
-
-def e3_ibtc_sweep(scale: str | None = None):
-    """Overhead vs shared-IBTC size."""
-    return _run("e3", scale)
 
 
 # -- E4: shared vs per-site IBTC ------------------------------------------------
@@ -234,11 +207,6 @@ def _build_e4(lookup: CellLookup, scale: str):
     return headers, rows
 
 
-def e4_ibtc_scope(scale: str | None = None):
-    """Shared tables vs per-site tables across sizes."""
-    return _run("e4", scale)
-
-
 # -- E5: sieve bucket sweep -------------------------------------------------------
 
 
@@ -268,11 +236,6 @@ def _build_e5(lookup: CellLookup, scale: str):
         rows.append(row)
     rows.append(_overhead_row_foot(rows))
     return headers, rows
-
-
-def e5_sieve_sweep(scale: str | None = None):
-    """Overhead vs sieve bucket count."""
-    return _run("e5", scale)
 
 
 # -- E6: tuned mechanism comparison --------------------------------------------------
@@ -310,11 +273,6 @@ def _build_e6(lookup: CellLookup, scale: str):
     return headers, rows
 
 
-def e6_mechanism_comparison(scale: str | None = None):
-    """Baseline vs tuned IBTC vs tuned sieve vs IBTC+fast-returns."""
-    return _run("e6", scale)
-
-
 # -- E7: return handling ------------------------------------------------------------
 
 E7_SCHEMES = ("same", "shadow", "retcache", "fast")
@@ -346,11 +304,6 @@ def _build_e7(lookup: CellLookup, scale: str):
         rows.append(row)
     rows.append(_overhead_row_foot(rows))
     return headers, rows
-
-
-def e7_return_handling(scale: str | None = None):
-    """Return schemes over an IBTC base configuration."""
-    return _run("e7", scale)
 
 
 # -- E8: cross-architecture sensitivity ------------------------------------------------
@@ -387,11 +340,6 @@ def _build_e8(lookup: CellLookup, scale: str):
     return headers, rows
 
 
-def e8_cross_arch(scale: str | None = None):
-    """Geomean overhead of each mechanism under each host profile."""
-    return _run("e8", scale)
-
-
 # -- E9: IBTC hit rates -----------------------------------------------------------------
 
 
@@ -411,11 +359,6 @@ def _build_e9(lookup: CellLookup, scale: str):
             row.append(m.hit_rates.get(mechanism, 0.0))
         rows.append(row)
     return headers, rows
-
-
-def e9_ibtc_hitrate(scale: str | None = None):
-    """IBTC hit rate per benchmark per size (explains the E3 knee)."""
-    return _run("e9", scale)
 
 
 # -- E10: design-choice ablations ---------------------------------------------------
@@ -481,19 +424,6 @@ def _build_e10(lookup: CellLookup, scale: str):
     return headers, rows
 
 
-def e10_ablations(scale: str | None = None):
-    """Ablations of the design choices DESIGN.md calls out.
-
-    Columns (geomean overhead over the suite):
-
-    - IBTC probe inlined at each site vs. one shared out-of-line stub,
-    - IBTC hash: xor-fold vs. plain shift/mask,
-    - sieve stub insertion: MRU-prepend vs. append,
-    - fragment linking on vs. off (the E2 companion, aggregated).
-    """
-    return _run("e10", scale)
-
-
 # -- E11: per-site target fan-out ------------------------------------------------
 
 
@@ -524,16 +454,6 @@ def _build_e11(lookup: CellLookup, scale: str):
             ]
         )
     return headers, rows
-
-
-def e11_site_fanout(scale: str | None = None):
-    """Distribution of distinct dynamic targets per IB site.
-
-    The paper's motivation table: most sites are monomorphic (a BTB/IBTC
-    entry suffices), while a handful of megamorphic sites carry most of
-    the dynamic dispatches on interpreter-style codes.
-    """
-    return _run("e11", scale)
 
 
 # -- E12: overhead vs site fan-out (synthetic sweep) -----------------------------
@@ -592,11 +512,6 @@ def _build_e12(lookup: CellLookup, scale: str):
                 )
             rows.append(row)
     return headers, rows
-
-
-def e12_fanout_sweep(scale: str | None = None):
-    """Overhead of each mechanism as one dispatch site's fan-out grows."""
-    return _run("e12", scale)
 
 
 # -- E13: fragment-cache pressure & fault resilience --------------------------
@@ -679,11 +594,6 @@ def _build_e13(lookup: CellLookup, scale: str):
     return headers, rows
 
 
-def e13_cache_pressure(scale: str | None = None):
-    """Cache-pressure sweep: overhead/flushes vs capacity, with chaos."""
-    return _run("e13", scale)
-
-
 # -- E14: static target-set analysis — devirtualization & preseeding ----------
 
 
@@ -756,11 +666,6 @@ def _build_e14(lookup: CellLookup, scale: str):
     ))
     rows.append(foot)
     return headers, rows
-
-
-def e14_static_targets(scale: str | None = None):
-    """Devirtualization/preseeding delta table (static targets on/off)."""
-    return _run("e14", scale)
 
 
 # -- E15: code-cache coherence — invalidation policy cost ---------------------
@@ -848,11 +753,6 @@ def _build_e15(lookup: CellLookup, scale: str):
                 ]
                 rows.append(row)
     return headers, rows
-
-
-def e15_coherence(scale: str | None = None):
-    """Coherence-policy cost table on the SMC/loader/JIT scenarios."""
-    return _run("e15", scale)
 
 
 # -- registry -----------------------------------------------------------------
@@ -1008,23 +908,4 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
             build=_build_e15,
         ),
     )
-}
-
-#: Legacy driver registry (CLI ``experiment`` subcommand, tests).
-ALL_EXPERIMENTS = {
-    "e1": e1_ib_characteristics,
-    "e2": e2_baseline_overhead,
-    "e3": e3_ibtc_sweep,
-    "e4": e4_ibtc_scope,
-    "e5": e5_sieve_sweep,
-    "e6": e6_mechanism_comparison,
-    "e7": e7_return_handling,
-    "e8": e8_cross_arch,
-    "e9": e9_ibtc_hitrate,
-    "e10": e10_ablations,
-    "e11": e11_site_fanout,
-    "e12": e12_fanout_sweep,
-    "e13": e13_cache_pressure,
-    "e14": e14_static_targets,
-    "e15": e15_coherence,
 }

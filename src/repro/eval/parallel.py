@@ -396,7 +396,7 @@ def plan_cells(
 
 def run_experiments(
     names: Iterable[str],
-    scale: str | None = None,
+    scale: str = "small",
     jobs: int = 1,
     cache: DiskCache | None = None,
     progress: ProgressFn | None = None,
@@ -421,11 +421,10 @@ def run_experiments(
     listed in ``report.degraded``.  Experiments whose cells all
     succeeded are built and written normally.
     """
-    from repro.eval.experiments import EXPERIMENT_SPECS, bench_scale
+    from repro.eval.experiments import EXPERIMENT_SPECS
     from repro.eval.report import write_results
 
     names = list(names)
-    scale = scale or bench_scale()
     per_experiment, _unique = plan_cells(names, scale)
     all_cells = [
         cell for cells in per_experiment.values() for cell in cells
@@ -471,7 +470,7 @@ def run_experiments(
 
 def run_experiment(
     name: str,
-    scale: str | None = None,
+    scale: str = "small",
     jobs: int = 1,
     cache: DiskCache | None = None,
     progress: ProgressFn | None = None,

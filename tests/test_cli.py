@@ -32,6 +32,13 @@ class TestParser:
         assert args.ib == "ibtc"
         assert args.scale == "small"
 
+    def test_experiments_scale(self):
+        args = build_parser().parse_args(["experiments"])
+        assert args.scale == "small"
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["experiments", "--scale", "huge"])
+        assert exit_info.value.code == 2
+
     def test_rejects_unknown_mechanism(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "x", "--ib", "oracle"])
@@ -86,16 +93,6 @@ class TestCommands:
             ) == 0
             payloads[engine] = json.loads(capsys.readouterr().out)
         assert payloads["oracle"] == payloads["threaded"]
-
-    def test_experiment_unknown(self, capsys):
-        assert main(["experiment", "e99"]) == 2
-
-    def test_experiment_e1(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.chdir(tmp_path)  # results/ lands in tmp
-        assert main(["experiment", "e1", "--scale", "tiny"]) == 0
-        out = capsys.readouterr().out
-        assert "indirect-branch characteristics" in out
-        assert (tmp_path / "results" / "e1_ib_characteristics.csv").exists()
 
     def test_experiments_unknown_subset(self, capsys):
         assert main(["experiments", "--only", "e1,e99"]) == 2

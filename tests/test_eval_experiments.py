@@ -6,15 +6,8 @@ from EXPERIMENTS.md — orderings and crossovers, never absolute numbers.
 
 import pytest
 
-from repro.eval.experiments import (
-    ALL_EXPERIMENTS,
-    e1_ib_characteristics,
-    e2_baseline_overhead,
-    e3_ibtc_sweep,
-    e6_mechanism_comparison,
-    e7_return_handling,
-    e9_ibtc_hitrate,
-)
+from repro.eval.experiments import EXPERIMENT_SPECS
+from repro.eval.parallel import run_experiment
 from repro.workloads import workload_names
 
 SCALE = "tiny"
@@ -45,32 +38,42 @@ def column(rows, index):
 
 @pytest.fixture(scope="module")
 def e1():
-    return e1_ib_characteristics(SCALE)
+    return run_experiment("e1", SCALE)
 
 
 @pytest.fixture(scope="module")
 def e2():
-    return e2_baseline_overhead(SCALE)
+    return run_experiment("e2", SCALE)
 
 
 @pytest.fixture(scope="module")
 def e3():
-    return e3_ibtc_sweep(SCALE)
+    return run_experiment("e3", SCALE)
 
 
 @pytest.fixture(scope="module")
 def e6():
-    return e6_mechanism_comparison(SCALE)
+    return run_experiment("e6", SCALE)
 
 
 @pytest.fixture(scope="module")
 def e7():
-    return e7_return_handling(SCALE)
+    return run_experiment("e7", SCALE)
 
 
 @pytest.fixture(scope="module")
 def e9():
-    return e9_ibtc_hitrate(SCALE)
+    return run_experiment("e9", SCALE)
+
+
+@pytest.fixture(scope="module")
+def e14():
+    return run_experiment("e14", SCALE)
+
+
+@pytest.fixture(scope="module")
+def e15():
+    return run_experiment("e15", SCALE)
 
 
 class TestE1:
@@ -173,5 +176,42 @@ class TestE9:
             assert row[-1] > 0.8, row
 
 
+class TestE14:
+    def test_static_targets_are_precise(self, e14):
+        # an escaped dispatch would drag a workload's precision below 1.0
+        headers, rows = e14
+        precision = headers.index("precision")
+        assert all(row[precision] == 1.0 for row in rows[:-1])
+
+    def test_switch_and_vtable_guests_save_ib_cycles(self, e14):
+        headers, rows = e14
+        ib_delta = headers.index("Δib(ibtc)")
+        by_name = {row[0]: row for row in rows}
+        for name in ("gcc_like", "perl_like", "vpr_like", "crafty_like"):
+            assert by_name[name][ib_delta] > 0, name
+
+
+class TestE15:
+    def test_flush_costs_most_targeted_least(self, e15):
+        headers, rows = e15
+        ibtc, writes = headers.index("ibtc"), headers.index("writes")
+        by_key = {tuple(row[:3]): row for row in rows}
+        for scenario in {row[0] for row in rows}:
+            flush, page, targeted = (by_key[(scenario, "8M", policy)]
+                                     for policy in ("flush", "page",
+                                                    "targeted"))
+            assert flush[ibtc] > page[ibtc] >= targeted[ibtc], scenario
+            assert flush[writes] > 0, scenario
+
+    def test_page_granularity_overpays_on_smc_loop(self, e15):
+        # smc_loop shares a page between the patch site and an untouched
+        # helper, so page-granular invalidation discards more than needed
+        headers, rows = e15
+        ibtc = headers.index("ibtc")
+        by_key = {tuple(row[:3]): row for row in rows}
+        assert by_key[("smc_loop", "8M", "page")][ibtc] > \
+            by_key[("smc_loop", "8M", "targeted")][ibtc]
+
+
 def test_registry_complete():
-    assert set(ALL_EXPERIMENTS) == {f"e{i}" for i in range(1, 16)}
+    assert set(EXPERIMENT_SPECS) == {f"e{i}" for i in range(1, 16)}

@@ -268,6 +268,26 @@ class TestCLIExitCode:
         assert "[error  ] fake:bad  (attempts=2) ValueError: boom bad" in err
         assert "degraded experiment zz: 1 cell(s) missing" in err
 
+    def test_experiments_progress_names_failed_cells(
+            self, fake_registry, tmp_path, capsys, monkeypatch):
+        import repro.eval.report as report_mod
+
+        monkeypatch.setattr(report_mod, "RESULTS_DIR", tmp_path)
+        fake_registry["zz"] = fake_spec(
+            "zz", [FakeCell("g"), FakeCell("bad", mode="error")])
+        from repro.cli import main
+
+        code = main(["experiments", "--only", "zz", "--scale", "tiny",
+                     "--no-cache", "--retries", "0"])
+        assert code == 1
+        progress = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("[")]
+        assert len(progress) == 2
+        assert progress[0].startswith("[  1/2] fake:g")
+        assert progress[0].endswith("s")
+        assert progress[1].startswith("[  2/2] fake:bad")
+        assert progress[1].endswith(" failed")
+
     def test_experiments_exit_zero_when_clean(
             self, fake_registry, tmp_path, capsys, monkeypatch):
         import repro.eval.report as report_mod
