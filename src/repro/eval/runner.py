@@ -16,8 +16,10 @@ caches lives in :mod:`repro.eval.diskcache`.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
+import repro
 from repro.host.costs import Category, HostModel, NativeCostObserver
 from repro.host.profile import ArchProfile
 from repro.isa.opcodes import InstrClass
@@ -164,6 +166,28 @@ def _verify(
         )
 
 
+def run_context(workload: str, scale: str, config: SDTConfig,
+                native_cycles: int) -> dict:
+    """The ``run`` block of a metrics export: what was run, by which
+    package version, under which configuration.
+
+    ``fingerprint`` is the first 16 hex digits of the SHA-256 of
+    ``repr(config.fingerprint())``, the digest the benchmark manifest
+    records per op, so an export and a benchmark report can be matched.
+    """
+    digest = hashlib.sha256(repr(config.fingerprint()).encode()).hexdigest()
+    return {
+        "workload": workload,
+        "scale": scale,
+        "config": config.label,
+        "profile": config.profile.name,
+        "engine": config.engine,
+        "native_cycles": native_cycles,
+        "version": repro.__version__,
+        "fingerprint": digest[:16],
+    }
+
+
 def measure(
     workload: Workload | str,
     config: SDTConfig,
@@ -207,11 +231,8 @@ def measure(
             vm.trace, config.trace.dir,
             f"{workload.name}-{scale}-{config.profile.name}-{config.label}",
             result=result,
-            context={
-                "workload": workload.name, "scale": scale,
-                "config": config.label, "profile": config.profile.name,
-                "engine": config.engine, "native_cycles": baseline.cycles,
-            },
+            context=run_context(workload.name, scale, config,
+                                baseline.cycles),
         )
 
     hit_rates = {}

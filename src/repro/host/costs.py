@@ -10,7 +10,6 @@ SDT overhead — the paper's normalisation.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 
 from repro.isa.opcodes import InstrClass
 from repro.host.predictors import (
@@ -69,7 +68,9 @@ class HostModel:
         self.bimodal = BimodalPredictor(profile.bimodal_entries)
         self.btb = BranchTargetBuffer(profile.btb_entries)
         self.ras = ReturnAddressStack(profile.ras_entries)
-        self.cycles: Counter = Counter()
+        # an exact dict keyed by every category: CPython 3.11
+        # specialises subscripts only on exact dicts, not on ``Counter``
+        self.cycles: dict[Category, int] = dict.fromkeys(Category, 0)
         self._class_cycles = dict(profile.class_cycles)
 
     # -- raw charging -------------------------------------------------------
@@ -80,11 +81,6 @@ class HostModel:
     def charge_instr(self, iclass: InstrClass) -> None:
         """Base cost of one retired application instruction."""
         self.cycles[_APP] += self._class_cycles[iclass]
-
-    def block_cycles(self, counts: dict[InstrClass, int]) -> int:
-        """Total APP cycles for an instruction-class count vector."""
-        class_cycles = self._class_cycles
-        return sum(class_cycles[ic] * n for ic, n in counts.items())
 
     # -- host-level branch events -------------------------------------------
     #

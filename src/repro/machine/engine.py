@@ -10,14 +10,17 @@ pre-resolved into the closure's cell/default variables, so executing an
 instruction is one argumentless call with no dispatch at all.
 
 Closures are grouped into :class:`Superblock` plans — straight-line runs
-executed as a flat list — and each plan precomputes its
-:class:`~repro.isa.opcodes.InstrClass` count vector plus its total APP
-cycle cost under the active :class:`~repro.host.profile.ArchProfile`, so
-cycle accounting and instruction-class counting are charged once per
-block execution instead of once per instruction
-(:meth:`repro.machine.runner.BlockRunner._run_block`).  The ``lw`` and
-``sw`` closures come from :class:`~repro.machine.memory.Memory`, which
-owns the page layout they access in place.
+executed as a flat list — and each plan precomputes its total APP cycle
+cost under the active :class:`~repro.host.profile.ArchProfile`, so cycle
+accounting is charged once per block execution instead of once per
+instruction (:meth:`repro.machine.runner.BlockRunner._run_block`).
+Instruction-class counting costs one counter bump per block execution:
+the runner that builds a plan interns its
+:class:`~repro.isa.opcodes.InstrClass` multiset and counts the plan's
+runs against it, deriving the class counts only when they are read.
+The ``lw`` and ``sw`` closures come from
+:class:`~repro.machine.memory.Memory`, which owns the page layout they
+access in place.
 
 Invariants the block layer relies on (see docs/performance.md):
 
@@ -455,7 +458,8 @@ class Superblock:
         pcs / fns / iclasses: per-instruction guest PCs, step closures and
             instruction classes (parallel tuples).
         n: instruction count.
-        class_counts: ``InstrClass -> count`` vector for the whole block.
+        class_counts: ``InstrClass -> count`` vector for the whole block
+            (the plan-coherence check and tier2's commits read it).
         app_cycles: total APP cycles under the profile the block was
             compiled for (0 when compiled without a cost model).
         has_syscall: the block contains a ``SYSCALL``; callers must keep
@@ -468,12 +472,15 @@ class Superblock:
         region: tier-2 promotion state — ``None`` until probed, a
             compiled region once promoted, or ``False`` when the block
             is permanently region-ineligible.
+        vector: index of the run counter of this block's class multiset
+            in the :class:`~repro.machine.runner.BlockRunner` that built
+            it (``None`` for a block built outside a runner).
     """
 
     __slots__ = (
         "entry_pc", "pcs", "fns", "iclasses", "n", "class_counts",
         "app_cycles", "has_syscall", "term_pc", "term_iclass", "term_rd",
-        "hits", "region",
+        "hits", "region", "vector",
     )
 
     def __init__(
@@ -511,6 +518,7 @@ class Superblock:
         self.term_rd = term_instr.rd
         self.hits = 0
         self.region = None
+        self.vector = None
         if trace is not None:
             trace.emit("plan.build", entry=self.entry_pc, instrs=self.n,
                        syscall=self.has_syscall)

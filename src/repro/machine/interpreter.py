@@ -174,7 +174,7 @@ class Interpreter(BlockRunner):
         cpu.pc = next_pc
         self.retired += 1
         iclass = instr.iclass
-        self.iclass_counts[iclass] += 1
+        self._direct_counts[iclass] += 1
         model = self.model
         if model is not None:
             model.charge_instr(iclass)
@@ -234,10 +234,7 @@ class Interpreter(BlockRunner):
                 pairs.append((probe, self.fetch(probe)))
             except (MemoryFault, DecodeError):
                 break
-        block = Superblock(
-            pairs, self.cpu, self.mem, self.syscalls,
-            class_cycles=class_cycles,
-        )
+        block = self._build(pairs, class_cycles)
         self._blocks[pc] = block
         return block
 

@@ -5,11 +5,21 @@ differs (a static edge in the interpreter, a patched link or an IB
 mechanism dispatch in the SDT).  :class:`BlockRunner` therefore owns
 everything below the exit for both harnesses:
 
-- the whole-block body (closure list, one class-count commit, one APP
+- the whole-block body (closure list, one run-counter bump, one APP
   cycle commit),
 - the per-instruction body (exact fuel stop, mid-block exit ``SYSCALL``),
 - the partial-block accounting after a fault, which the tier-2 fault
-  replay (:mod:`repro.machine.tier2`) reuses.
+  replay (:mod:`repro.machine.tier2`) reuses,
+- the instruction-class counts.  Every block a harness builds goes
+  through :meth:`BlockRunner._build`, which interns the block's class
+  multiset into a per-runner table with one run counter per distinct
+  vector; the whole-block body bumps that counter instead of adding up
+  class counts.  The per-instruction paths count into a plain dict, and
+  :attr:`BlockRunner.iclass_counts` adds the two up on read
+  (block-count profiling: count the blocks, derive the rest).  The
+  counters live in the runner, not in the blocks, so a block that is
+  dropped (a code write, a flush, an eviction, a demotion) takes no
+  counts with it.
 
 A stop — fault or fuel — leaves ``cpu.pc`` on the next unexecuted guest
 instruction (the faulting one, for a fault), exactly like the oracle
@@ -23,6 +33,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.host.costs import Category
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import InstrClass
 from repro.isa.program import Program
 from repro.machine.engine import Superblock
@@ -33,6 +44,7 @@ from repro.machine.loader import load_program
 # ``EnumType.__getattr__`` (docs/performance.md, "Host hot path")
 _APP = Category.APP
 _SYSCALL = InstrClass.SYSCALL
+_ICLASSES = tuple(InstrClass)
 
 
 class BlockRunner:
@@ -41,7 +53,10 @@ class BlockRunner:
     Attributes:
         cpu / mem / syscalls: the loaded guest machine.
         retired: instructions retired so far.
-        iclass_counts: ``InstrClass -> count`` of retired instructions.
+        iclass_counts: ``InstrClass -> count`` of retired instructions,
+            a fresh :class:`~collections.Counter` with no zero entries,
+            materialised on read from the direct counts and the block
+            run counters (read-only).
         model: the :class:`repro.host.costs.HostModel` charged for
             execution, or ``None`` when the run has no cost model.
         trace: the run's trace session (SDT only; ``None`` otherwise).
@@ -54,7 +69,44 @@ class BlockRunner:
         self.cpu, self.mem, self.syscalls = load_program(program, inputs)
         self.model = model
         self.retired = 0
-        self.iclass_counts: Counter = Counter()
+        #: classes counted one instruction at a time: the oracle loops,
+        #: the per-instruction and partial-fault bodies, tier2 commits
+        self._direct_counts: dict[InstrClass, int] = dict.fromkeys(
+            InstrClass, 0
+        )
+        #: dense class vector (counts in ``InstrClass`` order) -> index
+        #: of its run counter in ``_vector_runs``
+        self._vectors: dict[tuple[int, ...], int] = {}
+        #: whole-block executions per interned class vector
+        self._vector_runs: list[int] = []
+
+    @property
+    def iclass_counts(self) -> Counter:
+        """``InstrClass -> count`` of retired instructions: the direct
+        counts plus Σ runs × vector over the interned block vectors."""
+        totals = dict(self._direct_counts)
+        for vector, runs in zip(self._vectors, self._vector_runs):
+            for iclass, count in zip(_ICLASSES, vector):
+                totals[iclass] += runs * count
+        return Counter({ic: count for ic, count in totals.items() if count})
+
+    def _build(self, pairs: list[tuple[int, Instruction]], class_cycles,
+               trace=None) -> Superblock:
+        """Compile ``pairs`` into a block on this machine and give it the
+        run counter of its class multiset.
+
+        The vector is read from the immutable ``iclasses`` tuple, never
+        from ``class_counts``, which fault injection may corrupt.
+        """
+        block = Superblock(pairs, self.cpu, self.mem, self.syscalls,
+                           class_cycles=class_cycles, trace=trace)
+        vector = tuple(map(block.iclasses.count, _ICLASSES))
+        index = self._vectors.get(vector)
+        if index is None:
+            index = self._vectors[vector] = len(self._vector_runs)
+            self._vector_runs.append(0)
+        block.vector = index
+        return block
 
     def _run_block(self, block: Superblock) -> int:
         """Execute a whole block with block-level accounting.
@@ -71,9 +123,7 @@ class BlockRunner:
             self._account_partial(block.pcs, block.iclasses, k)
             raise
         self.retired += block.n
-        counts = self.iclass_counts
-        for iclass, count in block.class_counts.items():
-            counts[iclass] += count
+        self._vector_runs[block.vector] += 1
         model = self.model
         if model is not None:
             # the block's precomputed APP sum: cycle-identical to
@@ -91,7 +141,7 @@ class BlockRunner:
         returns the next guest PC.
         """
         syscalls = self.syscalls
-        counts = self.iclass_counts
+        counts = self._direct_counts
         model = self.model
         iclasses = block.iclasses
         k = 0
@@ -120,7 +170,7 @@ class BlockRunner:
     def _account_partial(self, pcs, iclasses, k: int) -> None:
         """Account a block's first ``k`` instructions after a fault and
         leave ``cpu.pc`` on the faulting instruction."""
-        counts = self.iclass_counts
+        counts = self._direct_counts
         model = self.model
         for iclass in iclasses[:k]:
             counts[iclass] += 1

@@ -534,7 +534,7 @@ class _Regions:
             "_msh": mem.store_half, "_msb": mem.store_byte,
             "_sx": s32, "_sdiv": _sdiv, "_srem": _srem,
             "_regs": owner.cpu.regs, "_cpu": owner.cpu, "_rt": owner,
-            "_cnt": owner.iclass_counts,
+            "_cnt": owner._direct_counts,
         }
         if model is not None:
             ns.update(_cyc=model.cycles, _APP=Category.APP)

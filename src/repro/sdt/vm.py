@@ -164,11 +164,8 @@ class SDTVM(BlockRunner):
 
     def _compile_plan(self, instrs: list[tuple[int, Instruction]]) -> Superblock:
         """Compile a fragment body into a threaded execution plan."""
-        return Superblock(
-            instrs, self.cpu, self.mem, self.syscalls,
-            class_cycles=self.config.profile.class_cycles,
-            trace=self.trace,
-        )
+        return self._build(instrs, self.config.profile.class_cycles,
+                           trace=self.trace)
 
     # -- translator interactions --------------------------------------------
 
@@ -287,7 +284,7 @@ class SDTVM(BlockRunner):
         mem = self.mem
         syscalls = self.syscalls
         model = self.model
-        counts = self.iclass_counts
+        counts = self._direct_counts
         budget = self._fuel - self.retired
 
         guest_pc = fragment.guest_pc

@@ -9,7 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.eval.runner import DEFAULT_FUEL, NativeBaseline, run_native, _verify
+from repro.eval.runner import (
+    DEFAULT_FUEL,
+    NativeBaseline,
+    _verify,
+    run_context,
+    run_native,
+)
 from repro.sdt.config import SDTConfig
 from repro.sdt.vm import SDTRunResult, SDTVM
 from repro.trace.session import TraceSession
@@ -31,14 +37,8 @@ class TracedRun:
     @property
     def context(self) -> dict:
         """Identity fields for the metrics export."""
-        return {
-            "workload": self.workload,
-            "scale": self.scale,
-            "config": self.config.label,
-            "profile": self.config.profile.name,
-            "engine": self.config.engine,
-            "native_cycles": self.baseline.cycles,
-        }
+        return run_context(self.workload, self.scale, self.config,
+                           self.baseline.cycles)
 
     @property
     def stem(self) -> str:

@@ -184,6 +184,23 @@ def test_hot_enum_members_bound_once(fn):
     assert "Category" not in names
 
 
+def test_block_body_bumps_one_counter():
+    """The whole-block body bumps its class vector's run counter instead
+    of looping over the class counts, and the tables the hot paths
+    subscript are exact dicts keyed by every member (docs/performance.md,
+    "Host hot path", rule 5)."""
+    from repro.isa.assembler import assemble
+
+    names = BlockRunner._run_block.__code__.co_names
+    assert "class_counts" not in names
+    assert "items" not in names
+    cycles = HostModel(SIMPLE).cycles
+    assert type(cycles) is dict and list(cycles) == list(Category)
+    direct = BlockRunner(assemble(".text\nmain:\n    halt\n"), None,
+                         None)._direct_counts
+    assert type(direct) is dict and list(direct) == list(InstrClass)
+
+
 class TestClosureSemantics:
     @pytest.mark.parametrize("op", NON_SYSCALL_OPS, ids=lambda o: o.value)
     def test_matches_oracle_on_random_state(self, op):

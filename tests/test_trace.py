@@ -295,3 +295,37 @@ class TestCLI:
         assert code == 0
         assert "trace    :" in capsys.readouterr().out
         assert len(list(tmp_path.iterdir())) == 2
+
+
+class TestRunIdentity:
+    """Every metrics export names the package version and the config
+    fingerprint, and both producers build the ``run`` block alike."""
+
+    @staticmethod
+    def _run_block(directory) -> dict:
+        (path,) = directory.glob("*.metrics.json")
+        return json.loads(path.read_text())["run"]
+
+    def test_trace_command_and_measure_export_agree(self, tmp_path):
+        import hashlib
+
+        import repro
+        from repro.cli import main
+        from repro.eval.runner import measure
+        from repro.host.profile import X86_P4
+
+        traced_dir, measured_dir = tmp_path / "trace", tmp_path / "measure"
+        assert main([
+            "trace", "gzip_like", "--scale", "tiny", "--mechanism", "sieve",
+            "--profile", "x86_p4", "--out", str(traced_dir),
+        ]) == 0
+        config = SDTConfig(ib="sieve", profile=X86_P4,
+                           trace=TraceSpec(dir=str(measured_dir)))
+        measure("gzip_like", config, scale="tiny")
+
+        digest = hashlib.sha256(repr(config.fingerprint()).encode())
+        for directory in (traced_dir, measured_dir):
+            run = self._run_block(directory)
+            assert run["version"] == repro.__version__
+            assert run["fingerprint"] == digest.hexdigest()[:16]
+        assert self._run_block(traced_dir) == self._run_block(measured_dir)
