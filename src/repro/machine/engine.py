@@ -20,7 +20,10 @@ the runner that builds a plan interns its
 runs against it, deriving the class counts only when they are read.
 The ``lw`` and ``sw`` closures come from
 :class:`~repro.machine.memory.Memory`, which owns the page layout they
-access in place.
+access in place.  Closures are compiled once per distinct block: a
+runner rebuilding a block from equal ``(pc, instruction)`` pairs gets a
+fresh plan from :meth:`Superblock.rebuilt` that shares them and
+re-derives every field fault injection may perturb.
 
 Invariants the block layer relies on (see docs/performance.md):
 
@@ -450,6 +453,14 @@ def compile_instr(
     return oracle  # pragma: no cover - exhaustive over Op
 
 
+def _class_counts(iclasses) -> dict[InstrClass, int]:
+    """``InstrClass -> count``, keyed in first-occurrence order."""
+    counts: dict[InstrClass, int] = {}
+    for iclass in iclasses:
+        counts[iclass] = counts.get(iclass, 0) + 1
+    return counts
+
+
 class Superblock:
     """A compiled straight-line block: closures plus block-level costs.
 
@@ -494,34 +505,61 @@ class Superblock:
     ):
         if not pairs:
             raise ValueError("cannot compile an empty block")
-        self.entry_pc = pairs[0][0]
-        self.pcs = tuple(pc for pc, _instr in pairs)
         self.fns = tuple(
             compile_instr(pc, instr, cpu, mem, syscalls)
             for pc, instr in pairs
         )
         iclasses = tuple(instr.iclass for _pc, instr in pairs)
-        self.iclasses = iclasses
-        self.n = len(pairs)
-        counts: dict[InstrClass, int] = {}
-        for iclass in iclasses:
-            counts[iclass] = counts.get(iclass, 0) + 1
-        self.class_counts = counts
+        counts = _class_counts(iclasses)
         self.app_cycles = (
             sum(class_cycles[ic] * c for ic, c in counts.items())
             if class_cycles is not None else 0
         )
         self.has_syscall = InstrClass.SYSCALL in counts
-        term_pc, term_instr = pairs[-1]
-        self.term_pc = term_pc
         self.term_iclass = iclasses[-1]
-        self.term_rd = term_instr.rd
+        self.term_rd = pairs[-1][1].rd
+        self.vector = None
+        self._start(tuple(pc for pc, _instr in pairs), iclasses, counts,
+                    trace)
+
+    def _start(self, pcs, iclasses, counts, trace) -> None:
+        """Set the fields a rebuild derives afresh (the ones fault
+        injection may perturb, and the tier-2 state) and emit
+        ``plan.build``."""
+        self.entry_pc = pcs[0]
+        self.pcs = pcs
+        self.iclasses = iclasses
+        self.n = len(pcs)
+        self.class_counts = counts
+        self.term_pc = pcs[-1]
         self.hits = 0
         self.region = None
-        self.vector = None
         if trace is not None:
             trace.emit("plan.build", entry=self.entry_pc, instrs=self.n,
                        syscall=self.has_syscall)
+
+    def rebuilt(self, trace=None) -> "Superblock":
+        """A fresh block sharing this block's compiled closures.
+
+        For a rebuild from pairs equal to the ones this block was
+        compiled from (:meth:`repro.machine.runner.BlockRunner._build`).
+        Only fields that fault injection never perturbs are shared or
+        copied: ``pcs``, ``iclasses``, ``fns``, ``app_cycles``,
+        ``vector`` and the terminator class, register and syscall flag.
+        Entry, length, terminator PC and class counts are derived again
+        from the immutable tuples, and the tier-2 heat starts over, so
+        the new block is exactly what a fresh compile would build.
+        """
+        block = Superblock.__new__(Superblock)
+        block.fns = self.fns
+        block.app_cycles = self.app_cycles
+        block.has_syscall = self.has_syscall
+        block.term_iclass = self.term_iclass
+        block.term_rd = self.term_rd
+        block.vector = self.vector
+        iclasses = self.iclasses
+        block._start(self.pcs, iclasses, _class_counts(iclasses), trace)
+        return block
 
     def coherent_with(self, entry_pc: int, pairs) -> bool:
         """Does this plan still describe the block it was compiled from?

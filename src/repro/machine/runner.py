@@ -19,7 +19,12 @@ everything below the exit for both harnesses:
   (block-count profiling: count the blocks, derive the rest).  The
   counters live in the runner, not in the blocks, so a block that is
   dropped (a code write, a flush, an eviction, a demotion) takes no
-  counts with it.
+  counts with it,
+- the compiled closures.  :meth:`BlockRunner._build` compiles each
+  distinct block once per runner: it keeps the last pairs and block
+  built at each entry PC, and a rebuild from equal pairs (an SDT
+  re-translation after a flush or an invalidation) gets a fresh block
+  sharing those closures (:meth:`Superblock.rebuilt`).
 
 A stop — fault or fuel — leaves ``cpu.pc`` on the next unexecuted guest
 instruction (the faulting one, for a fault), exactly like the oracle
@@ -79,6 +84,8 @@ class BlockRunner:
         self._vectors: dict[tuple[int, ...], int] = {}
         #: whole-block executions per interned class vector
         self._vector_runs: list[int] = []
+        #: entry PC -> the pairs and the block last compiled there
+        self._built: dict[int, tuple[list, Superblock]] = {}
 
     @property
     def iclass_counts(self) -> Counter:
@@ -95,9 +102,21 @@ class BlockRunner:
         """Compile ``pairs`` into a block on this machine and give it the
         run counter of its class multiset.
 
+        Each distinct block is compiled once per runner: when the last
+        block built at this entry PC came from pairs equal to ``pairs``,
+        the result is a fresh block sharing its closures
+        (:meth:`Superblock.rebuilt`).  ``pairs`` are freshly fetched
+        through the harness's decode cache, so reuse never outlives the
+        rule that a cached decode may only outlive a write watch on its
+        page.  ``class_cycles`` is fixed per runner.
+
         The vector is read from the immutable ``iclasses`` tuple, never
         from ``class_counts``, which fault injection may corrupt.
         """
+        entry = pairs[0][0]
+        built = self._built.get(entry)
+        if built is not None and built[0] == pairs:
+            return built[1].rebuilt(trace)
         block = Superblock(pairs, self.cpu, self.mem, self.syscalls,
                            class_cycles=class_cycles, trace=trace)
         vector = tuple(map(block.iclasses.count, _ICLASSES))
@@ -106,6 +125,7 @@ class BlockRunner:
             index = self._vectors[vector] = len(self._vector_runs)
             self._vector_runs.append(0)
         block.vector = index
+        self._built[entry] = (pairs, block)
         return block
 
     def _run_block(self, block: Superblock) -> int:

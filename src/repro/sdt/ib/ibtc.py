@@ -27,8 +27,6 @@ Axes evaluated by the paper, all configurable here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.host.costs import Category
 from repro.sdt.fragment import Fragment
 from repro.sdt.ib.base import IBMechanism
@@ -54,26 +52,10 @@ def ibtc_index(target: int, mask: int, hash_kind: str = "fold") -> int:
     return (word ^ (word >> 10)) & mask
 
 
-@dataclass(slots=True)
-class _Table:
-    """One direct-mapped tag/value array."""
-
-    mask: int
-    tags: list[int]
-    frags: list[Fragment | None]
-
-    @classmethod
-    def sized(cls, entries: int) -> "_Table":
-        return cls(
-            mask=entries - 1,
-            tags=[-1] * entries,
-            frags=[None] * entries,
-        )
-
-    def clear(self) -> None:
-        for index in range(len(self.tags)):
-            self.tags[index] = -1
-            self.frags[index] = None
+#: One direct-mapped table: ``slot index -> (tag, fragment)``.  Only
+#: occupied slots are stored, so a flush or a scrub costs what the table
+#: holds, not its capacity; a missing slot is an empty one.
+_Table = dict[int, tuple[int, Fragment]]
 
 
 class IBTC(IBMechanism):
@@ -100,7 +82,8 @@ class IBTC(IBMechanism):
         self.name = f"ibtc-{'shared' if shared else 'persite'}-{entries}"
         if not inline:
             self.name += "-outline"
-        self._shared_table = _Table.sized(entries) if shared else None
+        self._mask = entries - 1
+        self._shared_table: _Table | None = {} if shared else None
         self._site_tables: dict[int, _Table] = {}
 
     def _table_for(self, ib_pc: int) -> _Table:
@@ -108,9 +91,13 @@ class IBTC(IBMechanism):
             return self._shared_table
         table = self._site_tables.get(ib_pc)
         if table is None:
-            table = _Table.sized(self.entries)
-            self._site_tables[ib_pc] = table
+            table = self._site_tables[ib_pc] = {}
         return table
+
+    def _tables(self) -> list[_Table]:
+        if self._shared_table is not None:
+            return [self._shared_table]
+        return list(self._site_tables.values())
 
     def dispatch(
         self, fragment: Fragment, ib_pc: int, guest_target: int
@@ -129,24 +116,21 @@ class IBTC(IBMechanism):
         vm.model.charge(Category.IBTC, cost)
 
         table = self._table_for(ib_pc)
-        index = ibtc_index(guest_target, table.mask, self.hash_kind)
+        index = ibtc_index(guest_target, self._mask, self.hash_kind)
         injector = getattr(vm, "fault_injector", None)
         if injector is not None:
             event = injector.table_event("ibtc")
             if event == "drop":
-                table.tags[index] = -1
-                table.frags[index] = None
-            elif event == "corrupt" and table.frags[index] is not None:
+                table.pop(index, None)
+            elif event == "corrupt" and index in table:
                 from repro.faults.inject import tombstone
 
-                table.frags[index] = tombstone(table.frags[index])
-        cached = table.frags[index]
+                tag, victim = table[index]
+                table[index] = (tag, tombstone(victim))
+        entry = table.get(index)
         trace = vm.trace
-        if (
-            table.tags[index] == guest_target
-            and cached is not None
-            and cached.valid
-        ):
+        if entry is not None and entry[0] == guest_target and entry[1].valid:
+            cached = entry[1]
             self._hit()
             if trace is not None:
                 trace.emit("ibtc.hit", site=ib_pc, target=guest_target,
@@ -164,8 +148,7 @@ class IBTC(IBMechanism):
             trace.emit("ibtc.miss", site=ib_pc, target=guest_target,
                        probes=1)
         target_fragment = vm.reenter_translator(guest_target)
-        table.tags[index] = guest_target
-        table.frags[index] = target_fragment
+        table[index] = (guest_target, target_fragment)
         if trace is not None:
             trace.emit("ibtc.insert", site=ib_pc, target=guest_target,
                        index=index)
@@ -182,25 +165,17 @@ class IBTC(IBMechanism):
         by a dispatch miss, so the dispatch path needs no changes.
         """
         table = self._table_for(ib_pc)
-        index = ibtc_index(guest_target, table.mask, self.hash_kind)
-        occupant = table.frags[index]
-        if (
-            table.tags[index] != -1
-            and occupant is not None
-            and occupant.valid
-        ):
+        index = ibtc_index(guest_target, self._mask, self.hash_kind)
+        occupant = table.get(index)
+        if occupant is not None and occupant[1].valid:
             return False
-        table.tags[index] = guest_target
-        table.frags[index] = fragment
+        table[index] = (guest_target, fragment)
         return True
 
     def live_fragment_refs(self):
-        refs = []
-        if self._shared_table is not None:
-            refs.extend(self._shared_table.frags)
-        for table in self._site_tables.values():
-            refs.extend(table.frags)
-        return refs
+        return [
+            frag for table in self._tables() for _tag, frag in table.values()
+        ]
 
     def on_flush(self) -> None:
         if self._shared_table is not None:
@@ -208,14 +183,10 @@ class IBTC(IBMechanism):
         self._site_tables.clear()
 
     def scrub_invalid(self) -> None:
-        tables = []
-        if self._shared_table is not None:
-            tables.append(self._shared_table)
-        tables.extend(self._site_tables.values())
-        for table in tables:
-            frags = table.frags
-            tags = table.tags
-            for index, frag in enumerate(frags):
-                if frag is not None and not frag.valid:
-                    tags[index] = -1
-                    frags[index] = None
+        for table in self._tables():
+            stale = [
+                index for index, (_tag, frag) in table.items()
+                if not frag.valid
+            ]
+            for index in stale:
+                del table[index]

@@ -215,7 +215,8 @@ class ReturnCache(ReturnMechanism):
         self.entries = entries
         self.name = f"return-cache-{entries}"
         self._mask = entries - 1
-        self._table: list[Fragment | None] = [None] * entries
+        #: ``slot index -> fragment``, occupied slots only
+        self._table: dict[int, Fragment] = {}
 
     def dispatch_ret(
         self, fragment: Fragment, ib_pc: int, target_value: int
@@ -224,7 +225,7 @@ class ReturnCache(ReturnMechanism):
         vm = self.vm
         profile = vm.model.profile
         index = (target_value >> 2) & self._mask
-        cached = self._table[index]
+        cached = self._table.get(index)
         vm.model.charge(Category.RETCACHE, profile.retcache_probe)
         landing = cached.fc_addr if cached is not None else 0
         vm.model.indirect_jump(fragment.exit_site, landing)
@@ -249,14 +250,13 @@ class ReturnCache(ReturnMechanism):
         return target_fragment
 
     def on_flush(self) -> None:
-        for index in range(len(self._table)):
-            self._table[index] = None
+        self._table.clear()
 
     def scrub_invalid(self) -> None:
         table = self._table
-        for index, frag in enumerate(table):
-            if frag is not None and not frag.valid:
-                table[index] = None
+        stale = [index for index, frag in table.items() if not frag.valid]
+        for index in stale:
+            del table[index]
 
     def live_fragment_refs(self):
-        return list(self._table)
+        return list(self._table.values())

@@ -21,6 +21,8 @@ order.  E-series ablations sweep both.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from repro.host.costs import Category
 from repro.sdt.fragment import Fragment
 from repro.sdt.ib.base import IBMechanism
@@ -50,9 +52,12 @@ class Sieve(IBMechanism):
         self.policy = policy
         self.name = f"sieve-{buckets}"
         self._mask = buckets - 1
-        self._chains: list[list[tuple[int, Fragment]]] = [
-            [] for _ in range(buckets)
-        ]
+        #: ``bucket index -> stub chain``; a bucket gets its list when
+        #: first probed, and a flush drops them all, so flushes and
+        #: scrubs walk only the buckets in use
+        self._chains: defaultdict[int, list[tuple[int, Fragment]]] = (
+            defaultdict(list)
+        )
         #: dynamic stage executions, for mean-chain-length reporting
         self.stage_executions = 0
 
@@ -110,7 +115,7 @@ class Sieve(IBMechanism):
             trace.emit("sieve.walk", site=ib_pc, target=guest_target,
                        depth=len(chain), hit=False)
         target_fragment = vm.reenter_translator(guest_target)
-        # re-fetch: the reentry may have flushed (and so emptied) the chain
+        # re-fetch: the reentry may have flushed (and so dropped) the chain
         chain = self._chains[index]
         entry = (guest_target, target_fragment)
         if self.policy == "prepend":
@@ -143,24 +148,23 @@ class Sieve(IBMechanism):
         return True
 
     def on_flush(self) -> None:
-        for chain in self._chains:
-            chain.clear()
+        self._chains.clear()
 
     def scrub_invalid(self) -> None:
         # in-place: dispatch holds direct references to chain lists
-        for chain in self._chains:
+        for chain in self._chains.values():
             if any(not frag.valid for _target, frag in chain):
                 chain[:] = [entry for entry in chain if entry[1].valid]
 
     def live_fragment_refs(self):
         return [
             fragment
-            for chain in self._chains
+            for chain in self._chains.values()
             for _target, fragment in chain
         ]
 
     @property
     def mean_chain_length(self) -> float:
         """Mean occupied-chain length (sieve pressure diagnostic)."""
-        lengths = [len(chain) for chain in self._chains if chain]
+        lengths = [len(chain) for chain in self._chains.values() if chain]
         return sum(lengths) / len(lengths) if lengths else 0.0

@@ -73,8 +73,8 @@ class TestCollectViolations:
         vm = fresh_vm(ib="ibtc")
         table = vm.generic_ib._shared_table
         assert table is not None
-        live = next(f for f in table.frags if f is not None)
-        table.frags[table.frags.index(live)] = tombstone(live)
+        index, (tag, live) = next(iter(table.items()))
+        table[index] = (tag, tombstone(live))
         found = collect_violations(vm)
         assert [v.kind for v in found] == ["stale-fragment"]
         assert found[0].site == vm.generic_ib.name

@@ -131,11 +131,10 @@ class TestFlush:
             fc_addr = 0
             valid = True
 
-        mechanism._table_for(0).tags[0] = 0x1234
-        mechanism._table_for(0).frags[0] = FakeFrag()
+        mechanism._table_for(0)[0] = (0x1234, FakeFrag())
         mechanism.on_flush()
-        assert mechanism._table_for(0).tags[0] == -1
-        assert mechanism._table_for(0).frags[0] is None
+        # an empty slot is a missing one: no tag, no fragment
+        assert mechanism._table_for(0).get(0) is None
 
     def test_correct_after_flush_pressure(self):
         source = dispatch_source(4, iterations=150)

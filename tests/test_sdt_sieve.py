@@ -102,7 +102,7 @@ class TestFlush:
         sieve = Sieve(buckets=4)
         sieve._chains[0].append((0x1000, object()))
         sieve.on_flush()
-        assert all(not chain for chain in sieve._chains)
+        assert all(not chain for chain in sieve._chains.values())
 
     def test_mean_chain_length(self):
         sieve = Sieve(buckets=4)
