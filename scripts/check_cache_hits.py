@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """CI guard for the parallel executor and disk-cache keying.
 
-Runs the representative E6 grid at tiny scale three times:
+Runs E6 (the tuned mechanism grid) and E13 (cache pressure, half of its
+cells under the pinned ``chaos:1234`` fault plan) at tiny scale three
+times:
 
-1. serial, no cache          — the reference table,
+1. serial, no cache          — the reference tables,
 2. ``--jobs 2``, cold cache  — must produce byte-identical CSV output,
 3. ``--jobs 2``, warm cache  — must be served >= 90% from the disk cache
                                and still match byte-for-byte.
 
 A keying bug (a field missing from the fingerprint, fuel aliasing, a
-nondeterministic row order) breaks one of these invariants.
+faulted cell served to a clean one, a nondeterministic row order) breaks
+one of these invariants.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-CSV_NAME = "e6_mechanism_comparison.csv"
+EXPERIMENTS = ["e6", "e13"]
+CSV_NAMES = ("e6_mechanism_comparison.csv", "e13_cache_pressure.csv")
 MIN_HIT_RATE = 0.90
 
 
@@ -34,32 +38,33 @@ def check(workdir: Path) -> int:
 
     cache = DiskCache(workdir / "cache")
 
-    _t, serial = run_experiments(["e6"], scale="tiny", jobs=1,
+    _t, serial = run_experiments(EXPERIMENTS, scale="tiny", jobs=1,
                                  results_dir=workdir / "serial")
     print(f"serial:        {serial.computed} simulated "
           f"in {serial.elapsed:.1f}s", flush=True)
 
     clear_caches()
-    _t, cold = run_experiments(["e6"], scale="tiny", jobs=2, cache=cache,
-                               results_dir=workdir / "cold")
+    _t, cold = run_experiments(EXPERIMENTS, scale="tiny", jobs=2,
+                               cache=cache, results_dir=workdir / "cold")
     print(f"jobs=2 cold:   {cold.computed} simulated, "
           f"{cold.cache_hits} cached in {cold.elapsed:.1f}s", flush=True)
 
     clear_caches()
-    _t, warm = run_experiments(["e6"], scale="tiny", jobs=2, cache=cache,
-                               results_dir=workdir / "warm")
+    _t, warm = run_experiments(EXPERIMENTS, scale="tiny", jobs=2,
+                               cache=cache, results_dir=workdir / "warm")
     print(f"jobs=2 warm:   {warm.computed} simulated, "
           f"{warm.cache_hits}/{warm.unique} cached "
           f"({warm.hit_rate:.0%}) in {warm.elapsed:.1f}s", flush=True)
 
-    reference = (workdir / "serial" / CSV_NAME).read_bytes()
     failures = []
-    for label in ("cold", "warm"):
-        if (workdir / label / CSV_NAME).read_bytes() != reference:
-            failures.append(
-                f"{label} parallel run produced different {CSV_NAME} "
-                f"bytes than the serial run"
-            )
+    for name in CSV_NAMES:
+        reference = (workdir / "serial" / name).read_bytes()
+        for label in ("cold", "warm"):
+            if (workdir / label / name).read_bytes() != reference:
+                failures.append(
+                    f"{label} parallel run produced different {name} "
+                    f"bytes than the serial run"
+                )
     if warm.hit_rate < MIN_HIT_RATE:
         failures.append(
             f"warm pass hit rate {warm.hit_rate:.0%} is below the "

@@ -49,6 +49,7 @@ from pathlib import Path
 from repro.analysis.targets import analyze_targets, verify_report
 from repro.eval.differential import ALL, ARCH, HARNESSES, diff, observe
 from repro.eval.parallel import run_experiments
+from repro.eval.runner import clear_caches
 from repro.eval.static_dynamic import cross_validate_suite
 from repro.host.profile import SIMPLE, X86_P4
 from repro.lang import compile_to_program
@@ -288,6 +289,9 @@ def check_cross_validation(failures: list[str], report: dict) -> None:
 
 
 def check_e13(failures: list[str], report: dict) -> None:
+    # faulted cells are memoised and disk-cached like clean ones: clear
+    # the memo and pass no disk cache, so every chaos cell really runs
+    clear_caches()
     with tempfile.TemporaryDirectory(prefix="repro-chaos-e13-") as workdir:
         tables, exec_report = run_experiments(["e13"], scale=SCALE,
                                               results_dir=Path(workdir))

@@ -24,6 +24,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.eval.runner import measure, run_native
@@ -225,8 +226,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     """Parallel + disk-cached regeneration of the experiment grid."""
-    import os
-
     from repro.eval.diskcache import DiskCache
     from repro.eval.experiments import EXPERIMENT_SPECS
     from repro.eval.parallel import run_experiments
@@ -255,7 +254,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     # exporting them here reaches every cell — including ones simulated
     # in worker processes.  Engine choice never changes results or cache
     # keys, only simulation speed; a fault plan never changes
-    # architectural results but makes cells uncacheable.
+    # architectural results but is part of every cell's cache key.
     saved: dict[str, str | None] = {
         "REPRO_ENGINE": os.environ.get("REPRO_ENGINE"),
         "REPRO_FAULTS": os.environ.get("REPRO_FAULTS"),
@@ -547,8 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument("--scale", default="small",
                              choices=("tiny", "small", "large"))
     experiments.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (1 = serial in-process)",
+        "--jobs", type=int, default=len(os.sched_getaffinity(0)),
+        help="worker processes (default: the usable CPU count; "
+        "1 = serial in-process)",
     )
     experiments.add_argument(
         "--no-cache", action="store_true",
@@ -582,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-injection plan for every cell: a profile "
         "(light/chaos/storm), profile:seed, k=v list, or 'off' "
         "(default: $REPRO_FAULTS); never changes architectural results, "
-        "but faulted cells bypass all result caches",
+        "and faulted cells are cached under their own keys",
     )
     experiments.add_argument(
         "--trace", default=None, metavar="SPEC",

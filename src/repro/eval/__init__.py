@@ -7,14 +7,15 @@
   snapshot what it left behind and name the first field two runs
   differ on (the correctness gates' one comparison),
 - :mod:`repro.eval.cells` — the declarative cell model (one schedulable,
-  cacheable simulation) with content-addressed fingerprints,
+  persistable simulation) with content-addressed fingerprints,
 - :mod:`repro.eval.diskcache` — persistent result store under
   ``results/.cache/`` (atomic writes, corruption-tolerant loads),
 - :mod:`repro.eval.parallel` — process-pool executor with
   cross-experiment cell dedup and deterministic table assembly,
 - :mod:`repro.eval.report` — text/CSV table rendering,
-- :mod:`repro.eval.experiments` — E1…E12 drivers declared as cell lists
-  plus table builders (see DESIGN.md for the experiment index and
+- :mod:`repro.eval.experiments` — E1…E15, each declared as one cell
+  grid nested in its table's shape plus a builder that reads the
+  results in that shape (see DESIGN.md for the experiment index and
   docs/experiments.md for the executor).
 """
 

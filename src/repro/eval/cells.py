@@ -1,4 +1,4 @@
-"""Experiment cells: the schedulable, cacheable unit of evaluation work.
+"""Experiment cells: the schedulable, persistable unit of evaluation work.
 
 A :class:`Cell` names one simulation the experiment grid needs — a
 verified SDT measurement, a native-baseline run, or a fan-out profile —
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import repro
 from repro.eval.fanout import FanoutProfile, SiteProfile, collect_fanout
@@ -76,23 +77,6 @@ class Cell:
         return self.workload
 
     @property
-    def cacheable(self) -> bool:
-        """Whether this cell's result may be served from / stored in caches.
-
-        Fault-injected measurements are deliberately uncacheable: the
-        ``faults`` field is exempt from :meth:`SDTConfig.fingerprint` (it
-        cannot change architectural results), so a cached faulted
-        measurement would alias the fault-free one — its cycle counts
-        would poison every clean run that shares the config.  Rather than
-        splitting the cache key, chaos runs simply recompute.
-        """
-        return (
-            self.config is None
-            or self.config.faults is None
-            or not self.config.faults.active
-        )
-
-    @property
     def label(self) -> str:
         """Human-readable identity for progress output."""
         base = f"{self.workload_name}[{self.scale}]"
@@ -108,9 +92,18 @@ class Cell:
         """Complete content address of this cell's result.
 
         Covers the workload *source* (not just its name), the full
-        config/profile field sets, scale, fuel, and :data:`CODE_SALT`.
-        Equal fingerprints imply byte-identical results.
+        config/profile field sets (the fault plan included), scale, fuel,
+        and :data:`CODE_SALT`.  Equal fingerprints imply byte-identical
+        results.  Computed once per cell: the fields are frozen.
         """
+        return self._address[0]
+
+    def key(self) -> str:
+        """Hex digest of :meth:`fingerprint` — dict and file-name safe."""
+        return self._address[1]
+
+    @cached_property
+    def _address(self) -> tuple[tuple, str]:
         workload = self.resolve()
         source_digest = hashlib.sha256(
             workload.source.encode("utf-8")
@@ -125,21 +118,11 @@ class Cell:
         ]
         if self.config is not None:
             parts.append(("config", self.config.fingerprint()))
-            if self.config.faults is not None and self.config.faults.active:
-                # Faulted cells never reach the persistent caches (see
-                # ``cacheable``), but the in-batch dedup map still keys
-                # on this fingerprint — distinct fault plans must remain
-                # distinct cells there.
-                parts.append(("faults", self.config.faults.fingerprint()))
         if self.profile is not None:
             parts.append(("profile", self.profile.fingerprint()))
-        return tuple(parts)
-
-    def key(self) -> str:
-        """Hex digest of :meth:`fingerprint` — dict and file-name safe."""
-        return hashlib.sha256(
-            repr(self.fingerprint()).encode("utf-8")
-        ).hexdigest()
+        fingerprint = tuple(parts)
+        digest = hashlib.sha256(repr(fingerprint).encode("utf-8"))
+        return fingerprint, digest.hexdigest()
 
     def execute(self) -> Measurement | NativeBaseline | FanoutProfile:
         """Run this cell (in the current process, via the memoised runner)."""

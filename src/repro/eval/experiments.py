@@ -1,16 +1,16 @@
 """E1–E15: the specs that regenerate the paper's tables and figures.
 
-Each experiment is declared in two halves so the shared executor
-(:mod:`repro.eval.parallel`) can schedule, deduplicate, parallelise and
-persist the underlying simulations:
-
-- ``cells(scale)`` — the declarative list of :class:`repro.eval.cells.Cell`
-  grid cells the experiment needs (duplicates across experiments are
-  simulated once; e.g. E9 reuses the whole E3 grid and the
-  ``ibtc(shared,4096)`` column is shared by E3/E4/E6/E9),
-- ``build(lookup, scale)`` — assembles ``(headers, rows)`` from the cell
-  results, in declared order, so output is byte-identical whatever the
-  worker count or execution order.
+Each experiment declares one *grid*: its cells, nested in the shape its
+table reads (dicts and lists whose leaves are
+:class:`repro.eval.cells.Cell` values; e.g. ``{workload: {column:
+cell}}``).  The shared executor (:mod:`repro.eval.parallel`) flattens
+the grid into the experiment's cell list, deduplicates it against the
+other experiments' (E9 reuses the whole E3 grid; the
+``ibtc(shared,4096)`` column is shared by E3/E4/E6/E9), simulates or
+loads each unique cell once, and hands ``build(results, scale)`` the
+results in the grid's own shape.  Tables are therefore assembled in
+declared order and are byte-identical whatever the worker count or
+execution order.
 
 :func:`repro.eval.parallel.run_experiment` (one) and
 :func:`~repro.eval.parallel.run_experiments` (several, ``repro-sdt
@@ -25,9 +25,9 @@ P4-like x86 profile (the paper's headline machine); E8 sweeps all three.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, Mapping
 
-from repro.eval.cells import Cell, fanout_cell, measure_cell, native_cell
+from repro.eval.cells import fanout_cell, measure_cell, native_cell
 from repro.eval.report import geomean
 from repro.host.profile import ArchProfile, SPARC_US3, X86_K8, X86_P4
 from repro.sdt.cache import DEFAULT_CAPACITY
@@ -44,51 +44,120 @@ SIEVE_SIZES = (32, 128, 512, 2048)
 BEST_IBTC = 4096
 BEST_SIEVE = 512
 
-#: ``build`` receives this: resolves a declared cell to its result.
-CellLookup = Callable[[Cell], object]
+#: The three generic mechanisms at their tuned sizes (E13–E15).
+TUNED_MECHS: dict[str, dict] = {
+    "reentry": dict(ib="reentry"),
+    "ibtc": dict(ib="ibtc", ibtc_entries=BEST_IBTC),
+    "sieve": dict(ib="sieve", sieve_buckets=BEST_SIEVE),
+}
+
+#: Cells nested in dicts and lists; results come back in the same shape.
+Grid = Any
+Table = tuple[list[str], list[list[object]]]
+
+
+class GridCells(list):
+    """A grid's cells in declared (depth-first) order.
+
+    It keeps the grid it was flattened from, so :meth:`fill` can hand the
+    results back in the shape the experiment's table reads.
+    """
+
+    def __init__(self, grid: Grid) -> None:
+        super().__init__(_leaves(grid))
+        self.grid = grid
+
+    def fill(self, results: Mapping[str, object]) -> Grid:
+        """The grid with every cell replaced by ``results[cell.key()]``."""
+        return _fill(self.grid, results)
+
+
+def _leaves(grid: Grid):
+    if not isinstance(grid, (dict, list)):
+        yield grid
+        return
+    for item in grid.values() if isinstance(grid, dict) else grid:
+        yield from _leaves(item)
+
+
+def _fill(grid: Grid, results: Mapping[str, object]) -> Grid:
+    if isinstance(grid, dict):
+        return {key: _fill(item, results) for key, item in grid.items()}
+    if isinstance(grid, list):
+        return [_fill(item, results) for item in grid]
+    return results[grid.key()]
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment, split into a cell list and a table builder."""
+    """One experiment: a cell grid and the table built from its results."""
 
     name: str       #: short id ("e3")
     slug: str       #: results/ file stem ("e3_ibtc_sweep")
     title: Callable[[str], str]
-    cells: Callable[[str], list[Cell]]
-    build: Callable[[CellLookup, str], tuple[list[str], list[list[object]]]]
+    grid: Callable[[str], Grid]
+    build: Callable[[Grid, str], Table]
+
+    def cells(self, scale: str) -> GridCells:
+        return GridCells(self.grid(scale))
 
 
 def _suite_names() -> list[str]:
     return workload_names()
 
 
-def _overhead_row_foot(
-    rows: list[list[object]], first_data_col: int = 1
-) -> list[object]:
+def _suite_grid(scale: str, configs: dict[str, SDTConfig]) -> Grid:
+    """``{workload: {column: cell}}`` over the suite, one column per config."""
+    return {
+        name: {column: measure_cell(name, scale, config)
+               for column, config in configs.items()}
+        for name in _suite_names()
+    }
+
+
+def _geomean_row(rows: list[list[object]]) -> list[object]:
     """Geomean row across the numeric columns of per-workload rows."""
-    foot: list[object] = ["geomean"]
-    for col in range(first_data_col, len(rows[0])):
-        foot.append(geomean([float(row[col]) for row in rows]))
-    return foot
+    return ["geomean", *(geomean([float(row[col]) for row in rows])
+                         for col in range(1, len(rows[0])))]
+
+
+def _overhead(column: str, measurement) -> float:
+    return measurement.overhead
+
+
+def _row_table(first: str, read=_overhead, foot: bool = True):
+    """``build`` for a ``{row: {column: cell}}`` grid: one table row per
+    grid row, one ``read(column, result)`` value per configuration and,
+    with ``foot``, a geomean row underneath."""
+
+    def build(results: Grid, scale: str) -> Table:
+        columns = list(next(iter(results.values())))
+        rows: list[list[object]] = [
+            [label, *(read(column, result) for column, result in row.items())]
+            for label, row in results.items()
+        ]
+        if foot:
+            rows.append(_geomean_row(rows))
+        return [first, *columns], rows
+
+    return build
 
 
 # -- E1: Table 1 — indirect branch characteristics ---------------------------
 
 
-def _cells_e1(scale: str) -> list[Cell]:
-    return [native_cell(name, scale, DEFAULT_PROFILE)
-            for name in _suite_names()]
+def _grid_e1(scale: str) -> Grid:
+    return {name: native_cell(name, scale, DEFAULT_PROFILE)
+            for name in _suite_names()}
 
 
-def _build_e1(lookup: CellLookup, scale: str):
+def _build_e1(results: Grid, scale: str) -> Table:
     headers = [
         "benchmark", "retired", "ijump", "icall", "ret",
         "IB total", "instrs/IB",
     ]
     rows: list[list[object]] = []
-    for name in _suite_names():
-        base = lookup(native_cell(name, scale, DEFAULT_PROFILE))
+    for name, base in results.items():
         total = base.indirect_branches
         rows.append(
             [
@@ -102,143 +171,56 @@ def _build_e1(lookup: CellLookup, scale: str):
 # -- E2: baseline overhead (translator re-entry on every IB) -----------------
 
 
-def _e2_configs() -> dict[str, SDTConfig]:
-    return {
+def _grid_e2(scale: str) -> Grid:
+    return _suite_grid(scale, {
         "reentry": SDTConfig(profile=DEFAULT_PROFILE, ib="reentry"),
         "reentry+nolink": SDTConfig(
             profile=DEFAULT_PROFILE, ib="reentry", linking=False
         ),
-    }
+    })
 
 
-def _cells_e2(scale: str) -> list[Cell]:
-    return [
-        measure_cell(name, scale, config)
-        for name in _suite_names()
-        for config in _e2_configs().values()
-    ]
-
-
-def _build_e2(lookup: CellLookup, scale: str):
-    configs = _e2_configs()
-    headers = ["benchmark"] + list(configs)
-    rows: list[list[object]] = []
-    for name in _suite_names():
-        row: list[object] = [name]
-        for config in configs.values():
-            row.append(lookup(measure_cell(name, scale, config)).overhead)
-        rows.append(row)
-    rows.append(_overhead_row_foot(rows))
-    return headers, rows
-
-
-# -- E3: shared IBTC size sweep ------------------------------------------------
-
-
-def _e3_config(size: int) -> SDTConfig:
-    return SDTConfig(profile=DEFAULT_PROFILE, ib="ibtc",
-                     ibtc_entries=size, ibtc_shared=True)
-
-
-def _cells_e3(scale: str) -> list[Cell]:
-    return [
-        measure_cell(name, scale, _e3_config(size))
-        for name in _suite_names()
-        for size in IBTC_SIZES
-    ]
-
-
-def _build_e3(lookup: CellLookup, scale: str):
-    headers = ["benchmark"] + [str(size) for size in IBTC_SIZES]
-    rows: list[list[object]] = []
-    for name in _suite_names():
-        row: list[object] = [name]
-        for size in IBTC_SIZES:
-            row.append(
-                lookup(measure_cell(name, scale, _e3_config(size))).overhead
-            )
-        rows.append(row)
-    rows.append(_overhead_row_foot(rows))
-    return headers, rows
-
-
-# -- E4: shared vs per-site IBTC ------------------------------------------------
+# -- E3/E9: shared IBTC size sweep, E4: shared vs per-site IBTC ---------------
 
 E4_SHARED_SIZES = (64, 1024, 4096)
 E4_PERSITE_SIZES = (4, 16, 64)
 
 
-def _e4_config(size: int, shared: bool) -> SDTConfig:
+def _ibtc_config(size: int, shared: bool = True) -> SDTConfig:
     return SDTConfig(profile=DEFAULT_PROFILE, ib="ibtc",
                      ibtc_entries=size, ibtc_shared=shared)
 
 
-def _cells_e4(scale: str) -> list[Cell]:
-    cells = []
-    for name in _suite_names():
-        for size in E4_SHARED_SIZES:
-            cells.append(measure_cell(name, scale, _e4_config(size, True)))
-        for size in E4_PERSITE_SIZES:
-            cells.append(measure_cell(name, scale, _e4_config(size, False)))
-    return cells
-
-
-def _build_e4(lookup: CellLookup, scale: str):
-    headers = (
-        ["benchmark"]
-        + [f"shared/{s}" for s in E4_SHARED_SIZES]
-        + [f"persite/{s}" for s in E4_PERSITE_SIZES]
+def _grid_e3(scale: str) -> Grid:
+    return _suite_grid(
+        scale, {str(size): _ibtc_config(size) for size in IBTC_SIZES}
     )
-    rows: list[list[object]] = []
-    for name in _suite_names():
-        row: list[object] = [name]
-        for size in E4_SHARED_SIZES:
-            row.append(
-                lookup(measure_cell(name, scale, _e4_config(size, True)))
-                .overhead
-            )
-        for size in E4_PERSITE_SIZES:
-            row.append(
-                lookup(measure_cell(name, scale, _e4_config(size, False)))
-                .overhead
-            )
-        rows.append(row)
-    rows.append(_overhead_row_foot(rows))
-    return headers, rows
+
+
+def _grid_e4(scale: str) -> Grid:
+    return _suite_grid(scale, {
+        **{f"shared/{s}": _ibtc_config(s) for s in E4_SHARED_SIZES},
+        **{f"persite/{s}": _ibtc_config(s, shared=False)
+           for s in E4_PERSITE_SIZES},
+    })
+
+
+def _ibtc_hit_rate(size: str, measurement) -> float:
+    return measurement.hit_rates.get(f"ibtc-shared-{size}", 0.0)
 
 
 # -- E5: sieve bucket sweep -------------------------------------------------------
 
 
-def _e5_config(buckets: int) -> SDTConfig:
-    return SDTConfig(profile=DEFAULT_PROFILE, ib="sieve",
-                     sieve_buckets=buckets)
-
-
-def _cells_e5(scale: str) -> list[Cell]:
-    return [
-        measure_cell(name, scale, _e5_config(buckets))
-        for name in _suite_names()
+def _grid_e5(scale: str) -> Grid:
+    return _suite_grid(scale, {
+        str(buckets): SDTConfig(profile=DEFAULT_PROFILE, ib="sieve",
+                                sieve_buckets=buckets)
         for buckets in SIEVE_SIZES
-    ]
+    })
 
 
-def _build_e5(lookup: CellLookup, scale: str):
-    headers = ["benchmark"] + [str(b) for b in SIEVE_SIZES]
-    rows: list[list[object]] = []
-    for name in _suite_names():
-        row: list[object] = [name]
-        for buckets in SIEVE_SIZES:
-            row.append(
-                lookup(measure_cell(name, scale, _e5_config(buckets)))
-                .overhead
-            )
-        rows.append(row)
-    rows.append(_overhead_row_foot(rows))
-    return headers, rows
-
-
-# -- E6: tuned mechanism comparison --------------------------------------------------
+# -- E6: tuned mechanism comparison, E8: across host profiles ------------------
 
 
 def _e6_configs(profile: ArchProfile) -> dict[str, SDTConfig]:
@@ -252,24 +234,30 @@ def _e6_configs(profile: ArchProfile) -> dict[str, SDTConfig]:
     }
 
 
-def _cells_e6(scale: str) -> list[Cell]:
-    return [
-        measure_cell(name, scale, config)
-        for name in _suite_names()
-        for config in _e6_configs(DEFAULT_PROFILE).values()
-    ]
+E8_PROFILES = (X86_P4, X86_K8, SPARC_US3)
 
 
-def _build_e6(lookup: CellLookup, scale: str):
-    configs = _e6_configs(DEFAULT_PROFILE)
-    headers = ["benchmark"] + list(configs)
+def _grid_e8(scale: str) -> Grid:
+    return {
+        profile.name: {
+            column: [measure_cell(name, scale, config)
+                     for name in _suite_names()]
+            for column, config in _e6_configs(profile).items()
+        }
+        for profile in E8_PROFILES
+    }
+
+
+def _build_e8(results: Grid, scale: str) -> Table:
+    config_names = list(next(iter(results.values())))
+    headers = ["profile", *config_names, "winner"]
     rows: list[list[object]] = []
-    for name in _suite_names():
-        row: list[object] = [name]
-        for config in configs.values():
-            row.append(lookup(measure_cell(name, scale, config)).overhead)
-        rows.append(row)
-    rows.append(_overhead_row_foot(rows))
+    for profile, configs in results.items():
+        means = [geomean([m.overhead for m in cells])
+                 for cells in configs.values()]
+        rows.append(
+            [profile, *means, config_names[means.index(min(means))]]
+        )
     return headers, rows
 
 
@@ -278,87 +266,12 @@ def _build_e6(lookup: CellLookup, scale: str):
 E7_SCHEMES = ("same", "shadow", "retcache", "fast")
 
 
-def _e7_config(scheme: str) -> SDTConfig:
-    return SDTConfig(profile=DEFAULT_PROFILE, ib="ibtc",
-                     ibtc_entries=BEST_IBTC, returns=scheme)
-
-
-def _cells_e7(scale: str) -> list[Cell]:
-    return [
-        measure_cell(name, scale, _e7_config(scheme))
-        for name in _suite_names()
+def _grid_e7(scale: str) -> Grid:
+    return _suite_grid(scale, {
+        f"ret={scheme}": SDTConfig(profile=DEFAULT_PROFILE, ib="ibtc",
+                                   ibtc_entries=BEST_IBTC, returns=scheme)
         for scheme in E7_SCHEMES
-    ]
-
-
-def _build_e7(lookup: CellLookup, scale: str):
-    headers = ["benchmark"] + [f"ret={s}" for s in E7_SCHEMES]
-    rows: list[list[object]] = []
-    for name in _suite_names():
-        row: list[object] = [name]
-        for scheme in E7_SCHEMES:
-            row.append(
-                lookup(measure_cell(name, scale, _e7_config(scheme)))
-                .overhead
-            )
-        rows.append(row)
-    rows.append(_overhead_row_foot(rows))
-    return headers, rows
-
-
-# -- E8: cross-architecture sensitivity ------------------------------------------------
-
-E8_PROFILES = (X86_P4, X86_K8, SPARC_US3)
-
-
-def _cells_e8(scale: str) -> list[Cell]:
-    return [
-        measure_cell(name, scale, config)
-        for profile in E8_PROFILES
-        for config in _e6_configs(profile).values()
-        for name in _suite_names()
-    ]
-
-
-def _build_e8(lookup: CellLookup, scale: str):
-    config_names = list(_e6_configs(X86_P4))
-    headers = ["profile"] + config_names + ["winner"]
-    rows: list[list[object]] = []
-    for profile in E8_PROFILES:
-        configs = _e6_configs(profile)
-        row: list[object] = [profile.name]
-        means = []
-        for config in configs.values():
-            overheads = [
-                lookup(measure_cell(name, scale, config)).overhead
-                for name in _suite_names()
-            ]
-            means.append(geomean(overheads))
-        row.extend(means)
-        row.append(config_names[means.index(min(means))])
-        rows.append(row)
-    return headers, rows
-
-
-# -- E9: IBTC hit rates -----------------------------------------------------------------
-
-
-def _cells_e9(scale: str) -> list[Cell]:
-    # the exact E3 grid: cross-experiment dedup makes E9 free after E3
-    return _cells_e3(scale)
-
-
-def _build_e9(lookup: CellLookup, scale: str):
-    headers = ["benchmark"] + [str(size) for size in IBTC_SIZES]
-    rows: list[list[object]] = []
-    for name in _suite_names():
-        row: list[object] = [name]
-        for size in IBTC_SIZES:
-            m = lookup(measure_cell(name, scale, _e3_config(size)))
-            mechanism = f"ibtc-shared-{size}"
-            row.append(m.hit_rates.get(mechanism, 0.0))
-        rows.append(row)
-    return headers, rows
+    })
 
 
 # -- E10: design-choice ablations ---------------------------------------------------
@@ -399,46 +312,39 @@ def _e10_ablations() -> dict[str, tuple[SDTConfig, SDTConfig]]:
     }
 
 
-def _cells_e10(scale: str) -> list[Cell]:
-    return [
-        measure_cell(name, scale, config)
-        for base_config, variant_config in _e10_ablations().values()
-        for config in (base_config, variant_config)
-        for name in _suite_names()
-    ]
+def _grid_e10(scale: str) -> Grid:
+    return {
+        ablation: [[measure_cell(name, scale, config)
+                    for name in _suite_names()]
+                   for config in pair]
+        for ablation, pair in _e10_ablations().items()
+    }
 
 
-def _build_e10(lookup: CellLookup, scale: str):
+def _build_e10(results: Grid, scale: str) -> Table:
     headers = ["ablation", "base", "variant", "variant/base"]
     rows: list[list[object]] = []
-    for name, (base_config, variant_config) in _e10_ablations().items():
-        base = geomean(
-            [lookup(measure_cell(w, scale, base_config)).overhead
-             for w in _suite_names()]
-        )
-        variant = geomean(
-            [lookup(measure_cell(w, scale, variant_config)).overhead
-             for w in _suite_names()]
-        )
-        rows.append([name, base, variant, variant / base])
+    for ablation, pair in results.items():
+        base, variant = (geomean([m.overhead for m in cells])
+                         for cells in pair)
+        rows.append([ablation, base, variant, variant / base])
     return headers, rows
 
 
 # -- E11: per-site target fan-out ------------------------------------------------
 
 
-def _cells_e11(scale: str) -> list[Cell]:
-    return [fanout_cell(name, scale) for name in _suite_names()]
+def _grid_e11(scale: str) -> Grid:
+    return {name: fanout_cell(name, scale) for name in _suite_names()}
 
 
-def _build_e11(lookup: CellLookup, scale: str):
+def _build_e11(results: Grid, scale: str) -> Table:
     headers = [
         "benchmark", "IB sites", "mono", "2-4", "5-16", ">16",
         "mono disp%", ">16 disp%", "max fanout", "wmean fanout",
     ]
     rows: list[list[object]] = []
-    for name in _suite_names():
-        profile = lookup(fanout_cell(name, scale))
+    for name, profile in results.items():
         rows.append(
             [
                 name,
@@ -462,34 +368,7 @@ E12_FANOUTS = (1, 2, 4, 8, 16, 32)
 E12_ITERATIONS = {"tiny": 500, "small": 2000, "large": 8000}
 
 
-def _e12_configs() -> dict[str, SDTConfig]:
-    return {
-        "reentry": SDTConfig(profile=DEFAULT_PROFILE, ib="reentry"),
-        "ibtc": SDTConfig(profile=DEFAULT_PROFILE, ib="ibtc"),
-        "ibtc+predict": SDTConfig(profile=DEFAULT_PROFILE, ib="ibtc",
-                                  inline_predict=True),
-        "sieve": SDTConfig(profile=DEFAULT_PROFILE, ib="sieve"),
-    }
-
-
-def _e12_workload(fanout: int, skewed: bool, scale: str):
-    from repro.workloads.microbench import dispatch_microbench
-
-    return dispatch_microbench(
-        fanout, iterations=E12_ITERATIONS[scale], skewed=skewed
-    )
-
-
-def _cells_e12(scale: str) -> list[Cell]:
-    return [
-        measure_cell(_e12_workload(fanout, skewed, scale), scale, config)
-        for skewed in (False, True)
-        for fanout in E12_FANOUTS
-        for config in _e12_configs().values()
-    ]
-
-
-def _build_e12(lookup: CellLookup, scale: str):
+def _grid_e12(scale: str) -> Grid:
     """Overhead of each mechanism as one site's fan-out grows.
 
     A controlled version of the paper's polymorphism discussion: with a
@@ -498,20 +377,26 @@ def _build_e12(lookup: CellLookup, scale: str):
     mechanisms only pay the hardware misprediction; a skewed pattern
     restores the cheap cases.  ``scale`` selects iteration count.
     """
-    configs = _e12_configs()
-    headers = ["site", *configs]
-    rows: list[list[object]] = []
+    from repro.workloads.microbench import dispatch_microbench
+
+    configs = {
+        "reentry": SDTConfig(profile=DEFAULT_PROFILE, ib="reentry"),
+        "ibtc": SDTConfig(profile=DEFAULT_PROFILE, ib="ibtc"),
+        "ibtc+predict": SDTConfig(profile=DEFAULT_PROFILE, ib="ibtc",
+                                  inline_predict=True),
+        "sieve": SDTConfig(profile=DEFAULT_PROFILE, ib="sieve"),
+    }
+    grid: dict[str, dict] = {}
     for skewed in (False, True):
         for fanout in E12_FANOUTS:
-            workload = _e12_workload(fanout, skewed, scale)
-            label = f"{'skew' if skewed else 'unif'}/{fanout}"
-            row: list[object] = [label]
-            for config in configs.values():
-                row.append(
-                    lookup(measure_cell(workload, scale, config)).overhead
-                )
-            rows.append(row)
-    return headers, rows
+            workload = dispatch_microbench(
+                fanout, iterations=E12_ITERATIONS[scale], skewed=skewed
+            )
+            grid[f"{'skew' if skewed else 'unif'}/{fanout}"] = {
+                column: measure_cell(workload, scale, config)
+                for column, config in configs.items()
+            }
+    return grid
 
 
 # -- E13: fragment-cache pressure & fault resilience --------------------------
@@ -530,41 +415,34 @@ E13_CAPACITIES: tuple[tuple[str, int], ...] = (
 #: Pinned fault plan for the starred (chaos) columns.  A fixed seed makes
 #: the injected fault sequence — and therefore every chaos cycle count —
 #: fully reproducible; the runner still verifies each chaos run against
-#: the native baseline, so regenerating E13 re-proves that injected
+#: the native baseline, so simulating E13 re-proves that injected
 #: faults never change architectural results.
 E13_CHAOS = "chaos:1234"
 
 
-def _e13_mechs() -> dict[str, dict]:
+def _grid_e13(scale: str) -> Grid:
+    # faults is passed explicitly (None pins the clean columns clean even
+    # under a REPRO_FAULTS environment), so E13 output is env-independent.
     return {
-        "reentry": dict(ib="reentry"),
-        "ibtc": dict(ib="ibtc", ibtc_entries=BEST_IBTC),
-        "sieve": dict(ib="sieve", sieve_buckets=BEST_SIEVE),
+        name: {
+            mech: {
+                label: [
+                    measure_cell(name, scale, SDTConfig(
+                        profile=DEFAULT_PROFILE,
+                        fragment_cache_bytes=capacity,
+                        faults=faults, **kwargs,
+                    ))
+                    for faults in (None, E13_CHAOS)
+                ]
+                for label, capacity in E13_CAPACITIES
+            }
+            for mech, kwargs in TUNED_MECHS.items()
+        }
+        for name in _suite_names()
     }
 
 
-def _e13_config(
-    mech_kwargs: dict, capacity: int, faults: str | None
-) -> SDTConfig:
-    # faults is passed explicitly (None pins the clean columns clean even
-    # under a REPRO_FAULTS environment), so E13 output is env-independent.
-    return SDTConfig(
-        profile=DEFAULT_PROFILE, fragment_cache_bytes=capacity,
-        faults=faults, **mech_kwargs,
-    )
-
-
-def _cells_e13(scale: str) -> list[Cell]:
-    return [
-        measure_cell(name, scale, _e13_config(kwargs, capacity, faults))
-        for name in _suite_names()
-        for kwargs in _e13_mechs().values()
-        for _label, capacity in E13_CAPACITIES
-        for faults in (None, E13_CHAOS)
-    ]
-
-
-def _build_e13(lookup: CellLookup, scale: str):
+def _build_e13(results: Grid, scale: str) -> Table:
     """Overhead and flush volume vs fragment-cache capacity, clean + chaos.
 
     Per mechanism: geomean overhead over the suite and summed whole-cache
@@ -573,21 +451,16 @@ def _build_e13(lookup: CellLookup, scale: str):
     (storms, drops, failed translations, demotions) stays visible even
     when the cache is effectively unbounded.
     """
-    mechs = _e13_mechs()
     headers = ["capacity"]
-    for mech in mechs:
+    for mech in TUNED_MECHS:
         headers += [mech, "fl", f"{mech}*", "fl*"]
     rows: list[list[object]] = []
-    for label, capacity in E13_CAPACITIES:
+    for label, _capacity in E13_CAPACITIES:
         row: list[object] = [label]
-        for kwargs in mechs.values():
-            for faults in (None, E13_CHAOS):
-                cells = [
-                    lookup(measure_cell(
-                        name, scale, _e13_config(kwargs, capacity, faults)
-                    ))
-                    for name in _suite_names()
-                ]
+        for mech in TUNED_MECHS:
+            for run in (0, 1):      # clean, then chaos
+                cells = [by_mech[mech][label][run]
+                         for by_mech in results.values()]
                 row.append(geomean([m.overhead for m in cells]))
                 row.append(sum(m.stats["cache_flushes"] for m in cells))
         rows.append(row)
@@ -597,30 +470,22 @@ def _build_e13(lookup: CellLookup, scale: str):
 # -- E14: static target-set analysis — devirtualization & preseeding ----------
 
 
-def _e14_mechs() -> dict[str, dict]:
+def _grid_e14(scale: str) -> Grid:
     return {
-        "reentry": dict(ib="reentry"),
-        "ibtc": dict(ib="ibtc", ibtc_entries=BEST_IBTC),
-        "sieve": dict(ib="sieve", sieve_buckets=BEST_SIEVE),
+        name: {
+            mech: [
+                measure_cell(name, scale, SDTConfig(
+                    profile=DEFAULT_PROFILE, static_targets=static, **kwargs,
+                ))
+                for static in (False, True)
+            ]
+            for mech, kwargs in TUNED_MECHS.items()
+        }
+        for name in _suite_names()
     }
 
 
-def _e14_config(mech_kwargs: dict, static: bool) -> SDTConfig:
-    return SDTConfig(
-        profile=DEFAULT_PROFILE, static_targets=static, **mech_kwargs,
-    )
-
-
-def _cells_e14(scale: str) -> list[Cell]:
-    return [
-        measure_cell(name, scale, _e14_config(kwargs, static))
-        for name in _suite_names()
-        for kwargs in _e14_mechs().values()
-        for static in (False, True)
-    ]
-
-
-def _build_e14(lookup: CellLookup, scale: str):
+def _build_e14(results: Grid, scale: str) -> Table:
     """Effect of translator-time devirtualization + IBTC/sieve preseeding.
 
     Per mechanism: overhead without and with ``static_targets``, plus the
@@ -631,18 +496,15 @@ def _build_e14(lookup: CellLookup, scale: str):
     the crossval oracle pins them to zero.  Architectural results are
     verified identical on/off by the runner for every cell.
     """
-    mechs = _e14_mechs()
     headers = ["benchmark"]
-    for mech in mechs:
+    for mech in TUNED_MECHS:
         headers += [mech, f"{mech}+s", f"Δib({mech})"]
     headers.append("precision")
     rows: list[list[object]] = []
-    for name in _suite_names():
+    for name, by_mech in results.items():
         row: list[object] = [name]
         precision = 0.0
-        for kwargs in mechs.values():
-            off = lookup(measure_cell(name, scale, _e14_config(kwargs, False)))
-            on = lookup(measure_cell(name, scale, _e14_config(kwargs, True)))
+        for off, on in by_mech.values():
             row += [
                 off.overhead, on.overhead,
                 off.ib_overhead_cycles - on.ib_overhead_cycles,
@@ -682,41 +544,30 @@ E15_CAPACITIES: tuple[tuple[str, int], ...] = (
 )
 
 
-def _e15_mechs() -> dict[str, dict]:
+def _grid_e15(scale: str) -> Grid:
+    from repro.workloads.coherence import coherence_suite
+
+    # faults pinned to None so E15 output is env-independent (cf. E13)
     return {
-        "reentry": dict(ib="reentry"),
-        "ibtc": dict(ib="ibtc", ibtc_entries=BEST_IBTC),
-        "sieve": dict(ib="sieve", sieve_buckets=BEST_SIEVE),
+        workload.name: {
+            mech: {
+                policy: {
+                    label: measure_cell(workload, scale, SDTConfig(
+                        profile=DEFAULT_PROFILE, coherence=policy,
+                        fragment_cache_bytes=capacity, faults=None,
+                        **kwargs,
+                    ))
+                    for label, capacity in E15_CAPACITIES
+                }
+                for policy in E15_POLICIES
+            }
+            for mech, kwargs in TUNED_MECHS.items()
+        }
+        for workload in coherence_suite(scale)
     }
 
 
-def _e15_config(
-    mech_kwargs: dict, policy: str, capacity: int
-) -> SDTConfig:
-    # faults pinned to None so E15 output is env-independent (cf. E13)
-    return SDTConfig(
-        profile=DEFAULT_PROFILE, coherence=policy,
-        fragment_cache_bytes=capacity, faults=None, **mech_kwargs,
-    )
-
-
-def _e15_workloads(scale: str) -> list:
-    from repro.workloads.coherence import coherence_suite
-
-    return coherence_suite(scale)
-
-
-def _cells_e15(scale: str) -> list[Cell]:
-    return [
-        measure_cell(workload, scale, _e15_config(kwargs, policy, capacity))
-        for workload in _e15_workloads(scale)
-        for kwargs in _e15_mechs().values()
-        for policy in E15_POLICIES
-        for _label, capacity in E15_CAPACITIES
-    ]
-
-
-def _build_e15(lookup: CellLookup, scale: str):
+def _build_e15(results: Grid, scale: str) -> Table:
     """Invalidation-policy cost on the self-modifying scenario suite.
 
     Per (scenario, capacity, policy): overhead under each IB mechanism,
@@ -727,31 +578,23 @@ def _build_e15(lookup: CellLookup, scale: str):
     runner, so this table doubles as the coherence correctness gate:
     flush must cost the most, targeted the least, with page between.
     """
-    mechs = _e15_mechs()
-    headers = ["scenario", "cap", "policy"]
-    headers += list(mechs)
-    headers += ["writes", "inval", "flushes"]
+    headers = ["scenario", "cap", "policy", *TUNED_MECHS,
+               "writes", "inval", "flushes"]
     rows: list[list[object]] = []
-    for workload in _e15_workloads(scale):
-        for cap_label, capacity in E15_CAPACITIES:
+    for scenario, by_mech in results.items():
+        for label, _capacity in E15_CAPACITIES:
             for policy in E15_POLICIES:
-                row: list[object] = [workload.name, cap_label, policy]
-                stats_cell = None
-                for mech, kwargs in mechs.items():
-                    cell = lookup(measure_cell(
-                        workload, scale, _e15_config(kwargs, policy, capacity)
-                    ))
-                    row.append(cell.overhead)
-                    if mech == "ibtc":
-                        stats_cell = cell
-                assert stats_cell is not None
-                coherence = stats_cell.stats.get("coherence") or {}
-                row += [
+                cells = {mech: by_policy[policy][label]
+                         for mech, by_policy in by_mech.items()}
+                stats = cells["ibtc"].stats
+                coherence = stats.get("coherence") or {}
+                rows.append([
+                    scenario, label, policy,
+                    *(m.overhead for m in cells.values()),
                     coherence.get("code_writes", 0),
                     coherence.get("fragments_invalidated", 0),
-                    stats_cell.stats.get("cache_flushes", 0),
-                ]
-                rows.append(row)
+                    stats.get("cache_flushes", 0),
+                ])
     return headers, rows
 
 
@@ -767,7 +610,7 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
                 f"E1 (Table 1): dynamic indirect-branch characteristics "
                 f"[scale={scale}]"
             ),
-            cells=_cells_e1,
+            grid=_grid_e1,
             build=_build_e1,
         ),
         ExperimentSpec(
@@ -777,8 +620,8 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
                 f"E2 (Fig.): baseline SDT overhead vs native "
                 f"({DEFAULT_PROFILE.name}) [scale={scale}]"
             ),
-            cells=_cells_e2,
-            build=_build_e2,
+            grid=_grid_e2,
+            build=_row_table("benchmark"),
         ),
         ExperimentSpec(
             name="e3",
@@ -786,8 +629,8 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
             title=lambda scale: (
                 f"E3 (Fig.): overhead vs shared IBTC entries [scale={scale}]"
             ),
-            cells=_cells_e3,
-            build=_build_e3,
+            grid=_grid_e3,
+            build=_row_table("benchmark"),
         ),
         ExperimentSpec(
             name="e4",
@@ -795,8 +638,8 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
             title=lambda scale: (
                 f"E4 (Fig.): shared vs per-site IBTC [scale={scale}]"
             ),
-            cells=_cells_e4,
-            build=_build_e4,
+            grid=_grid_e4,
+            build=_row_table("benchmark"),
         ),
         ExperimentSpec(
             name="e5",
@@ -804,8 +647,8 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
             title=lambda scale: (
                 f"E5 (Fig.): overhead vs sieve buckets [scale={scale}]"
             ),
-            cells=_cells_e5,
-            build=_build_e5,
+            grid=_grid_e5,
+            build=_row_table("benchmark"),
         ),
         ExperimentSpec(
             name="e6",
@@ -813,8 +656,10 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
             title=lambda scale: (
                 f"E6 (Fig.): tuned mechanism comparison [scale={scale}]"
             ),
-            cells=_cells_e6,
-            build=_build_e6,
+            grid=lambda scale: _suite_grid(
+                scale, _e6_configs(DEFAULT_PROFILE)
+            ),
+            build=_row_table("benchmark"),
         ),
         ExperimentSpec(
             name="e7",
@@ -823,8 +668,8 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
                 f"E7 (Fig.): return-handling mechanisms (generic=IBTC/"
                 f"{BEST_IBTC}) [scale={scale}]"
             ),
-            cells=_cells_e7,
-            build=_build_e7,
+            grid=_grid_e7,
+            build=_row_table("benchmark"),
         ),
         ExperimentSpec(
             name="e8",
@@ -833,7 +678,7 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
                 f"E8 (Fig.): cross-architecture geomean overhead "
                 f"[scale={scale}]"
             ),
-            cells=_cells_e8,
+            grid=_grid_e8,
             build=_build_e8,
         ),
         ExperimentSpec(
@@ -842,8 +687,10 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
             title=lambda scale: (
                 f"E9 (Table): shared IBTC hit rates by size [scale={scale}]"
             ),
-            cells=_cells_e9,
-            build=_build_e9,
+            # the exact E3 grid: cross-experiment dedup makes E9 free
+            # after E3
+            grid=_grid_e3,
+            build=_row_table("benchmark", read=_ibtc_hit_rate, foot=False),
         ),
         ExperimentSpec(
             name="e10",
@@ -852,7 +699,7 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
                 f"E10 (ablations): design choices, geomean overhead "
                 f"[scale={scale}]"
             ),
-            cells=_cells_e10,
+            grid=_grid_e10,
             build=_build_e10,
         ),
         ExperimentSpec(
@@ -862,7 +709,7 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
                 f"E11 (Table): per-site indirect-branch target fan-out "
                 f"[scale={scale}]"
             ),
-            cells=_cells_e11,
+            grid=_grid_e11,
             build=_build_e11,
         ),
         ExperimentSpec(
@@ -872,8 +719,8 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
                 f"E12 (Fig.): overhead vs dispatch-site fan-out "
                 f"[scale={scale}]"
             ),
-            cells=_cells_e12,
-            build=_build_e12,
+            grid=_grid_e12,
+            build=_row_table("site", foot=False),
         ),
         ExperimentSpec(
             name="e13",
@@ -882,7 +729,7 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
                 f"E13 (resilience): overhead & flushes vs fragment-cache "
                 f"capacity (*: faults={E13_CHAOS}) [scale={scale}]"
             ),
-            cells=_cells_e13,
+            grid=_grid_e13,
             build=_build_e13,
         ),
         ExperimentSpec(
@@ -893,7 +740,7 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
                 f"delta (+s: static_targets on; Δib: IB dispatch cycles "
                 f"saved) [scale={scale}]"
             ),
-            cells=_cells_e14,
+            grid=_grid_e14,
             build=_build_e14,
         ),
         ExperimentSpec(
@@ -904,7 +751,7 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
                 f"self-modifying / dyn-load / mini-JIT scenarios "
                 f"[scale={scale}]"
             ),
-            cells=_cells_e15,
+            grid=_grid_e15,
             build=_build_e15,
         ),
     )

@@ -14,8 +14,8 @@ in-process when ``jobs <= 1``, so the runner's memo caches still apply),
 then persist every newly computed result from the parent — workers never
 write the cache, which keeps persistence single-writer and atomic.
 
-The executor is *hardened*: a cell that raises is retried with
-exponential backoff and then quarantined; a worker process that dies
+The executor is *hardened*: a cell that raises is retried (rounds run
+back to back) and then quarantined; a worker process that dies
 (segfault, ``os._exit``, OOM-kill) breaks only the cells that were in
 flight, not the run — the pool is rebuilt and the survivors resubmitted;
 a per-cell watchdog ``timeout`` turns a hung worker into a terminated
@@ -34,28 +34,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro.eval.backoff import Backoff, BackoffPolicy
 from repro.eval.cells import Cell
 from repro.eval.diskcache import DiskCache
+from repro.eval.experiments import GridCells
 
 #: Progress callback: called once per unique cell as its result lands.
 ProgressFn = Callable[["CellEvent"], None]
 
 #: Default bounded-retry budget: attempts beyond the first per cell.
 DEFAULT_RETRIES = 2
-
-#: Default base of the exponential inter-round backoff, in seconds.
-DEFAULT_BACKOFF = 0.25
-
-#: Ceiling on any single backoff sleep, in seconds.
-MAX_BACKOFF = 30.0
-
-
-def _backoff_policy(backoff: "float | BackoffPolicy") -> BackoffPolicy:
-    """Normalise the executor's ``backoff`` argument to a policy."""
-    if isinstance(backoff, BackoffPolicy):
-        return backoff
-    return BackoffPolicy(base=float(backoff), ceiling=MAX_BACKOFF)
 
 
 @dataclass(frozen=True)
@@ -78,10 +65,6 @@ class CellFailure:
     kind: str           #: ``"error"``, ``"timeout"`` or ``"crash"``
     attempts: int       #: executions charged against the cell
     error: str          #: stable one-line description of the last failure
-
-
-class MissingCellResult(KeyError):
-    """An experiment table asked for a cell that failed (or was never run)."""
 
 
 @dataclass
@@ -152,21 +135,18 @@ def _shutdown_pool(pool: ProcessPoolExecutor, force: bool) -> None:
 def _run_serial(
     pending: list[tuple[str, Cell]],
     retries: int,
-    policy: BackoffPolicy,
     finish: Callable[[str, Cell, object, float], None],
     fail: Callable[[str, Cell, str, int, BaseException], None],
     report: ExecutionReport,
 ) -> None:
     """In-process execution with bounded retry (no watchdog possible)."""
     for key, cell in pending:
-        pacer = Backoff(policy)
         for attempt in range(1, retries + 2):
             try:
                 result, seconds = _execute_cell(cell)
             except Exception as exc:
                 if attempt <= retries:
                     report.retries += 1
-                    pacer.sleep()
                     continue
                 fail(key, cell, "error", attempt, exc)
             else:
@@ -179,7 +159,6 @@ def _run_pooled(
     jobs: int,
     timeout: float | None,
     retries: int,
-    policy: BackoffPolicy,
     finish: Callable[[str, Cell, object, float], None],
     fail: Callable[[str, Cell, str, int, BaseException], None],
     report: ExecutionReport,
@@ -197,7 +176,6 @@ def _run_pooled(
     """
     attempts: dict[str, int] = {key: 0 for key, _ in pending}
     queue = list(pending)
-    pacer = Backoff(policy)
     while queue:
         retry_queue: list[tuple[str, Cell]] = []
         dead = False        # pool unusable for the rest of this round
@@ -269,8 +247,6 @@ def _run_pooled(
             retry_queue.extend(queue[len(submitted):])
         finally:
             _shutdown_pool(pool, force=dead)
-        if retry_queue:
-            pacer.sleep()
         queue = retry_queue
 
 
@@ -281,7 +257,6 @@ def execute_cells(
     progress: ProgressFn | None = None,
     timeout: float | None = None,
     retries: int = DEFAULT_RETRIES,
-    backoff: "float | BackoffPolicy" = DEFAULT_BACKOFF,
 ) -> tuple[dict[str, object], ExecutionReport]:
     """Execute a batch of cells; returns ``(results_by_key, report)``.
 
@@ -292,10 +267,7 @@ def execute_cells(
     processes.  ``timeout`` is the per-cell watchdog in seconds (it
     forces pool execution even for ``jobs == 1``, since a hung cell can
     only be killed from outside its process); ``retries`` bounds
-    re-execution of failing cells, with exponential ``backoff`` (a base
-    in seconds, or a full :class:`repro.eval.backoff.BackoffPolicy`)
-    between rounds.  Uncacheable cells (fault-injected measurements) skip
-    the disk cache in both directions.
+    re-execution of failing cells, in rounds run back to back.
     """
     start = time.perf_counter()
     cell_list = list(cells)
@@ -306,8 +278,7 @@ def execute_cells(
 
     pending: list[tuple[str, Cell]] = []
     for key, cell in unique.items():
-        cacheable = getattr(cell, "cacheable", True)
-        cached = cache.get(cell) if cache is not None and cacheable else None
+        cached = cache.get(cell) if cache is not None else None
         if cached is not None:
             results[key] = cached
             report.cache_hits += 1
@@ -318,7 +289,7 @@ def execute_cells(
         results[key] = result
         report.computed += 1
         report.cell_seconds[key] = seconds
-        if cache is not None and getattr(cell, "cacheable", True):
+        if cache is not None:
             cache.put(cell, result)
 
     def fail(key: str, cell: Cell, kind: str, attempts: int,
@@ -329,12 +300,11 @@ def execute_cells(
         )
 
     if pending:
-        policy = _backoff_policy(backoff)
         if jobs > 1 or timeout is not None:
-            _run_pooled(pending, max(1, jobs), timeout, retries, policy,
+            _run_pooled(pending, max(1, jobs), timeout, retries,
                         finish, fail, report)
         else:
-            _run_serial(pending, retries, policy, finish, fail, report)
+            _run_serial(pending, retries, finish, fail, report)
 
     # deterministic failure order: declared (deduped) cell order, not
     # the completion order the incident happened to produce
@@ -369,16 +339,18 @@ def execute_cells(
 
 def plan_cells(
     names: Iterable[str], scale: str
-) -> tuple[dict[str, list[Cell]], dict[str, Cell]]:
+) -> tuple[dict[str, GridCells], dict[str, Cell]]:
     """Cell lists per experiment plus the cross-experiment unique set.
 
-    The unique set is what actually gets dispatched: shared cells (the
-    ``ibtc(shared,4096)`` column appears in E3, E6 and E7, E9 reuses the
-    whole E3 grid, …) are simulated once.
+    Each list is the experiment's grid flattened in declared order
+    (:class:`~repro.eval.experiments.GridCells`).  The unique set is what
+    actually gets dispatched: shared cells (the ``ibtc(shared,4096)``
+    column appears in E3, E6 and E7, E9 reuses the whole E3 grid, …) are
+    simulated once.
     """
     from repro.eval.experiments import EXPERIMENT_SPECS
 
-    per_experiment: dict[str, list[Cell]] = {}
+    per_experiment: dict[str, GridCells] = {}
     for name in names:
         try:
             spec = EXPERIMENT_SPECS[name]
@@ -404,13 +376,12 @@ def run_experiments(
     write: bool = True,
     timeout: float | None = None,
     retries: int = DEFAULT_RETRIES,
-    backoff: "float | BackoffPolicy" = DEFAULT_BACKOFF,
 ) -> tuple[dict[str, tuple[list[str], list[list[object]]]], ExecutionReport]:
     """Run experiment drivers on the shared executor.
 
     Cells are deduplicated *across* the selected experiments before
-    dispatch.  Each experiment's table is then assembled in its declared
-    cell order and (by default) persisted via
+    dispatch.  Each experiment's ``build`` then gets the results in its
+    grid's shape, and its table is (by default) persisted via
     :func:`repro.eval.report.write_results`.  Returns
     ``({name: (headers, rows)}, report)``.
 
@@ -431,18 +402,19 @@ def run_experiments(
     ]
     results, report = execute_cells(
         all_cells, jobs=jobs, cache=cache, progress=progress,
-        timeout=timeout, retries=retries, backoff=backoff,
+        timeout=timeout, retries=retries,
     )
 
     tables: dict[str, tuple[list[str], list[list[object]]]] = {}
     for name in names:
         spec = EXPERIMENT_SPECS[name]
+        cells = per_experiment[name]
 
         failed_labels = sorted({
             report.failures[cell.key()].label
-            for cell in per_experiment[name]
+            for cell in cells
             if cell.key() in report.failures
-        })
+        }) if report.failures else []
         if failed_labels:
             report.degraded[name] = failed_labels
             headers = ["experiment", "status"]
@@ -454,13 +426,7 @@ def run_experiments(
             tables[name] = (headers, rows)
             continue
 
-        def lookup(cell: Cell) -> object:
-            try:
-                return results[cell.key()]
-            except KeyError:
-                raise MissingCellResult(cell.label) from None
-
-        headers, rows = spec.build(lookup, scale)
+        headers, rows = spec.build(cells.fill(results), scale)
         if write:
             write_results(spec.slug, spec.title(scale), headers, rows,
                           results_dir=results_dir)
@@ -478,13 +444,12 @@ def run_experiment(
     write: bool = True,
     timeout: float | None = None,
     retries: int = DEFAULT_RETRIES,
-    backoff: "float | BackoffPolicy" = DEFAULT_BACKOFF,
 ) -> tuple[list[str], list[list[object]]]:
     """Single-experiment convenience wrapper around :func:`run_experiments`."""
     tables, _report = run_experiments(
         [name], scale=scale, jobs=jobs, cache=cache, progress=progress,
         results_dir=results_dir, write=write,
-        timeout=timeout, retries=retries, backoff=backoff,
+        timeout=timeout, retries=retries,
     )
     return tables[name]
 
@@ -492,10 +457,8 @@ def run_experiment(
 __all__ = [
     "CellEvent",
     "CellFailure",
-    "DEFAULT_BACKOFF",
     "DEFAULT_RETRIES",
     "ExecutionReport",
-    "MissingCellResult",
     "dedup_cells",
     "execute_cells",
     "plan_cells",

@@ -197,19 +197,13 @@ def measure(
     """Run a workload under an SDT config; verify and normalise (cached)."""
     if isinstance(workload, str):
         workload = get_workload(workload, scale)
-    # Fault-injected runs bypass the memo entirely: ``faults`` is exempt
-    # from the config fingerprint (it cannot change architectural
-    # results), so caching a faulted measurement under that key would
-    # serve its perturbed cycle counts to fault-free callers — and vice
-    # versa.  Chaos runs always recompute.
-    faulted = config.faults is not None and config.faults.active
     # A dir-sink traced call must actually simulate to produce its
     # export, so it skips the memo read; tracing is pure observation,
     # so the recomputed measurement is identical and may still be
     # stored for later callers.
     traced_sink = config.trace is not None and bool(config.trace.dir)
     key = (workload.name, scale, fuel, config.fingerprint())
-    if not faulted and not traced_sink:
+    if not traced_sink:
         cached = _MEASURE_CACHE.get(key)
         if cached is not None:
             return cached
@@ -252,6 +246,5 @@ def measure(
         stats=result.stats.as_dict(),
         hit_rates=hit_rates,
     )
-    if not faulted:
-        _MEASURE_CACHE[key] = measurement
+    _MEASURE_CACHE[key] = measurement
     return measurement

@@ -9,11 +9,11 @@ per-site event streams; the SDT consults those streams at fixed points
 sequences — across processes, across runs, and across execution engines.
 
 Plans ride on :class:`repro.sdt.config.SDTConfig` as the ``faults`` field.
-Like ``engine``, the field is *fingerprint-exempt*: faults may never change
-architectural results (only cycle counts), so a plan must not split the
-config-level cache keys.  The evaluation layer separately refuses to serve
-fault-free cached measurements to faulted cells — see
-:meth:`repro.eval.cells.Cell.cacheable`.
+Faults may never change architectural results, but they do change cycle
+counts, so the plan is part of :meth:`SDTConfig.fingerprint`: a faulted
+measurement is memoised and disk-cached under its own key and can never
+be served to a clean caller, or the other way round.  A plan that can
+fire nothing is normalised to ``None`` there, so it keys like no plan.
 
 The ``REPRO_FAULTS`` environment variable supplies the default plan (the
 ``differential`` CI job sets it for the whole test suite):
@@ -88,9 +88,8 @@ class FaultPlan:
     def fingerprint(self) -> tuple:
         """Canonical hashable identity covering every declared field.
 
-        Used by :meth:`repro.eval.cells.Cell.fingerprint` so faulted
-        cells never alias fault-free ones in a batch (SDTConfig's own
-        fingerprint deliberately excludes the plan).
+        Folded into :meth:`repro.sdt.config.SDTConfig.fingerprint`, so
+        faulted cells never alias fault-free ones in any cache.
         """
         return tuple(
             (spec.name, getattr(self, spec.name)) for spec in fields(self)

@@ -24,20 +24,19 @@ RETURN_SCHEMES = ("same", "fast", "shadow", "retcache")
 COHERENCE_POLICIES = ("none", "flush", "page", "targeted")
 
 #: Fields excluded from :meth:`SDTConfig.fingerprint`.  Only fields that
-#: provably cannot change any *architectural* result may appear here:
-#: ``engine`` selects *how* the simulation executes (oracle dispatch vs
-#: threaded superblocks), never *what* it computes, so a cache entry
-#: produced by one engine must be served to the other
-#: (tests/test_engine_differential.py proves the byte-identity;
-#: tests/test_sdt_config.py pins the exemption).  ``faults`` likewise
-#: never changes registers/memory/output — but it *does* change cycle
-#: counts, so the evaluation layer refuses to cache faulted measurements
-#: at all rather than key them here (see
-#: :meth:`repro.eval.cells.Cell.cacheable`).  ``trace`` is pure
-#: observation — it changes neither architectural results *nor* cycle
-#: counts (tests/test_trace_invariants.py pins the byte-identity), so a
-#: traced run may be served from, and stored into, every cache.
-FINGERPRINT_EXEMPT = frozenset({"engine", "faults", "trace"})
+#: change no result at all — neither architectural state nor cycle
+#: counts — may appear here: ``engine`` selects *how* the simulation
+#: executes (oracle dispatch vs threaded superblocks), never *what* it
+#: computes, so a cache entry produced by one engine must be served to
+#: the other (tests/test_engine_differential.py proves the
+#: byte-identity; tests/test_sdt_config.py pins the exemption).
+#: ``trace`` is pure observation (tests/test_trace_invariants.py pins the
+#: byte-identity), so a traced run may be served from, and stored into,
+#: every cache.  ``faults`` is *not* exempt: an injected fault never
+#: changes architectural results, but it does change cycle counts, so
+#: the plan is part of every cache key and a faulted measurement is
+#: cached like any other.
+FINGERPRINT_EXEMPT = frozenset({"engine", "trace"})
 
 
 @dataclass(frozen=True)
@@ -94,9 +93,9 @@ class SDTConfig:
         faults: optional deterministic fault-injection plan
             (:class:`repro.faults.plan.FaultPlan`, a spec string, or
             ``None``).  Injected faults never change architectural
-            results — only cycle counts — so the field is
-            fingerprint-exempt like ``engine``; faulted measurements are
-            additionally excluded from result caching entirely.  The
+            results, but they do change cycle counts, so the plan is part
+            of :meth:`fingerprint`.  A plan that can fire no fault is
+            stored as ``None``, so it keys like a clean run.  The
             default comes from the ``REPRO_FAULTS`` environment variable.
         trace: optional structured-event tracing spec
             (:class:`repro.trace.spec.TraceSpec`, a spec string, or
@@ -142,6 +141,8 @@ class SDTConfig:
                 f"faults must be a FaultPlan, spec string or None, "
                 f"got {self.faults!r}"
             )
+        if self.faults is not None and not self.faults.active:
+            object.__setattr__(self, "faults", None)
         if isinstance(self.trace, str):
             object.__setattr__(self, "trace", parse_trace_spec(self.trace))
         if self.trace is not None and not isinstance(self.trace, TraceSpec):
@@ -209,7 +210,9 @@ class SDTConfig:
         key, which aliases configs that differ only in the new field).
         The sole exception is :data:`FINGERPRINT_EXEMPT` — fields that
         cannot change any result, which therefore must *not* split the
-        caches (a warm ``oracle`` cache serves ``threaded`` runs).
+        caches (a warm ``oracle`` cache serves ``threaded`` runs).  The
+        fault plan is included, so a faulted run never aliases a clean
+        one.
         """
         items: list[tuple[str, object]] = []
         for spec in fields(self):
@@ -225,7 +228,7 @@ class SDTConfig:
 
 def _canonical(value: object) -> object:
     """Reduce a config field value to a hashable canonical form."""
-    if isinstance(value, ArchProfile):
+    if isinstance(value, (ArchProfile, FaultPlan)):
         return value.fingerprint()
     if isinstance(value, dict):
         return tuple(sorted((key, _canonical(item))

@@ -136,7 +136,7 @@ class SDTVM(BlockRunner):
         # observes their post-invalidation state.
         self.fault_injector = None
         self.invariant_checker = None
-        if self.config.faults is not None and self.config.faults.active:
+        if self.config.faults is not None:
             from repro.faults.inject import FaultInjector
             from repro.faults.invariants import InvariantChecker
 

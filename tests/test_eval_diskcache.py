@@ -15,7 +15,9 @@ from repro.eval.cells import (
     native_cell,
 )
 from repro.eval.diskcache import DiskCache
+from repro.eval.parallel import execute_cells
 from repro.eval.runner import clear_caches
+from repro.faults import FaultPlan
 from repro.host.profile import SIMPLE
 from repro.sdt.config import SDTConfig
 
@@ -139,7 +141,9 @@ class TestInvalidation:
         cell = _measure_cell()
         cache.put(cell, cell.execute())
         monkeypatch.setattr(cells_module, "CODE_SALT", "repro/0.0.0-test")
-        assert cache.get(cell) is None          # different key → miss
+        # a cell's address is fixed when first computed, so the new salt
+        # reaches the cells planned after it: those miss
+        assert cache.get(_measure_cell()) is None
 
     def test_fuel_is_part_of_the_key(self, cache):
         cell = _measure_cell()
@@ -150,6 +154,28 @@ class TestInvalidation:
         assert cell.key() != other.key()
         cache.put(cell, cell.execute())
         assert cache.get(other) is None
+
+    def test_fault_plan_is_part_of_the_key(self):
+        def cell(faults):
+            return measure_cell("gzip_like", "tiny", SDTConfig(
+                profile=SIMPLE, ib="ibtc", faults=faults))
+
+        assert cell("chaos:1234").key() != cell(None).key()
+        assert cell("chaos:1234").key() != cell("chaos:99").key()
+        assert cell(FaultPlan()).key() == cell(None).key()
+
+    def test_faulted_cell_served_from_disk_equals_recompute(self, cache):
+        cell = measure_cell("gzip_like", "tiny", SDTConfig(
+            profile=SIMPLE, ib="ibtc", faults="chaos:1234"))
+        _results, cold = execute_cells([cell], cache=cache)
+        assert (cold.cache_hits, cold.computed, len(cache)) == (0, 1, 1)
+        clear_caches()
+        results, warm = execute_cells([cell], cache=cache)
+        assert (warm.cache_hits, warm.computed) == (1, 0)
+        clear_caches()
+        fresh = cell.execute()
+        assert results[cell.key()] == fresh
+        assert fresh.stats["faults"].get("ibtc.drop", 0) > 0  # faults fired
 
     def test_workload_source_is_part_of_the_key(self):
         from repro.workloads.microbench import dispatch_microbench

@@ -6,9 +6,13 @@ from EXPERIMENTS.md — orderings and crossovers, never absolute numbers.
 
 import pytest
 
+from repro.eval.cells import Cell
 from repro.eval.experiments import EXPERIMENT_SPECS
+from repro.eval.fanout import FanoutProfile, SiteProfile
 from repro.eval.parallel import run_experiment
+from repro.eval.runner import Measurement, NativeBaseline
 from repro.workloads import workload_names
+from repro.workloads.coherence import COHERENCE_WORKLOADS
 
 SCALE = "tiny"
 
@@ -215,3 +219,82 @@ class TestE15:
 
 def test_registry_complete():
     assert set(EXPERIMENT_SPECS) == {f"e{i}" for i in range(1, 16)}
+
+
+# -- every spec builds from its own grid, with no simulation behind it --------
+
+SUITE = workload_names()
+SWEEP = ["benchmark", "16", "64", "256", "1024", "4096", "16384"]
+TUNED = ["reentry", "ibtc", "sieve", "ibtc+fastret"]
+
+#: (headers, first-column labels) of each table at tiny scale
+SHAPES = {
+    "e1": (["benchmark", "retired", "ijump", "icall", "ret", "IB total",
+            "instrs/IB"], SUITE),
+    "e2": (["benchmark", "reentry", "reentry+nolink"], SUITE + ["geomean"]),
+    "e3": (SWEEP, SUITE + ["geomean"]),
+    "e4": (["benchmark", "shared/64", "shared/1024", "shared/4096",
+            "persite/4", "persite/16", "persite/64"], SUITE + ["geomean"]),
+    "e5": (["benchmark", "32", "128", "512", "2048"], SUITE + ["geomean"]),
+    "e6": (["benchmark", *TUNED], SUITE + ["geomean"]),
+    "e7": (["benchmark", "ret=same", "ret=shadow", "ret=retcache",
+            "ret=fast"], SUITE + ["geomean"]),
+    "e8": (["profile", *TUNED, "winner"], ["x86_p4", "x86_k8", "sparc_us3"]),
+    "e9": (SWEEP, SUITE),
+    "e10": (["ablation", "base", "variant", "variant/base"],
+            ["ibtc inline vs outline", "ibtc hash fold vs shift",
+             "sieve prepend vs append", "linking on vs off",
+             "blocks vs traces"]),
+    "e11": (["benchmark", "IB sites", "mono", "2-4", "5-16", ">16",
+             "mono disp%", ">16 disp%", "max fanout", "wmean fanout"],
+            SUITE),
+    "e12": (["site", "reentry", "ibtc", "ibtc+predict", "sieve"],
+            [f"{pattern}/{fanout}" for pattern in ("unif", "skew")
+             for fanout in (1, 2, 4, 8, 16, 32)]),
+    "e13": (["capacity", "reentry", "fl", "reentry*", "fl*", "ibtc", "fl",
+             "ibtc*", "fl*", "sieve", "fl", "sieve*", "fl*"],
+            ["1K", "2K", "4K", "8M"]),
+    "e14": (["benchmark", "reentry", "reentry+s", "Δib(reentry)", "ibtc",
+             "ibtc+s", "Δib(ibtc)", "sieve", "sieve+s", "Δib(sieve)",
+             "precision"], SUITE + ["geomean/sum"]),
+    "e15": (["scenario", "cap", "policy", "reentry", "ibtc", "sieve",
+             "writes", "inval", "flushes"],
+            [name for name in COHERENCE_WORKLOADS for _ in range(6)]),
+}
+
+
+def _stub(cell):
+    """A result of the cell's kind that no simulation produced."""
+    if cell.kind == "native":
+        return NativeBaseline(
+            workload=cell.workload_name, scale=cell.scale,
+            profile=cell.profile.name, output="", exit_code=0,
+            retired=1000, cycles=2000, ijumps=10, icalls=20, rets=30,
+        )
+    if cell.kind == "fanout":
+        return FanoutProfile(sites={
+            4: SiteProfile(pc=4, kind="icall", targets={8, 12},
+                           dispatches=5),
+        })
+    return Measurement(
+        workload=cell.workload_name, scale=cell.scale,
+        profile=cell.config.profile.name, config_label=cell.config.label,
+        native_cycles=100, sdt_cycles=150, breakdown={},
+        stats={"cache_flushes": 1}, hit_rates={},
+    )
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_SPECS))
+def test_spec_builds_from_its_grid_without_simulating(name, monkeypatch):
+    def refuse(cell):
+        raise AssertionError(f"{name} simulated {cell.label}")
+
+    monkeypatch.setattr(Cell, "execute", refuse)
+    spec = EXPERIMENT_SPECS[name]
+    cells = spec.cells(SCALE)
+    results = {cell.key(): _stub(cell) for cell in cells}
+    headers, rows = spec.build(cells.fill(results), SCALE)
+    expected_headers, expected_labels = SHAPES[name]
+    assert headers == expected_headers
+    assert [row[0] for row in rows] == expected_labels
+    assert all(len(row) == len(headers) for row in rows)

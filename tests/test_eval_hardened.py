@@ -15,7 +15,6 @@ import pytest
 from repro.eval.experiments import ExperimentSpec
 from repro.eval.parallel import (
     CellFailure,
-    MissingCellResult,
     _stable_error,
     execute_cells,
     run_experiments,
@@ -26,8 +25,6 @@ pytestmark = pytest.mark.usefixtures("no_faults")
 
 class FakeCell:
     """Picklable stand-in for a measurement cell."""
-
-    cacheable = True
 
     def __init__(self, name, mode="ok", secs=0.0):
         self.name = name
@@ -51,24 +48,16 @@ class FakeCell:
         return f"result-{self.name}"
 
 
-class UncacheableCell(FakeCell):
-    cacheable = False
-
-
 class FakeCache:
-    """Duck-typed DiskCache recording every get/put."""
+    """Duck-typed in-memory DiskCache."""
 
     def __init__(self):
         self.store = {}
-        self.gets = []
-        self.puts = []
 
     def get(self, cell):
-        self.gets.append(cell.key())
         return self.store.get(cell.key())
 
     def put(self, cell, result):
-        self.puts.append(cell.key())
         self.store[cell.key()] = result
 
 
@@ -82,7 +71,7 @@ class TestSerialExecution:
 
     def test_error_cell_retried_then_quarantined(self):
         cells = [FakeCell("ok"), FakeCell("bad", mode="error")]
-        results, report = execute_cells(cells, retries=2, backoff=0.0)
+        results, report = execute_cells(cells, retries=2)
         assert results == {"key-ok": "result-ok"}     # innocents complete
         assert report.retries == 2
         failure = report.failures["key-bad"]
@@ -93,22 +82,20 @@ class TestSerialExecution:
         assert not report.ok
 
     def test_zero_retries_means_one_attempt(self):
-        _, report = execute_cells([FakeCell("bad", mode="error")],
-                                  retries=0, backoff=0.0)
+        _, report = execute_cells([FakeCell("bad", mode="error")], retries=0)
         assert report.failures["key-bad"].attempts == 1
         assert report.retries == 0
 
     def test_failures_in_declared_cell_order(self):
         cells = [FakeCell("ok"), FakeCell("c", mode="error"),
                  FakeCell("a", mode="error"), FakeCell("b", mode="error")]
-        _, report = execute_cells(cells, retries=0, backoff=0.0)
+        _, report = execute_cells(cells, retries=0)
         assert list(report.failures) == ["key-c", "key-a", "key-b"]
 
     def test_failed_cells_emit_progress_events(self):
         events = []
         cells = [FakeCell("ok"), FakeCell("bad", mode="error")]
-        execute_cells(cells, progress=events.append,
-                      retries=0, backoff=0.0)
+        execute_cells(cells, progress=events.append, retries=0)
         assert len(events) == 2
         by_label = {event.label: event.source for event in events}
         assert by_label == {"fake:ok": "run", "fake:bad": "failed"}
@@ -128,8 +115,7 @@ class TestPooledExecution:
         # in flight, so a racing innocent could otherwise be charged)
         cells = [FakeCell("a"), FakeCell("b"),
                  FakeCell("die", mode="crash", secs=0.5)]
-        results, report = execute_cells(cells, jobs=2,
-                                        retries=1, backoff=0.01)
+        results, report = execute_cells(cells, jobs=2, retries=1)
         # innocents survive the broken pool; the crasher is quarantined
         assert results["key-a"] == "result-a"
         assert results["key-b"] == "result-b"
@@ -141,7 +127,7 @@ class TestPooledExecution:
         cells = [FakeCell("fast"), FakeCell("hang", secs=60.0)]
         start = time.monotonic()
         results, report = execute_cells(cells, jobs=2, timeout=2.0,
-                                        retries=0, backoff=0.0)
+                                        retries=0)
         wall = time.monotonic() - start
         assert wall < 30.0, f"watchdog did not bound wall time ({wall:.1f}s)"
         assert results == {"key-fast": "result-fast"}
@@ -153,8 +139,7 @@ class TestPooledExecution:
         # a hung cell can only be killed from outside its process, so
         # jobs=1 with a timeout must still run in a worker
         results, report = execute_cells(
-            [FakeCell("hang", secs=60.0)], jobs=1, timeout=1.0,
-            retries=0, backoff=0.0,
+            [FakeCell("hang", secs=60.0)], jobs=1, timeout=1.0, retries=0,
         )
         assert results == {}
         assert report.failures["key-hang"].kind == "timeout"
@@ -173,24 +158,16 @@ class TestCaching:
         execute_cells([FakeCell("a")], cache=cache)
         assert cache.store["key-a"] == "result-a"
 
-    def test_uncacheable_cell_bypasses_cache_both_ways(self):
-        cache = FakeCache()
-        cache.store["key-u"] = "stale-should-not-be-served"
-        results, report = execute_cells([UncacheableCell("u")], cache=cache)
-        assert results == {"key-u": "result-u"}
-        assert cache.gets == [] and cache.puts == []
-        assert report.cache_hits == 0 and report.computed == 1
-
 
 def fake_spec(name, cells):
     return ExperimentSpec(
         name=name,
         slug=f"{name}_fake",
         title=lambda scale: f"fake {name} [{scale}]",
-        cells=lambda scale: list(cells),
-        build=lambda lookup, scale: (
+        grid=lambda scale: {cell.label: cell for cell in cells},
+        build=lambda results, scale: (
             ["cell", "value"],
-            [[cell.label, lookup(cell)] for cell in cells],
+            [[label, value] for label, value in results.items()],
         ),
     )
 
@@ -212,7 +189,7 @@ class TestDegradedExperiments:
             "zzbad", [FakeCell("g"), FakeCell("bad", mode="error")])
         tables, report = run_experiments(
             ["zzgood", "zzbad"], scale="tiny", results_dir=tmp_path,
-            retries=0, backoff=0.0,
+            retries=0,
         )
         assert tables["zzgood"] == (["cell", "value"],
                                     [["fake:g", "result-g"]])
@@ -233,12 +210,8 @@ class TestDegradedExperiments:
             "zz", [FakeCell("bad", mode="error")])
         stale = tmp_path / "zz_fake.txt"
         stale.write_text("previous good table\n")
-        run_experiments(["zz"], scale="tiny", results_dir=tmp_path,
-                        retries=0, backoff=0.0)
+        run_experiments(["zz"], scale="tiny", results_dir=tmp_path, retries=0)
         assert stale.read_text() == "previous good table\n"
-
-    def test_missing_cell_result_is_a_keyerror(self):
-        assert issubclass(MissingCellResult, KeyError)
 
 
 class TestStableErrors:

@@ -16,7 +16,7 @@ from repro.eval.runner import clear_caches
 from repro.host.profile import SIMPLE
 from repro.sdt.config import SDTConfig
 
-#: disk/memo-cache assertions need clean-spec (uncacheable-free) cells
+#: disk/memo-cache assertions run on clean-spec cells, whatever REPRO_FAULTS says
 pytestmark = pytest.mark.usefixtures("no_faults")
 
 #: three-workload suite: enough to exercise the E6 grid, cheap enough for CI

@@ -13,7 +13,7 @@ from repro.host.profile import SIMPLE, X86_P4
 from repro.sdt.config import SDTConfig
 from repro.workloads import get_workload
 
-#: memoisation assertions require fault-free (cacheable) measurements
+#: memoisation assertions are written against fault-free measurements
 pytestmark = pytest.mark.usefixtures("no_faults")
 
 

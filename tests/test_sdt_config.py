@@ -71,6 +71,23 @@ class TestConfigFingerprint:
         declared = {spec.name for spec in dataclasses.fields(SDTConfig)}
         assert FINGERPRINT_EXEMPT <= declared
 
+    def test_only_result_free_fields_are_exempt(self):
+        # a fault plan changes cycle counts, so it must split every cache
+        assert FINGERPRINT_EXEMPT == {"engine", "trace"}
+
+    def test_faulted_and_clean_fingerprints_differ(self):
+        clean = SDTConfig(profile=SIMPLE, faults=None)
+        chaos = SDTConfig(profile=SIMPLE, faults="chaos:1234")
+        reseeded = SDTConfig(profile=SIMPLE, faults="chaos:99")
+        prints = {c.fingerprint() for c in (clean, chaos, reseeded)}
+        assert len(prints) == 3
+
+    def test_inactive_plan_fingerprints_like_none(self):
+        idle = SDTConfig(profile=SIMPLE, faults=FaultPlan())
+        assert idle.faults is None
+        assert idle.fingerprint() == \
+            SDTConfig(profile=SIMPLE, faults=None).fingerprint()
+
     def test_engine_does_not_reach_label(self):
         a = SDTConfig(profile=SIMPLE, engine="oracle")
         b = SDTConfig(profile=SIMPLE, engine="threaded")
