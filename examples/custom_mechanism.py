@@ -14,6 +14,13 @@ It shows the full extension surface:
 - charge costs via ``vm.model.charge`` / ``vm.model.indirect_jump``,
 - fall back to ``vm.reenter_translator`` on a miss,
 - clear cached fragment pointers in ``on_flush``.
+
+A mechanism is a fragment holder (:class:`repro.sdt.cache.FragmentHolder`):
+``bind`` registers it with the VM's fragment cache, which announces every
+translation, flush and selective invalidation to it.  Overriding
+``on_flush`` suffices here; a mechanism meant to run under a coherence
+policy also overrides ``scrub_invalid``, and ``live_fragment_refs`` lets
+the invariant checker walk its table.
 """
 
 from repro.eval.report import format_table

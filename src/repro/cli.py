@@ -27,7 +27,7 @@ import argparse
 import os
 import sys
 
-from repro.eval.runner import measure, run_native
+from repro.eval.runner import export_stem, measure, run_native
 from repro.host.profile import PROFILES, get_profile
 from repro.isa.assembler import assemble
 from repro.lang import compile_source
@@ -106,8 +106,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 config,
                 trace=dataclasses.replace(config.trace, dir="results/trace"),
             )
-        stem = slug(f"{workload.name}-{args.scale}-{profile.name}-"
-                    f"{config.label}")
+        stem = slug(export_stem(workload.name, args.scale, config))
         trace_paths = tuple(
             f"{config.trace.dir}/{stem}{suffix}"
             for suffix in (".trace.json", ".metrics.json")

@@ -147,23 +147,40 @@ def run_native(
     return baseline
 
 
-def _verify(
-    baseline: NativeBaseline, result: SDTRunResult, label: str
-) -> None:
+def verified_run(
+    workload: Workload, config: SDTConfig, scale: str, fuel: int
+) -> tuple[NativeBaseline, SDTVM, SDTRunResult]:
+    """The native baseline, then one SDT run verified against it.
+
+    Raises :class:`DivergenceError` when the SDT's output, exit code or
+    retired count differs from the interpreter's.  Returns the baseline,
+    the VM (its trace session, if any, holds the run's events) and the
+    result.
+    """
+    baseline = run_native(workload, config.profile, scale=scale, fuel=fuel,
+                          engine=config.engine)
+    vm = SDTVM(workload.compile(), config=config)
+    result = vm.run(fuel)
+    where = f"{baseline.workload}/{config.label}"
     if result.output != baseline.output:
         raise DivergenceError(
-            f"{baseline.workload}/{label}: output diverged "
+            f"{where}: output diverged "
             f"({result.output!r} vs {baseline.output!r})"
         )
     if result.exit_code != baseline.exit_code:
-        raise DivergenceError(
-            f"{baseline.workload}/{label}: exit code diverged"
-        )
+        raise DivergenceError(f"{where}: exit code diverged")
     if result.retired != baseline.retired:
         raise DivergenceError(
-            f"{baseline.workload}/{label}: retired count diverged "
+            f"{where}: retired count diverged "
             f"({result.retired} vs {baseline.retired})"
         )
+    return baseline, vm, result
+
+
+def export_stem(workload: str, scale: str, config: SDTConfig) -> str:
+    """Deterministic export-file stem of one run:
+    ``{workload}-{scale}-{profile}-{label}``."""
+    return f"{workload}-{scale}-{config.profile.name}-{config.label}"
 
 
 def run_context(workload: str, scale: str, config: SDTConfig,
@@ -208,11 +225,7 @@ def measure(
         if cached is not None:
             return cached
 
-    baseline = run_native(workload, config.profile, scale=scale, fuel=fuel,
-                          engine=config.engine)
-    vm = SDTVM(workload.compile(), config=config)
-    result = vm.run(fuel)
-    _verify(baseline, result, config.label)
+    baseline, vm, result = verified_run(workload, config, scale, fuel)
 
     # Directory-sink tracing (REPRO_TRACE="dir=..."): cells that actually
     # simulate drop their trace + metrics exports next to the results.
@@ -223,7 +236,7 @@ def measure(
 
         export_files(
             vm.trace, config.trace.dir,
-            f"{workload.name}-{scale}-{config.profile.name}-{config.label}",
+            export_stem(workload.name, scale, config),
             result=result,
             context=run_context(workload.name, scale, config,
                                 baseline.cycles),

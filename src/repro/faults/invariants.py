@@ -9,18 +9,20 @@ of them retains a stale (invalidated or unregistered) fragment, and that
 every threaded-engine superblock plan still describes the fragment it is
 attached to.
 
-:class:`InvariantChecker` runs the walk after every flush (it registers
-its hook *after* the mechanisms', so it sees their post-invalidation
-state) and accumulates a report; :mod:`repro.eval.differential` reads
-its counts into every observation of a faulted run.
-:func:`collect_violations` can also be called directly at any point, with
-or without fault injection.
+:class:`InvariantChecker` is the fragment cache's last holder, so it
+runs the walk after every flush and every selective invalidation, once
+every other holder has processed it, and accumulates a report;
+:mod:`repro.eval.differential` reads its counts into every observation
+of a faulted run.  :func:`collect_violations` can also be called
+directly at any point, with or without fault injection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from repro.sdt.cache import FragmentHolder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sdt.vm import SDTVM
@@ -73,14 +75,13 @@ def collect_violations(
 ) -> list[CoherenceViolation]:
     """Walk every fragment-pointer store in ``vm`` and report stale state.
 
-    Checked stores: the generic IB mechanism and the return mechanism
-    (via their ``live_fragment_refs()``), the static-targets runtime's
-    devirtualized edges (when bound), the tier-2 region engine's member
-    fragments (when bound), every live fragment's link stubs, and every
-    live fragment's attached superblock plan.
+    Checked stores: the ``live_fragment_refs()`` of every fragment holder
+    (:attr:`repro.sdt.cache.FragmentCache.holders`), reported under the
+    holder's ``name``; every live fragment's link stubs; and every live
+    fragment's attached superblock plan.
 
-    ``include_plans=False`` skips the plan-coherence leg: the coherence
-    manager's post-invalidation walk runs *between* flushes, where a
+    ``include_plans=False`` skips the plan-coherence leg: the walk after
+    a selective invalidation runs *between* flushes, where a
     fault-injected plan perturbation may legitimately sit un-executed
     (plan incoherence has its own detection + demotion path at execution
     time; it is not a stale-pointer bug).
@@ -88,27 +89,9 @@ def collect_violations(
     violations: list[CoherenceViolation] = []
     live = vm.cache.fragments()
     live_ids = {id(fragment) for fragment in live}
-
-    _check_refs(
-        vm.generic_ib.name, vm.generic_ib.live_fragment_refs(),
-        live_ids, violations,
-    )
-    _check_refs(
-        vm.return_mech.name, vm.return_mech.live_fragment_refs(),
-        live_ids, violations,
-    )
-    static_rt = getattr(vm, "static_rt", None)
-    if static_rt is not None:
-        _check_refs(
-            "static-devirt", static_rt.live_fragment_refs(),
-            live_ids, violations,
-        )
-    tier2 = getattr(vm, "_tier2", None)
-    if tier2 is not None:
-        _check_refs(
-            "tier2-region", tier2.live_fragment_refs(),
-            live_ids, violations,
-        )
+    for holder in vm.cache.holders:
+        _check_refs(holder.name, holder.live_fragment_refs(), live_ids,
+                    violations)
 
     for fragment in live:
         for key, linked in fragment.links.items():
@@ -142,47 +125,41 @@ def assert_coherent(vm: "SDTVM") -> None:
         raise CoherenceError(violations)
 
 
-class InvariantChecker:
-    """Post-flush coherence watchdog bound to one VM.
+class InvariantChecker(FragmentHolder):
+    """Coherence watchdog bound to one VM, held last by its cache.
 
-    Install with :meth:`install` *after* the IB mechanisms have bound
-    (flush hooks run in registration order, and the checker must observe
-    the tables after they processed the flush).  Findings accumulate in
-    :attr:`violations` and are mirrored into ``stats.faults`` under
-    ``invariant.violations`` so they travel with measurement results.
+    It walks the VM after every flush and every selective invalidation,
+    once every other holder has processed the event.  Findings
+    accumulate in :attr:`violations` and are mirrored into
+    ``stats.faults`` under ``invariant.violations`` so they travel with
+    measurement results.
     """
+
+    name = "invariant-checker"
 
     def __init__(self, vm: "SDTVM"):
         self.vm = vm
         self.flushes_checked = 0
         self.invalidations_checked = 0
         self.violations: list[CoherenceViolation] = []
+        vm.cache.hold(self)
 
-    def install(self) -> None:
-        self.vm.cache.on_flush(self._on_flush)
-
-    def _on_flush(self) -> None:
+    def on_flush(self) -> None:
         self.flushes_checked += 1
-        found = collect_violations(self.vm)
-        stats = self.vm.stats
-        stats.faults["invariant.flushes_checked"] += 1
-        if found:
-            self.violations.extend(found)
-            stats.faults["invariant.violations"] += len(found)
+        self._record("flushes_checked", collect_violations(self.vm))
 
-    def on_invalidate(self) -> None:
-        """Coherence site: walk after each selective invalidation.
-
-        The coherence manager calls this once it has finished scrubbing
-        the mechanisms/static runtime, so any surviving stale pointer is
-        a real missed scrub.  Plans are excluded — between flushes an
-        injected plan perturbation may sit un-executed, and plan
-        incoherence is caught (and demoted) at execution time.
-        """
+    def scrub_invalid(self, dead) -> None:
+        """Walk after a selective invalidation.  Plans are excluded:
+        between flushes an injected plan perturbation may sit
+        un-executed, and plan incoherence is caught (and demoted) at
+        execution time."""
         self.invalidations_checked += 1
-        found = collect_violations(self.vm, include_plans=False)
+        self._record("invalidations_checked",
+                     collect_violations(self.vm, include_plans=False))
+
+    def _record(self, walk: str, found: list[CoherenceViolation]) -> None:
         stats = self.vm.stats
-        stats.faults["invariant.invalidations_checked"] += 1
+        stats.faults[f"invariant.{walk}"] += 1
         if found:
             self.violations.extend(found)
             stats.faults["invariant.violations"] += len(found)

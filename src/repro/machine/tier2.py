@@ -43,12 +43,12 @@ supply only their eligibility check, successor hook (the hottest patched
 link vs. the static edge), exit and boundary emitters, namespace and
 discard hooks.
 
-Regions never survive code mutation: the SDT runtime discards any region
-holding an invalidated fragment (wired into
-:class:`repro.sdt.coherence.CoherenceManager`) and drops everything on a
-cache flush; the interpreter runtime discards regions overlapping any
-watched-page write.  Promotion state is profile data, not architecture,
-so ``engine="tier2"`` stays fingerprint-exempt like the other engines.
+Regions never survive code mutation: the SDT runtime, one of the
+fragment cache's holders, discards any region holding an invalidated
+fragment and drops everything on a cache flush; the interpreter runtime
+discards regions overlapping any watched-page write.  Promotion state
+is profile data, not architecture, so ``engine="tier2"`` stays
+fingerprint-exempt like the other engines.
 
 Tuning knob (environment): ``REPRO_TIER2_THRESHOLD`` (promotions occur
 once a block has executed this many times, default 64).
@@ -67,6 +67,7 @@ from repro.isa.opcodes import CONTROL_CLASSES, InstrClass, Op
 from repro.isa.registers import REG_RA
 from repro.machine.cpu import s32
 from repro.machine.executor import _sdiv, _srem
+from repro.sdt.cache import FragmentHolder
 from repro.sdt.fragment import ExitKind, Fragment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -684,8 +685,13 @@ def _boundary_deopt(vm: "SDTVM", frag, key: str, nxt, nxt_n: int):
     return _db
 
 
-class Tier2Runtime(_Regions):
-    """Per-VM tier-2 state: regions grow along patched fragment links."""
+class Tier2Runtime(_Regions, FragmentHolder):
+    """Per-VM tier-2 state: regions grow along patched fragment links.
+
+    A fragment holder: a flush or an invalidation discards every region
+    holding a dead member."""
+
+    name = "tier2-region"
 
     # the per-layer benchmark probes each harness's entry points on its
     # own class, so the shared methods are bound here by name
@@ -694,7 +700,7 @@ class Tier2Runtime(_Regions):
 
     def __init__(self, vm: "SDTVM"):
         super().__init__(vm, vm.stats.tier2)
-        vm.cache.on_flush(self.on_flush)
+        vm.cache.hold(self)
 
     # -- harness hooks -------------------------------------------------------
 
@@ -818,10 +824,10 @@ class Tier2Runtime(_Regions):
 
     # -- discard hooks -------------------------------------------------------
 
-    def on_invalidate(self, dead) -> None:
+    def scrub_invalid(self, dead) -> None:
         """Selective invalidation: drop every region holding a dead
-        member (called by the coherence manager before its checker walk,
-        so a surviving stale region would be a CI violation)."""
+        member (before the invariant checker's walk, so a surviving
+        stale region would be a CI violation)."""
         if not self._regions:
             return
         dead_ids = {id(fragment) for fragment in dead}

@@ -1,15 +1,21 @@
-"""The fragment cache.
+"""The fragment cache and the one registry of fragment holders.
 
 Follows Strata's policy: fragments are bump-allocated; when the cache fills
 up, the *entire* cache is flushed (all fragments, all links, all IB-mechanism
 state holding fragment pointers).  Whole-cache flush is what makes stale
 translated-address transparency violations (fast returns) interesting, and
 it is also what the paper's systems actually did.
+
+Every structure that keeps fragment pointers beside the cache is a
+:class:`FragmentHolder` registered with :meth:`FragmentCache.hold`; the
+cache announces each translation, flush and selective invalidation to the
+holders in registration order, and the invariant checker walks what they
+hold.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.sdt.fragment import FRAGMENT_CACHE_BASE, Fragment
 from repro.sdt.stats import SDTStats
@@ -40,10 +46,10 @@ class FragmentTooLarge(ValueError):
 
 
 class FlushHookError(RuntimeError):
-    """One or more flush hooks raised.
+    """One or more holders' ``on_flush`` raised.
 
-    Every registered hook still runs (a failing IB-mechanism hook must
-    not leave *other* mechanisms holding stale fragment pointers); the
+    Every holder still hears the flush (a failing IB mechanism must not
+    leave *other* holders keeping stale fragment pointers); the
     individual exceptions are collected in :attr:`errors`.
     """
 
@@ -56,6 +62,35 @@ class FlushHookError(RuntimeError):
         )
 
 
+class FragmentHolder:
+    """An object that keeps fragment pointers beside the cache.
+
+    Held by :meth:`FragmentCache.hold`, it hears every translation, flush
+    and selective invalidation, and lists what it keeps for the invariant
+    checker, which reports a stale pointer under the holder's
+    :attr:`name`.  Every hook defaults to a no-op.
+    """
+
+    #: site name for invariant-checker findings and statistics
+    name: str = "holder"
+
+    def on_translate(self, fragment: Fragment) -> None:
+        """``fragment`` was just translated and inserted.  Must not
+        translate (it may only link already-cached fragments)."""
+
+    def on_flush(self) -> None:
+        """The whole cache was flushed: every fragment pointer is dead."""
+
+    def scrub_invalid(self, dead: list[Fragment]) -> None:
+        """``dead`` were selectively invalidated: drop what points at
+        them.  Scrubbing by the validity predicate rather than by ``dead``
+        also clears fault-injected tombstones."""
+
+    def live_fragment_refs(self) -> Iterable[Fragment]:
+        """Every fragment pointer this holder keeps."""
+        return []
+
+
 class FragmentCache:
     """Guest-PC-indexed store of translated fragments."""
 
@@ -66,7 +101,8 @@ class FragmentCache:
         self.stats = stats if stats is not None else SDTStats()
         self._fragments: dict[int, Fragment] = {}
         self._alloc = 0
-        self._flush_hooks: list[Callable[[], None]] = []
+        #: fragment holders, in the order they hear every event
+        self.holders: list[FragmentHolder] = []
         #: when set, :meth:`reserve` consults the injector for forced
         #: flush storms (see repro.faults)
         self.fault_injector: "FaultInjector | None" = None
@@ -84,15 +120,11 @@ class FragmentCache:
     def bytes_used(self) -> int:
         return self._alloc
 
-    def on_flush(self, hook: Callable[[], None]) -> None:
-        """Register a callback run whenever the cache is flushed.
-
-        IB mechanisms register here because their tables cache fragment
-        pointers that a flush invalidates.  Hooks run in registration
-        order; the invariant checker (when active) registers last so it
-        observes every mechanism's post-flush state.
-        """
-        self._flush_hooks.append(hook)
+    def hold(self, holder: FragmentHolder) -> None:
+        """Register a fragment holder.  Holders hear every event in
+        registration order; the invariant checker (when active) is held
+        last so it observes every other holder's post-event state."""
+        self.holders.append(holder)
 
     def lookup(self, guest_pc: int) -> Fragment | None:
         return self._fragments.get(guest_pc)
@@ -120,17 +152,20 @@ class FragmentCache:
         return addr
 
     def insert(self, fragment: Fragment) -> None:
+        """Register a translated fragment and announce it to every
+        holder (``on_translate``)."""
         self._fragments[fragment.guest_pc] = fragment
+        for holder in self.holders:
+            holder.on_translate(fragment)
 
     def invalidate(self, fragments: list[Fragment]) -> int:
         """Selectively evict fragments (code-cache coherence).
 
-        Unlike :meth:`flush` this does *not* run the flush hooks — the
-        caller (:class:`repro.sdt.coherence.CoherenceManager`) scrubs the
-        derived IB state itself, because only it knows which fragments
-        died.  Bump allocation means the evicted bytes are not reclaimed;
-        the holes persist until the next whole-cache flush, exactly like
-        a patched-out fragment in a real bump-allocated code cache.
+        Unpatches every surviving link into an evicted fragment, then
+        announces the eviction to every holder (``scrub_invalid``).  Bump
+        allocation means the evicted bytes are not reclaimed; the holes
+        persist until the next whole-cache flush, exactly like a
+        patched-out fragment in a real bump-allocated code cache.
 
         Returns the number of fragments actually evicted.
         """
@@ -149,14 +184,25 @@ class FragmentCache:
             self.stats.coherence["fragments_invalidated"] += evicted
             if self.trace is not None:
                 self.trace.emit("coherence.invalidate", fragments=evicted)
+        for fragment in self._fragments.values():
+            links = fragment.links
+            if links:
+                stale = [
+                    key for key, linked in links.items() if not linked.valid
+                ]
+                for key in stale:
+                    del links[key]
+        for holder in self.holders:
+            holder.scrub_invalid(fragments)
         return evicted
 
     def flush(self) -> None:
-        """Drop every fragment and notify mechanisms.
+        """Drop every fragment and announce it to every holder.
 
-        All hooks run even if some raise; their exceptions are aggregated
-        into one :class:`FlushHookError` raised afterwards, so a broken
-        hook can neither mask later hooks nor be silently swallowed.
+        Every holder hears the flush even if some raise; their exceptions
+        are aggregated into one :class:`FlushHookError` raised afterwards,
+        so a broken holder can neither mask later ones nor be silently
+        swallowed.
         """
         if self.trace is not None:
             self.trace.emit("cache.flush", fragments=len(self._fragments),
@@ -168,9 +214,9 @@ class FragmentCache:
         self._alloc = 0
         self.stats.cache_flushes += 1
         errors: list[BaseException] = []
-        for hook in self._flush_hooks:
+        for holder in self.holders:
             try:
-                hook()
+                holder.on_flush()
             except Exception as exc:  # noqa: BLE001 - aggregated below
                 errors.append(exc)
         if errors:

@@ -10,15 +10,15 @@ superblock plans) describing bytes that no longer exist.
 
 :class:`CoherenceManager` is the SDT-side consumer of the
 :class:`repro.machine.memory.Memory` write watch.  Translated guest
-pages are tracked at page granularity: each freshly translated fragment
-registers the pages its instructions occupy (via the translator's
-post-translate hook) and those pages are watched.  A store into a
-watched page fires :meth:`_on_write`, which applies the configured
-``SDTConfig.coherence`` policy:
+pages are tracked at page granularity: the manager is one of the
+fragment cache's holders, so each freshly translated fragment registers
+the pages its instructions occupy (``on_translate``) and those pages are
+watched.  A store into a watched page fires :meth:`_on_write`, which
+applies the configured ``SDTConfig.coherence`` policy:
 
 ``flush``
-    drop the whole fragment cache (Strata's only option — every flush
-    hook runs, exactly as on a capacity flush),
+    drop the whole fragment cache (Strata's only option — every holder
+    hears the flush, exactly as on a capacity flush),
 ``page``
     selectively invalidate the fragments overlapping the written page,
 ``targeted``
@@ -26,13 +26,14 @@ watched page fires :meth:`_on_write`, which applies the configured
     range intersects the written bytes (a store into a translated page
     that hits no fragment costs one registry probe and nothing else).
 
-Selective invalidation bypasses the flush hooks — only this manager
-knows *which* fragments died — so it scrubs the derived structures
-itself: the generic and return mechanisms (``scrub_invalid``), the
-static-targets runtime (``on_invalidate``), surviving fragments' link
-stubs, and the translator's decode cache.  When the invariant checker is
-active (chaos runs) its coherence site walks the whole VM afterwards, so
-a missed scrub is a CI failure, not a silent wrong-code execution.
+Selective invalidation hands the dead fragments to
+:meth:`repro.sdt.cache.FragmentCache.invalidate`, which unpatches the
+surviving links into them and has every holder scrub its own pointers
+(``scrub_invalid``): the mechanisms, the static-targets runtime, this
+manager's page registry and the translator decodes on pages it stops
+watching, tier-2 regions.  When the invariant checker is active (chaos
+runs) it is the last holder and walks the whole VM afterwards, so a
+missed scrub is a CI failure, not a silent wrong-code execution.
 
 Visibility rule (shared with the interpreter, see docs/robustness.md):
 a store to code becomes architecturally visible at the next control
@@ -45,14 +46,17 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.machine.memory import PAGE_SHIFT
+from repro.sdt.cache import FragmentHolder
 from repro.sdt.fragment import Fragment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sdt.vm import SDTVM
 
 
-class CoherenceManager:
+class CoherenceManager(FragmentHolder):
     """Write-detection + invalidation driver bound to one VM."""
+
+    name = "coherence-pages"
 
     def __init__(self, vm: "SDTVM"):
         self.vm = vm
@@ -62,23 +66,12 @@ class CoherenceManager:
         #: page index -> fragments with instructions on that page, keyed
         #: by id() (Fragment is deliberately unhashable)
         self._page_frags: dict[int, dict[int, Fragment]] = {}
-
-    def install(self) -> None:
-        """Hook the memory write watch, the translator and the flush path.
-
-        Must run after the IB mechanisms bind and after the
-        static-targets runtime installs (registration order is scrub
-        order is checker-visibility order), and before the invariant
-        checker installs.
-        """
-        vm = self.vm
         vm.mem.set_write_watch(self._on_write)
-        vm.translator.add_post_translate(self._on_translate)
-        vm.cache.on_flush(self._on_flush)
+        vm.cache.hold(self)
 
     # -- page tracking -------------------------------------------------------
 
-    def _on_translate(self, fragment: Fragment) -> None:
+    def on_translate(self, fragment: Fragment) -> None:
         """Register (and watch) the pages a new fragment's code occupies."""
         mem = self.vm.mem
         page_frags = self._page_frags
@@ -90,7 +83,7 @@ class CoherenceManager:
                 mem.watch_page(index)
             frags[id(fragment)] = fragment
 
-    def _on_flush(self) -> None:
+    def on_flush(self) -> None:
         """Whole-cache flush: every registration is dead, stop watching.
 
         Unwatching makes further stores to these pages invisible, so the
@@ -105,6 +98,32 @@ class CoherenceManager:
             mem.unwatch_page(index)
             translator.invalidate_decoded_page(index)
         self._page_frags.clear()
+
+    def scrub_invalid(self, dead: list[Fragment]) -> None:
+        """Unregister the dead fragments (a fragment may be registered on
+        pages other than the written one) and stop watching pages left
+        with no translated code."""
+        vm = self.vm
+        dead_ids = {id(frag) for frag in dead}
+        empty = []
+        for index, frags in self._page_frags.items():
+            for frag_id in dead_ids & frags.keys():
+                del frags[frag_id]
+            if not frags:
+                empty.append(index)
+        for index in empty:
+            del self._page_frags[index]
+            vm.mem.unwatch_page(index)
+            # a decode may only outlive a watch on its page (see
+            # Translator.invalidate_decoded_page)
+            vm.translator.invalidate_decoded_page(index)
+
+    def live_fragment_refs(self) -> list[Fragment]:
+        """Every fragment the page registry holds."""
+        return [
+            frag for frags in self._page_frags.values()
+            for frag in frags.values()
+        ]
 
     # -- the write hook ------------------------------------------------------
 
@@ -145,51 +164,4 @@ class CoherenceManager:
         if not dead:
             stats["noop_writes"] += 1
             return
-        self._invalidate(dead)
-
-    # -- selective invalidation ----------------------------------------------
-
-    def _invalidate(self, dead: list[Fragment]) -> None:
-        """Evict ``dead`` and scrub every structure that could point at
-        them, in the same order flush hooks would have run."""
-        vm = self.vm
         vm.cache.invalidate(dead)
-
-        # unregister the dead fragments (a fragment may be registered on
-        # pages other than the written one) and stop watching pages left
-        # with no translated code
-        dead_ids = {id(frag) for frag in dead}
-        empty = []
-        for index, frags in self._page_frags.items():
-            for frag_id in dead_ids & frags.keys():
-                del frags[frag_id]
-            if not frags:
-                empty.append(index)
-        for index in empty:
-            del self._page_frags[index]
-            vm.mem.unwatch_page(index)
-            # a decode may only outlive a watch on its page (see
-            # Translator.invalidate_decoded_page)
-            vm.translator.invalidate_decoded_page(index)
-
-        # derived structures, in flush-hook order: mechanisms, then the
-        # static-targets runtime, then surviving links, then tier-2
-        # regions, checker last
-        vm.generic_ib.scrub_invalid()
-        vm.return_mech.scrub_invalid()
-        if vm.static_rt is not None:
-            vm.static_rt.on_invalidate(dead)
-        for fragment in vm.cache.fragments():
-            links = fragment.links
-            if links:
-                stale = [
-                    key for key, linked in links.items() if not linked.valid
-                ]
-                for key in stale:
-                    del links[key]
-        tier2 = vm._tier2
-        if tier2 is not None:
-            tier2.on_invalidate(dead)
-        checker = vm.invariant_checker
-        if checker is not None:
-            checker.on_invalidate()

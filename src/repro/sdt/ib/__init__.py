@@ -14,7 +14,7 @@ host-level branch behaviour it induces:
   fast returns, shadow return stack, return cache.
 """
 
-from repro.sdt.ib.base import IBMechanism, ReturnMechanism
+from repro.sdt.ib.base import IBMechanism, Mechanism, ReturnMechanism
 from repro.sdt.ib.factory import build_mechanisms
 from repro.sdt.ib.ibtc import IBTC
 from repro.sdt.ib.predict import InlinePrediction
@@ -32,6 +32,7 @@ __all__ = [
     "IBMechanism",
     "InlinePrediction",
     "IBTC",
+    "Mechanism",
     "ReturnCache",
     "ReturnMechanism",
     "ReturnsAsIB",

@@ -2,8 +2,9 @@
 
 A mechanism is bound to an :class:`repro.sdt.vm.SDTVM` and asked to resolve
 dynamic indirect-branch targets.  It charges every cycle of its dispatch
-code to the VM's host model and keeps hit/miss statistics under its
-``name`` in :class:`repro.sdt.stats.SDTStats`.
+code to the VM's host model, keeps hit/miss statistics under its
+``name`` in :class:`repro.sdt.stats.SDTStats`, and is one of the fragment
+cache's holders (:class:`repro.sdt.cache.FragmentHolder`).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
+from repro.sdt.cache import FragmentHolder
 from repro.sdt.fragment import Fragment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -18,8 +20,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sdt.vm import SDTVM
 
 
-class IBMechanism(ABC):
-    """Resolves indirect jump / indirect call targets."""
+class Mechanism(FragmentHolder):
+    """What every IB and return mechanism shares: a bound VM, a place in
+    the cache's holder list, and hit/miss counters under :attr:`name`.
+
+    Mechanisms whose tables cache fragment pointers override the
+    :class:`repro.sdt.cache.FragmentHolder` hooks they need (``on_flush``
+    to drop them, ``scrub_invalid`` to drop the invalid ones,
+    ``live_fragment_refs`` for the invariant checker); the rest inherit
+    the no-ops.
+    """
 
     #: stable identifier used in statistics and reports
     name: str = "base"
@@ -28,9 +38,21 @@ class IBMechanism(ABC):
         self.vm: "SDTVM | None" = None
 
     def bind(self, vm: "SDTVM") -> None:
-        """Attach to a VM; registers the flush hook."""
+        """Attach to a VM and join its cache's fragment holders."""
         self.vm = vm
-        vm.cache.on_flush(self.on_flush)
+        vm.cache.hold(self)
+
+    def _hit(self) -> None:
+        assert self.vm is not None
+        self.vm.stats.mechanism[f"{self.name}.hit"] += 1
+
+    def _miss(self) -> None:
+        assert self.vm is not None
+        self.vm.stats.mechanism[f"{self.name}.miss"] += 1
+
+
+class IBMechanism(Mechanism, ABC):
+    """Resolves indirect jump / indirect call targets."""
 
     @abstractmethod
     def dispatch(
@@ -67,52 +89,16 @@ class IBMechanism(ABC):
         """
         return False
 
-    def on_flush(self) -> None:
-        """Drop any cached fragment pointers (cache was flushed)."""
 
-    def scrub_invalid(self) -> None:
-        """Drop entries pointing at invalidated fragments.
+class ReturnMechanism(Mechanism, ABC):
+    """Resolves return targets; may also hook call sites.
 
-        Called by the coherence manager after a *selective* invalidation
-        (:meth:`repro.sdt.cache.FragmentCache.invalidate`), which —
-        unlike a whole-cache flush — kills only some fragments and runs
-        no flush hooks.  Mechanisms holding no fragment pointers inherit
-        this no-op.  Scrubbing must be by validity predicate, never by
-        identity list, so it also clears fault-injected tombstones.
-        """
-
-    def live_fragment_refs(self) -> list[Fragment]:
-        """Every fragment reference this mechanism currently holds.
-
-        The coherence checker (:mod:`repro.faults.invariants`) walks
-        these after each flush: none may point at an invalidated
-        fragment.  Mechanisms that cache no fragment pointers inherit
-        this empty default.
-        """
-        return []
-
-    # -- shared helpers ----------------------------------------------------
-
-    def _hit(self) -> None:
-        assert self.vm is not None
-        self.vm.stats.mechanism[f"{self.name}.hit"] += 1
-
-    def _miss(self) -> None:
-        assert self.vm is not None
-        self.vm.stats.mechanism[f"{self.name}.miss"] += 1
-
-
-class ReturnMechanism(ABC):
-    """Resolves return targets; may also hook call sites."""
+    Schemes that share their fallback with the generic mechanism scrub
+    and flush only their *own* state: the generic mechanism is a holder
+    of its own.
+    """
 
     name: str = "ret-base"
-
-    def __init__(self) -> None:
-        self.vm: "SDTVM | None" = None
-
-    def bind(self, vm: "SDTVM") -> None:
-        self.vm = vm
-        vm.cache.on_flush(self.on_flush)
 
     def on_call(
         self,
@@ -133,25 +119,3 @@ class ReturnMechanism(ABC):
         """Resolve a return whose dynamic target register held
         ``target_value`` (a guest address, or a landing-pad address under
         fast returns)."""
-
-    def on_flush(self) -> None:
-        """Drop any cached fragment pointers."""
-
-    def scrub_invalid(self) -> None:
-        """Drop entries pointing at invalidated fragments (selective
-        invalidation; see :meth:`IBMechanism.scrub_invalid`).  Schemes
-        that share their fallback with the generic mechanism scrub only
-        their *own* state — the coherence manager scrubs the generic
-        mechanism separately."""
-
-    def live_fragment_refs(self) -> list[Fragment]:
-        """Fragment references held by this scheme (coherence checking)."""
-        return []
-
-    def _hit(self) -> None:
-        assert self.vm is not None
-        self.vm.stats.mechanism[f"{self.name}.hit"] += 1
-
-    def _miss(self) -> None:
-        assert self.vm is not None
-        self.vm.stats.mechanism[f"{self.name}.miss"] += 1

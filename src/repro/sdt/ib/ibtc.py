@@ -182,7 +182,7 @@ class IBTC(IBMechanism):
             self._shared_table.clear()
         self._site_tables.clear()
 
-    def scrub_invalid(self) -> None:
+    def scrub_invalid(self, dead) -> None:
         for table in self._tables():
             stale = [
                 index for index, (_tag, frag) in table.items()

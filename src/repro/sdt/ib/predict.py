@@ -41,6 +41,8 @@ class InlinePrediction(IBMechanism):
         self._predictions: dict[int, _Prediction] = {}
 
     def bind(self, vm) -> None:
+        # the inner mechanism is a fragment holder of its own, held
+        # right after this wrapper
         super().bind(vm)
         self.inner.bind(vm)
 
@@ -88,18 +90,14 @@ class InlinePrediction(IBMechanism):
 
     def on_flush(self) -> None:
         self._predictions.clear()
-        # inner is registered with the cache separately via bind()
 
-    def scrub_invalid(self) -> None:
+    def scrub_invalid(self, dead) -> None:
         stale = [
             pc for pc, p in self._predictions.items()
             if not p.fragment.valid
         ]
         for pc in stale:
             del self._predictions[pc]
-        self.inner.scrub_invalid()
 
     def live_fragment_refs(self):
-        refs = [p.fragment for p in self._predictions.values()]
-        refs.extend(self.inner.live_fragment_refs())
-        return refs
+        return [p.fragment for p in self._predictions.values()]

@@ -129,7 +129,7 @@ class FastReturns(ReturnMechanism):
         # fragment bindings do not
         self._pad_fragment.clear()
 
-    def scrub_invalid(self) -> None:
+    def scrub_invalid(self, dead) -> None:
         # pads and their guest bindings survive (stable addresses); only
         # bindings to dead fragments are dropped
         stale = [
@@ -252,7 +252,7 @@ class ReturnCache(ReturnMechanism):
     def on_flush(self) -> None:
         self._table.clear()
 
-    def scrub_invalid(self) -> None:
+    def scrub_invalid(self, dead) -> None:
         table = self._table
         stale = [index for index, frag in table.items() if not frag.valid]
         for index in stale:

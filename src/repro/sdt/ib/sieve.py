@@ -150,7 +150,7 @@ class Sieve(IBMechanism):
     def on_flush(self) -> None:
         self._chains.clear()
 
-    def scrub_invalid(self) -> None:
+    def scrub_invalid(self, dead) -> None:
         # in-place: dispatch holds direct references to chain lists
         for chain in self._chains.values():
             if any(not frag.valid for _target, frag in chain):

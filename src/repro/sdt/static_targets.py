@@ -32,12 +32,12 @@ static verdict — ``predicted`` (target in the static set),
 by the cross-validator) — making static-vs-dynamic precision an exported
 metric on every run.
 
-Flush coherence: a fragment-cache flush invalidates every devirtualized
-edge (the fragment pointers are dropped; the next dispatch re-enters the
-translator once and re-pins), and the runtime's pointer store is walked
-by the PR 4 invariant checker via :meth:`live_fragment_refs`.  All
-decisions are emitted as ``static.*`` trace events inside the standard
-dispatch/translate brackets.
+Flush coherence: the runtime is one of the fragment cache's holders.  A
+flush invalidates every devirtualized edge (the fragment pointers are
+dropped; the next dispatch re-enters the translator once and re-pins),
+and the invariant checker walks the pinned edges via
+:meth:`live_fragment_refs`.  All decisions are emitted as ``static.*``
+trace events inside the standard dispatch/translate brackets.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.targets import analyze_targets
 from repro.host.costs import Category
+from repro.sdt.cache import FragmentHolder
 from repro.sdt.fragment import Fragment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -67,8 +68,10 @@ PRESEED_INSERT_CYCLES = 4
 _GENERIC_KINDS = frozenset({"ijump", "icall"})
 
 
-class StaticTargetsRuntime:
+class StaticTargetsRuntime(FragmentHolder):
     """Per-VM driver for devirtualization, preseeding and precision."""
+
+    name = "static-devirt"
 
     def __init__(self, vm: "SDTVM"):
         self.vm = vm
@@ -102,19 +105,11 @@ class StaticTargetsRuntime:
         self._armed: set[int] = set()
         #: devirtualized edges pinned to fragments (flush drops these)
         self._devirt_frags: dict[int, Fragment] = {}
-
-    def install(self) -> None:
-        """Hook the translator and the flush path.
-
-        Must run *before* the invariant checker installs, so the
-        checker's post-flush walk observes this runtime's cleared state.
-        """
-        self.vm.translator.add_post_translate(self._on_translate)
-        self.vm.cache.on_flush(self._on_flush)
+        vm.cache.hold(self)
 
     # -- translation-time preseeding ----------------------------------------
 
-    def _on_translate(self, fragment: Fragment) -> None:
+    def on_translate(self, fragment: Fragment) -> None:
         """Warm IB state as fragments appear (never translates itself)."""
         cache = self.vm.cache
         # 1. IB sites inside the new fragment: arm them, link any hinted
@@ -214,13 +209,13 @@ class StaticTargetsRuntime:
 
     # -- flush coherence ------------------------------------------------------
 
-    def _on_flush(self) -> None:
+    def on_flush(self) -> None:
         """A cache flush demotes every devirtualized edge to cold.
 
         Pending preseed hints (``_wanted``) and armed sites are cleared
         too: a flush can land *inside* ``translate()`` (capacity
         eviction or an injected flush storm) between the reservation and
-        the post-translate drain, and any hint surviving that window
+        the ``on_translate`` drain, and any hint surviving that window
         would be drained against freed fragments.
         """
         if self._devirt_frags:
@@ -229,10 +224,10 @@ class StaticTargetsRuntime:
         self._armed.clear()
         self._wanted.clear()
 
-    def on_invalidate(self, dead: list[Fragment]) -> None:
+    def scrub_invalid(self, dead: list[Fragment]) -> None:
         """Selective (page/targeted) invalidation scrub.
 
-        Unlike :meth:`_on_flush` only *some* fragments died, so the
+        Unlike :meth:`on_flush` only *some* fragments died, so the
         devirt pins are scrubbed by validity and only the IB sites that
         lived inside dead fragments are disarmed (their retranslation
         re-arms and re-queues them).  Queued wants from disarmed sites

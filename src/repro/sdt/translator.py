@@ -9,7 +9,7 @@ from repro.isa.encoding import decode
 from repro.isa.instruction import Instruction
 from repro.isa.program import Program
 from repro.machine.errors import MemoryFault
-from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE
+from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE, Memory
 from repro.sdt.cache import FragmentCache
 from repro.sdt.fragment import ExitKind, Fragment, exit_kind_for
 
@@ -34,12 +34,12 @@ class Translator:
     def __init__(
         self,
         program: Program,
+        mem: Memory,
         cache: FragmentCache,
         model: HostModel,
         max_fragment_instrs: int = DEFAULT_MAX_FRAGMENT_INSTRS,
         trace_jumps: bool = False,
         plan_factory: PlanFactory | None = None,
-        mem=None,
     ):
         if max_fragment_instrs < 1:
             raise ValueError("max_fragment_instrs must be >= 1")
@@ -63,23 +63,13 @@ class Translator:
         #: optional observability sink (repro.trace.session.TraceSession);
         #: the owning VM wires it after construction
         self.trace = None
-        #: hooks invoked with each freshly inserted fragment (after the
-        #: cache insert and the TRANSLATE charge), in registration order;
-        #: the static-targets runtime preseeds IB lookup state here and
-        #: the coherence manager registers translated pages.  Hooks must
-        #: not translate (they only link already-cached fragments).
-        self._post_translate: list[Callable[[Fragment], None]] = []
-        self._text = program.text.data
-        self._text_base = program.text.base
-        #: when set, instruction fetches read live guest memory instead
-        #: of the program image's static text bytes, so translation sees
-        #: guest writes to code (coherence policies != "none" wire this)
+        #: instruction fetches decode live guest memory, so a
+        #: retranslation after a coherence invalidation sees the bytes the
+        #: guest wrote; fetches stay inside the program's text section
         self._mem = mem
+        self._text_base = program.text.base
+        self._text_end = program.text.base + len(program.text.data)
         self._decoded: dict[int, Instruction] = {}
-
-    def add_post_translate(self, hook: Callable[[Fragment], None]) -> None:
-        """Register a callback run after each fragment is translated."""
-        self._post_translate.append(hook)
 
     def invalidate_decoded(self, addr: int, length: int) -> None:
         """Drop cached decodes overlapping ``[addr, addr + length)``.
@@ -116,22 +106,14 @@ class Translator:
             del decoded[pc]
 
     def _in_text(self, pc: int) -> bool:
-        offset = pc - self._text_base
-        return pc % 4 == 0 and 0 <= offset < len(self._text)
+        return pc % 4 == 0 and self._text_base <= pc < self._text_end
 
     def _fetch(self, pc: int) -> Instruction:
         instr = self._decoded.get(pc)
         if instr is None:
-            offset = pc - self._text_base
-            if pc % 4 or not 0 <= offset < len(self._text):
+            if not self._in_text(pc):
                 raise MemoryFault(pc, "translate-fetch")
-            if self._mem is not None:
-                word = self._mem.load_word(pc)
-            else:
-                word = int.from_bytes(
-                    self._text[offset : offset + 4], "little"
-                )
-            instr = decode(word)
+            instr = decode(self._mem.load_word(pc))
             self._decoded[pc] = instr
         return instr
 
@@ -235,8 +217,6 @@ class Translator:
 
                 apply_plan_perturbation(fragment.plan, kind)
         fragment.fc_addr = self.cache.reserve(fragment.size_bytes)
-        self.cache.insert(fragment)
-
         self.model.charge(
             Category.TRANSLATE,
             profile.translate_fragment
@@ -249,6 +229,7 @@ class Translator:
             trace.emit("translate.end", pc=guest_pc, instrs=len(instrs),
                        fc_addr=fragment.fc_addr,
                        exit=fragment.exit_kind.name.lower())
-        for hook in self._post_translate:
-            hook(fragment)
+        # inserted only now, so the holders hear of the fragment after
+        # its TRANSLATE charge and ``translate.end``
+        self.cache.insert(fragment)
         return fragment

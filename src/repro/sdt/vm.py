@@ -86,54 +86,41 @@ class SDTVM(BlockRunner):
         # tier2 layers region compilation on top of the threaded tier, so
         # every threaded structure (plans, block accounting) stays active
         self._threaded = self.config.engine in ("threaded", "tier2")
-        self._coherent = self.config.coherence != "none"
         self.translator = Translator(
             program,
+            self.mem,
             self.cache,
             self.model,
             max_fragment_instrs=self.config.max_fragment_instrs,
             trace_jumps=self.config.trace_jumps,
             plan_factory=self._compile_plan if self._threaded else None,
-            # under a coherence policy the translator must fetch live
-            # guest memory, so retranslation after an invalidation sees
-            # the written bytes instead of the static program image
-            mem=self.mem if self._coherent else None,
         )
         self.translator.trace = self.trace
+        # Fragment holders (repro.sdt.cache.FragmentHolder) hear every
+        # translation, flush and selective invalidation in the order they
+        # are held: the generic mechanism (then a prediction wrapper's
+        # inner mechanism), the return mechanism, the static-targets
+        # runtime (its preseeding fills the mechanisms), the coherence
+        # manager, tier-2 regions, and the invariant checker last, so its
+        # walks see every other holder's post-event state.
         self.generic_ib, self.return_mech = build_mechanisms(self.config)
         self.generic_ib.bind(self)
         self.return_mech.bind(self)
-        # static target-set analysis (see repro.sdt.static_targets).
-        # Installed after the mechanisms bind (preseeding needs them) and
-        # before the invariant checker (whose post-flush walk must see
-        # this runtime's cleared devirt pins).
         self.static_rt = None
         if self.config.static_targets:
             from repro.sdt.static_targets import StaticTargetsRuntime
 
             self.static_rt = StaticTargetsRuntime(self)
-            self.static_rt.install()
-        # code-cache coherence (see repro.sdt.coherence): installed after
-        # the mechanisms and the static runtime (selective invalidations
-        # scrub them in that order) and before the invariant checker.
         self.coherence = None
-        if self._coherent:
+        if self.config.coherence != "none":
             from repro.sdt.coherence import CoherenceManager
 
             self.coherence = CoherenceManager(self)
-            self.coherence.install()
-        # tier-2 region engine (see repro.machine.tier2): installed after
-        # the coherence manager (selective invalidations must discard
-        # regions before the invariant checker walks tier-2 state) and
-        # before the checker (its flush hook must see regions dropped).
         self._tier2 = None
         if self.config.engine == "tier2":
             from repro.machine.tier2 import Tier2Runtime
 
             self._tier2 = Tier2Runtime(self)
-        # fault injection + coherence watchdog (see repro.faults).  The
-        # checker's flush hook registers *after* the mechanisms' so it
-        # observes their post-invalidation state.
         self.fault_injector = None
         self.invariant_checker = None
         if self.config.faults is not None:
@@ -145,7 +132,6 @@ class SDTVM(BlockRunner):
             self.cache.fault_injector = self.fault_injector
             self.translator.fault_injector = self.fault_injector
             self.invariant_checker = InvariantChecker(self)
-            self.invariant_checker.install()
         self._chaos = self.fault_injector is not None
         self._fuel = DEFAULT_FUEL
         #: one exit handler per kind, ``handler(fragment, next_pc,

@@ -12,12 +12,12 @@ from dataclasses import dataclass, replace
 from repro.eval.runner import (
     DEFAULT_FUEL,
     NativeBaseline,
-    _verify,
+    export_stem,
     run_context,
-    run_native,
+    verified_run,
 )
 from repro.sdt.config import SDTConfig
-from repro.sdt.vm import SDTRunResult, SDTVM
+from repro.sdt.vm import SDTRunResult
 from repro.trace.session import TraceSession
 from repro.trace.spec import TraceSpec
 from repro.workloads import Workload, get_workload
@@ -43,10 +43,7 @@ class TracedRun:
     @property
     def stem(self) -> str:
         """Deterministic export-file stem for this run."""
-        return (
-            f"{self.workload}-{self.scale}-{self.config.profile.name}-"
-            f"{self.config.label}"
-        )
+        return export_stem(self.workload, self.scale, self.config)
 
 
 def trace_run(
@@ -68,11 +65,7 @@ def trace_run(
     if config.trace is None:
         config = replace(config, trace=TraceSpec())
 
-    baseline = run_native(workload, config.profile, scale=scale, fuel=fuel,
-                          engine=config.engine)
-    vm = SDTVM(workload.compile(), config=config)
-    result = vm.run(fuel)
-    _verify(baseline, result, config.label)
+    baseline, vm, result = verified_run(workload, config, scale, fuel)
     assert vm.trace is not None  # config.trace was forced on above
     return TracedRun(
         workload=workload.name,

@@ -148,15 +148,16 @@ class TestInvariantChecker:
             assert report["flushes_checked"] > 0
         else:
             # selective invalidations must reach the checker's
-            # on_invalidate site, not just the flush hook
+            # scrub_invalid walk, not just its flush walk
             assert report["invalidations_checked"] > 0
 
     def test_checker_runs_after_scrub(self):
-        """Hook-ordering pin: the checker registers last, so its walk
-        observes the mechanisms' *post-scrub* state.  If the coherence
-        manager (or the mechanisms) registered after the checker, every
-        guest-write flush would report the just-killed fragments as
-        stale references and this run would record violations."""
+        """Holder-ordering pin: the checker is held last, so its walk
+        observes the other holders' *post-scrub* state.  If the
+        coherence manager (or the mechanisms) were held after the
+        checker, every guest-write flush would report the just-killed
+        fragments as stale references and this run would record
+        violations."""
         vm, _ = run_sdt("smc_loop", coherence="flush", faults=CHAOS)
         report = vm.invariant_checker.report()
         assert report["flushes_checked"] > 0

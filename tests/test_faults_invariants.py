@@ -2,7 +2,8 @@
 
 These tests plant stale fragment pointers by hand in real post-run VMs
 and check that :func:`collect_violations` finds exactly them — plus the
-negative space: a clean run never reports anything.
+negative space: a clean run never reports anything.  Every kind of
+fragment holder gets a planted tombstone, reported under its ``name``.
 """
 
 import pytest
@@ -20,7 +21,7 @@ from repro.host.profile import SIMPLE
 from repro.sdt.config import SDTConfig
 from repro.sdt.fragment import ExitKind, Fragment
 from repro.sdt.vm import SDTVM
-from repro.workloads import get_workload
+from repro.workloads import get_coherence_workload, get_workload
 
 
 def fresh_vm(**config_kwargs):
@@ -135,7 +136,7 @@ class TestInvariantChecker:
         checker = InvariantChecker(vm)
         frag = vm.cache.fragments()[0]
         frag.links["bad"] = tombstone(make_fragment())
-        checker._on_flush()
+        checker.on_flush()
         assert checker.flushes_checked == 1
         assert [v.site for v in checker.violations] == ["links"]
         assert vm.stats.faults["invariant.violations"] == 1
@@ -145,7 +146,7 @@ class TestInvariantChecker:
         checker = InvariantChecker(vm)
         frag = vm.cache.fragments()[0]
         frag.links["bad"] = tombstone(make_fragment())
-        checker._on_flush()
+        checker.on_flush()
         report = checker.report()
         assert report["flushes_checked"] == 1
         assert report["violations"] == [{
@@ -162,3 +163,85 @@ class TestInvariantChecker:
             site="ibtc", kind="stale-fragment", detail="d",
         )
         assert str(violation) == "[ibtc] stale-fragment: d"
+
+
+def _plant_in_dict(store: dict) -> None:
+    key, frag = next(iter(store.items()))
+    store[key] = tombstone(frag)
+
+
+def _plant_in_ibtc(ibtc) -> None:
+    table = next(table for table in ibtc._tables() if table)
+    index, (tag, frag) = next(iter(table.items()))
+    table[index] = (tag, tombstone(frag))
+
+
+def _plant_in_sieve(sieve) -> None:
+    chain = next(chain for chain in sieve._chains.values() if chain)
+    target, frag = chain[0]
+    chain[0] = (target, tombstone(frag))
+
+
+def _plant_in_prediction(wrapper) -> None:
+    prediction = next(iter(wrapper._predictions.values()))
+    prediction.fragment = tombstone(prediction.fragment)
+
+
+def _plant_in_pages(coherence) -> None:
+    _plant_in_dict(next(iter(coherence._page_frags.values())))
+
+
+def _plant_in_region(tier2) -> None:
+    region = next(iter(tier2._regions.values()))
+    region.members[-1] = tombstone(region.members[-1])
+
+
+#: holder kind -> (workload, config, the holder, how to plant a tombstone)
+HOLDERS = {
+    "ibtc-shared": ("gzip_like", dict(ib="ibtc"),
+                    lambda vm: vm.generic_ib, _plant_in_ibtc),
+    "ibtc-persite": ("gzip_like", dict(ib="ibtc", ibtc_shared=False),
+                     lambda vm: vm.generic_ib, _plant_in_ibtc),
+    "sieve": ("gzip_like", dict(ib="sieve"),
+              lambda vm: vm.generic_ib, _plant_in_sieve),
+    "return-cache": ("gzip_like", dict(returns="retcache"),
+                     lambda vm: vm.return_mech,
+                     lambda mech: _plant_in_dict(mech._table)),
+    "fast-return": ("gzip_like", dict(returns="fast"),
+                    lambda vm: vm.return_mech,
+                    lambda mech: _plant_in_dict(mech._pad_fragment)),
+    "inline-prediction": ("gzip_like", dict(ib="ibtc", inline_predict=True),
+                          lambda vm: vm.generic_ib, _plant_in_prediction),
+    "static-runtime": ("gcc_like", dict(ib="ibtc", static_targets=True),
+                       lambda vm: vm.static_rt,
+                       lambda rt: _plant_in_dict(rt._devirt_frags)),
+    "coherence-pages": ("dyn_loader", dict(coherence="targeted"),
+                        lambda vm: vm.coherence, _plant_in_pages),
+    "tier2-region": ("gzip_like", dict(engine="tier2"),
+                     lambda vm: vm._tier2, _plant_in_region),
+}
+
+
+@pytest.mark.usefixtures("no_faults")
+class TestEveryHolderIsWalked:
+    @pytest.mark.parametrize("kind", HOLDERS)
+    def test_planted_tombstone_reported_under_holder_name(
+        self, kind, monkeypatch
+    ):
+        # promote after 2 executions so a tiny run forms tier-2 regions
+        monkeypatch.setenv("REPRO_TIER2_THRESHOLD", "2")
+        workload, config, holder_of, plant = HOLDERS[kind]
+        if workload == "dyn_loader":
+            program = get_coherence_workload(workload, "tiny").compile()
+        else:
+            program = get_workload(workload, "tiny").compile()
+        vm = SDTVM(program, config=SDTConfig(profile=SIMPLE, **config))
+        assert vm.run().exit_code == 0
+        holder = holder_of(vm)
+        assert holder in vm.cache.holders
+        checker = InvariantChecker(vm)
+        assert vm.cache.holders[-1] is checker
+        plant(holder)
+        checker.on_flush()
+        assert [(v.site, v.kind) for v in checker.violations] == \
+            [(holder.name, "stale-fragment")]

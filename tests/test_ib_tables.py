@@ -4,10 +4,10 @@ The IBTC (shared and per-site), the return cache and the sieve store
 only occupied entries, so a flush or a selective-invalidation scrub
 costs what a table holds, not its capacity.  These tests pin the
 behaviour that must not change with the storage: a flush leaves no
-entry, a scrub removes exactly the entries naming invalid fragments
-(fault-injected tombstones included) and keeps every valid one with its
-tag, and two targets hashing to one IBTC or return-cache slot still
-evict each other.
+entry, a selective invalidation scrubs exactly the entries naming
+invalid fragments (fault-injected tombstones included) and keeps every
+valid one with its tag, in order, and two targets hashing to one IBTC
+or return-cache slot still evict each other.
 """
 
 from __future__ import annotations
@@ -115,16 +115,15 @@ def test_scrub_removes_exactly_the_invalid_entries(kind):
     vm = _vm(**TABLES[kind])
     mech = _mechanism(vm)
     _plant_tombstone(mech)
-    valid = [(tag, frag) for tag, frag in _entries(mech) if frag.valid]
+    before = _entries(mech)
+    valid = [(tag, frag) for tag, frag in before if frag.valid]
     assert len(valid) >= 2, "need a fragment to kill and one to keep"
     victim = valid[0][1]
-    assert vm.cache.invalidate([victim]) == 1
-    expected = [
-        (tag, frag) for tag, frag in _entries(mech) if frag.valid
-    ]
-    assert expected and len(expected) < len(_entries(mech)) - 1
+    expected = [(tag, frag) for tag, frag in valid if frag is not victim]
+    assert expected and len(expected) < len(before) - 1
 
-    mech.scrub_invalid()
+    # the cache has every holder scrub as part of the invalidation
+    assert vm.cache.invalidate([victim]) == 1
 
     after = _entries(mech)
     assert [tag for tag, _ in after] == [tag for tag, _ in expected]

@@ -1,10 +1,15 @@
-"""Fragment cache: allocation, flush policy, hooks."""
+"""Fragment cache: allocation, flush policy, the holder registry."""
 
 import pytest
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
-from repro.sdt.cache import FlushHookError, FragmentCache, FragmentTooLarge
+from repro.sdt.cache import (
+    FlushHookError,
+    FragmentCache,
+    FragmentHolder,
+    FragmentTooLarge,
+)
 from repro.sdt.fragment import (
     ExitKind,
     FRAGMENT_CACHE_BASE,
@@ -18,6 +23,35 @@ def make_fragment(guest_pc: int, n_instrs: int = 2) -> Fragment:
     instrs = [(guest_pc + 4 * i, Instruction(Op.ADD)) for i in range(n_instrs)]
     return Fragment(guest_pc=guest_pc, fc_addr=0, instrs=instrs,
                     exit_kind=ExitKind.JUMP)
+
+
+class Recorder(FragmentHolder):
+    """A fake holder that logs every event it hears."""
+
+    def __init__(self, name: str, log: list):
+        self.name = name
+        self.log = log
+
+    def on_translate(self, fragment):
+        self.log.append((self.name, "translate", fragment.guest_pc))
+
+    def on_flush(self):
+        self.log.append((self.name, "flush"))
+
+    def scrub_invalid(self, dead):
+        self.log.append(
+            (self.name, "invalidate", [frag.guest_pc for frag in dead])
+        )
+
+
+class Raising(FragmentHolder):
+    """A fake holder whose flush handling fails."""
+
+    def __init__(self, exc: Exception):
+        self.exc = exc
+
+    def on_flush(self):
+        raise self.exc
 
 
 class TestFragment:
@@ -112,31 +146,28 @@ class TestFlush:
 
     def test_flush_hooks_called(self):
         cache = FragmentCache()
-        calls = []
-        cache.on_flush(lambda: calls.append(1))
-        cache.on_flush(lambda: calls.append(2))
+        log = []
+        cache.hold(Recorder("a", log))
+        cache.hold(Recorder("b", log))
         cache.flush()
-        assert calls == [1, 2]
+        assert log == [("a", "flush"), ("b", "flush")]
 
     def test_raising_hook_does_not_mask_later_hooks(self):
         cache = FragmentCache()
-        calls = []
-        cache.on_flush(lambda: calls.append("first"))
-        cache.on_flush(lambda: (_ for _ in ()).throw(RuntimeError("h2")))
-        cache.on_flush(lambda: calls.append("third"))
+        log = []
+        cache.hold(Recorder("first", log))
+        cache.hold(Raising(RuntimeError("h2")))
+        cache.hold(Recorder("third", log))
         with pytest.raises(FlushHookError):
             cache.flush()
-        assert calls == ["first", "third"]      # every hook still ran
+        # every holder still heard the flush
+        assert log == [("first", "flush"), ("third", "flush")]
         assert len(cache) == 0                  # and the flush completed
 
     def test_all_hook_exceptions_aggregated(self):
         cache = FragmentCache()
-
-        def boom(msg):
-            raise RuntimeError(msg)
-
-        cache.on_flush(lambda: boom("first failure"))
-        cache.on_flush(lambda: boom("second failure"))
+        cache.hold(Raising(RuntimeError("first failure")))
+        cache.hold(Raising(RuntimeError("second failure")))
         with pytest.raises(FlushHookError) as excinfo:
             cache.flush()
         err = excinfo.value
@@ -147,7 +178,7 @@ class TestFlush:
 
     def test_hook_failure_still_counts_the_flush(self):
         cache = FragmentCache()
-        cache.on_flush(lambda: (_ for _ in ()).throw(ValueError("x")))
+        cache.hold(Raising(ValueError("x")))
         with pytest.raises(FlushHookError):
             cache.flush()
         assert cache.stats.cache_flushes == 1
@@ -157,3 +188,81 @@ class TestFlush:
         cache.reserve(100)
         cache.flush()
         assert cache.reserve(16) == FRAGMENT_CACHE_BASE
+
+
+class TestHolders:
+    def test_holders_hear_every_event_in_registration_order(self):
+        cache = FragmentCache()
+        log = []
+        cache.hold(Recorder("a", log))
+        cache.hold(Recorder("b", log))
+        frag = make_fragment(0x1000)
+        frag.fc_addr = cache.reserve(frag.size_bytes)
+        cache.insert(frag)
+        assert cache.invalidate([frag]) == 1
+        cache.flush()
+        assert log == [
+            ("a", "translate", 0x1000), ("b", "translate", 0x1000),
+            ("a", "invalidate", [0x1000]), ("b", "invalidate", [0x1000]),
+            ("a", "flush"), ("b", "flush"),
+        ]
+
+    def test_invalidate_unpatches_links_before_holders_scrub(self):
+        cache = FragmentCache()
+        survivor, victim = make_fragment(0x1000), make_fragment(0x2000)
+        for frag in (survivor, victim):
+            frag.fc_addr = cache.reserve(frag.size_bytes)
+            cache.insert(frag)
+        survivor.links["J"] = victim
+        seen = []
+
+        class LinkWatcher(FragmentHolder):
+            def scrub_invalid(self, dead):
+                seen.append(dict(survivor.links))
+
+        cache.hold(LinkWatcher())
+        assert cache.invalidate([victim]) == 1
+        assert seen == [{}]
+        assert survivor.valid and 0x1000 in cache and 0x2000 not in cache
+
+    def test_translator_announces_after_the_translate_charge(self):
+        from repro.host.costs import Category, HostModel
+        from repro.host.profile import SIMPLE
+        from repro.isa.assembler import assemble
+        from repro.machine.loader import load_program
+        from repro.sdt.translator import Translator
+
+        program = assemble(".text\nmain:\nnop\nhalt\n")
+        cache = FragmentCache()
+        model = HostModel(SIMPLE)
+        charged = []
+
+        class ChargeWatcher(FragmentHolder):
+            def on_translate(self, fragment):
+                charged.append(model.breakdown()[Category.TRANSLATE.value])
+
+        cache.hold(ChargeWatcher())
+        _cpu, mem, _sys = load_program(program)
+        Translator(program, mem, cache, model).translate(program.entry)
+        assert len(charged) == 1 and charged[0] > 0
+
+    def test_vm_holds_in_the_stated_order_checker_last(self):
+        from repro.faults.invariants import InvariantChecker
+        from repro.machine.tier2 import Tier2Runtime
+        from repro.sdt.coherence import CoherenceManager
+        from repro.sdt.config import SDTConfig
+        from repro.sdt.ib import IBTC, FastReturns, InlinePrediction
+        from repro.sdt.static_targets import StaticTargetsRuntime
+        from repro.sdt.vm import SDTVM
+        from repro.workloads import get_coherence_workload
+
+        config = SDTConfig(ib="ibtc", inline_predict=True, returns="fast",
+                           static_targets=True, coherence="targeted",
+                           engine="tier2", faults="chaos:1")
+        program = get_coherence_workload("dyn_loader", "tiny").compile()
+        vm = SDTVM(program, config)
+        assert [type(h) for h in vm.cache.holders] == [
+            InlinePrediction, IBTC, FastReturns, StaticTargetsRuntime,
+            CoherenceManager, Tier2Runtime, InvariantChecker,
+        ]
+        assert vm.cache.holders[1] is vm.generic_ib.inner

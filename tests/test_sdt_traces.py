@@ -7,6 +7,7 @@ from repro.host.costs import HostModel
 from repro.host.profile import SIMPLE
 from repro.isa.assembler import assemble
 from repro.isa.opcodes import Op
+from repro.machine.loader import load_program
 from repro.sdt.cache import FragmentCache
 from repro.sdt.config import SDTConfig
 from repro.sdt.fragment import ExitKind
@@ -15,8 +16,9 @@ from repro.sdt.translator import Translator
 
 def make_translator(source: str, trace_jumps: bool = True, limit: int = 128):
     program = assemble(source)
+    _cpu, mem, _syscalls = load_program(program)
     translator = Translator(
-        program, FragmentCache(), HostModel(SIMPLE),
+        program, mem, FragmentCache(), HostModel(SIMPLE),
         max_fragment_instrs=limit, trace_jumps=trace_jumps,
     )
     return translator, program

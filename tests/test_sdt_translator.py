@@ -7,6 +7,7 @@ from repro.host.profile import SIMPLE
 from repro.isa.assembler import assemble
 from repro.isa.opcodes import Op
 from repro.machine.errors import MemoryFault
+from repro.machine.loader import load_program
 from repro.sdt.cache import FragmentCache
 from repro.sdt.fragment import ExitKind
 from repro.sdt.translator import Translator
@@ -14,9 +15,10 @@ from repro.sdt.translator import Translator
 
 def make_translator(source: str, max_fragment_instrs: int = 128):
     program = assemble(source)
+    _cpu, mem, _syscalls = load_program(program)
     cache = FragmentCache()
     model = HostModel(SIMPLE)
-    return Translator(program, cache, model,
+    return Translator(program, mem, cache, model,
                       max_fragment_instrs=max_fragment_instrs), program, model
 
 
