@@ -36,6 +36,7 @@ exit hook.
 from __future__ import annotations
 
 from collections import Counter
+from operator import length_hint
 
 from repro.host.costs import Category
 from repro.isa.instruction import Instruction
@@ -105,10 +106,11 @@ class BlockRunner:
         Each distinct block is compiled once per runner: when the last
         block built at this entry PC came from pairs equal to ``pairs``,
         the result is a fresh block sharing its closures
-        (:meth:`Superblock.rebuilt`).  ``pairs`` are freshly fetched
-        through the harness's decode cache, so reuse never outlives the
-        rule that a cached decode may only outlive a write watch on its
-        page.  ``class_cycles`` is fixed per runner.
+        (:meth:`Superblock.rebuilt`).  ``pairs`` always hold what guest
+        memory holds now (the SDT translator checks each walk it reuses
+        against live bytes, the interpreter drops a decode when its word
+        is written), so equal pairs mean unchanged code.
+        ``class_cycles`` is fixed per runner.
 
         The vector is read from the immutable ``iclasses`` tuple, never
         from ``class_counts``, which fault injection may corrupt.
@@ -135,12 +137,15 @@ class BlockRunner:
         mid-block, so no per-instruction checks are needed.  Returns the
         next guest PC.
         """
-        k = 0
+        it = iter(block.fns)
         try:
-            for k, fn in enumerate(block.fns):
+            for fn in it:
                 next_pc = fn()
         except BaseException:
-            self._account_partial(block.pcs, block.iclasses, k)
+            # the faulting closure's index, counted on the immutable
+            # ``fns`` (fault injection may perturb ``n``)
+            self._account_partial(block.pcs, block.iclasses,
+                                  len(block.fns) - 1 - length_hint(it))
             raise
         self.retired += block.n
         self._vector_runs[block.vector] += 1

@@ -30,10 +30,12 @@ Selective invalidation hands the dead fragments to
 :meth:`repro.sdt.cache.FragmentCache.invalidate`, which unpatches the
 surviving links into them and has every holder scrub its own pointers
 (``scrub_invalid``): the mechanisms, the static-targets runtime, this
-manager's page registry and the translator decodes on pages it stops
-watching, tier-2 regions.  When the invariant checker is active (chaos
-runs) it is the last holder and walks the whole VM afterwards, so a
-missed scrub is a CI failure, not a silent wrong-code execution.
+manager's page registry, tier-2 regions.  When the invariant checker is
+active (chaos runs) it is the last holder and walks the whole VM
+afterwards, so a missed scrub is a CI failure, not a silent wrong-code
+execution.  The translator is not told of writes: it checks every walk
+it reuses against live guest memory, so a store landing on a page this
+manager no longer watches is still seen by the next translation.
 
 Visibility rule (shared with the interpreter, see docs/robustness.md):
 a store to code becomes architecturally visible at the next control
@@ -84,26 +86,17 @@ class CoherenceManager(FragmentHolder):
             frags[id(fragment)] = fragment
 
     def on_flush(self) -> None:
-        """Whole-cache flush: every registration is dead, stop watching.
-
-        Unwatching makes further stores to these pages invisible, so the
-        translator's decodes for them must die with the watch — keeping
-        them would serve stale instructions to the next retranslation
-        (the remaining stores of a guest copy loop land after the first
-        one already triggered the flush).
-        """
+        """Whole-cache flush: every registration is dead, stop watching."""
         mem = self.vm.mem
-        translator = self.vm.translator
         for index in self._page_frags:
             mem.unwatch_page(index)
-            translator.invalidate_decoded_page(index)
         self._page_frags.clear()
 
     def scrub_invalid(self, dead: list[Fragment]) -> None:
         """Unregister the dead fragments (a fragment may be registered on
         pages other than the written one) and stop watching pages left
         with no translated code."""
-        vm = self.vm
+        mem = self.vm.mem
         dead_ids = {id(frag) for frag in dead}
         empty = []
         for index, frags in self._page_frags.items():
@@ -113,10 +106,7 @@ class CoherenceManager(FragmentHolder):
                 empty.append(index)
         for index in empty:
             del self._page_frags[index]
-            vm.mem.unwatch_page(index)
-            # a decode may only outlive a watch on its page (see
-            # Translator.invalidate_decoded_page)
-            vm.translator.invalidate_decoded_page(index)
+            mem.unwatch_page(index)
 
     def live_fragment_refs(self) -> list[Fragment]:
         """Every fragment the page registry holds."""
@@ -135,9 +125,6 @@ class CoherenceManager(FragmentHolder):
         if vm.trace is not None:
             vm.trace.emit("coherence.write", addr=addr, length=length,
                           policy=self.policy)
-        # dropped unconditionally: a later (re)translation must decode
-        # the new bytes whatever the invalidation granularity
-        vm.translator.invalidate_decoded(addr, length)
 
         if self.policy == "flush":
             stats["flushes"] += 1

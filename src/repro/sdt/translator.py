@@ -1,4 +1,14 @@
-"""Fragment builder: discovers and translates guest basic blocks."""
+"""Fragment builder: discovers and translates guest basic blocks.
+
+A fragment is one straight-line walk from its entry PC, or, with
+``trace_jumps``, several joined through fresh jump targets.  Walks decode
+live guest memory, and the last walk from each entry PC is kept: a
+re-translation of unchanged code (after a flush or an invalidation) reuses
+it once one compare shows that guest memory still holds the bytes it
+decoded.  Every reuse is checked against live bytes, so the translator
+needs no word from the write watch: a store that no watch saw (on a page
+unwatched by a flush, or under ``coherence="none"``) is decoded anew.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +19,7 @@ from repro.isa.encoding import decode
 from repro.isa.instruction import Instruction
 from repro.isa.program import Program
 from repro.machine.errors import MemoryFault
-from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE, Memory
+from repro.machine.memory import Memory
 from repro.sdt.cache import FragmentCache
 from repro.sdt.fragment import ExitKind, Fragment, exit_kind_for
 
@@ -63,59 +73,46 @@ class Translator:
         #: optional observability sink (repro.trace.session.TraceSession);
         #: the owning VM wires it after construction
         self.trace = None
-        #: instruction fetches decode live guest memory, so a
-        #: retranslation after a coherence invalidation sees the bytes the
-        #: guest wrote; fetches stay inside the program's text section
+        #: the live guest memory walks decode, inside the program's
+        #: text section
         self._mem = mem
         self._text_base = program.text.base
         self._text_end = program.text.base + len(program.text.data)
-        self._decoded: dict[int, Instruction] = {}
-
-    def invalidate_decoded(self, addr: int, length: int) -> None:
-        """Drop cached decodes overlapping ``[addr, addr + length)``.
-
-        Called by the coherence manager on every guest write to a
-        translated page, so a later (re)translation decodes the new
-        bytes rather than serving a stale cached instruction.
-        """
-        decoded = self._decoded
-        if not decoded or length <= 0:
-            return
-        first = addr & ~3
-        last = (addr + length - 1) & ~3
-        for pc in range(first, last + 4, 4):
-            decoded.pop(pc, None)
-
-    def invalidate_decoded_page(self, page_index: int) -> None:
-        """Drop every cached decode on one guest page.
-
-        Called by the coherence manager when it stops *watching* a page
-        (whole-cache flush, or a selective invalidation that emptied the
-        page): once unwatched, further guest stores to the page are
-        invisible, so any decode kept beyond that point could silently
-        go stale.  The invariant is that a cached decode only outlives a
-        write watch on its page.
-        """
-        decoded = self._decoded
-        if not decoded:
-            return
-        lo = page_index << PAGE_SHIFT
-        hi = lo + PAGE_SIZE
-        stale = [pc for pc in decoded if lo <= pc < hi]
-        for pc in stale:
-            del decoded[pc]
+        #: entry PC -> (room, guest bytes, pairs, exit kind) of the last
+        #: walk from it (see :meth:`_walk`)
+        self._walks: dict[int, tuple] = {}
 
     def _in_text(self, pc: int) -> bool:
         return pc % 4 == 0 and self._text_base <= pc < self._text_end
 
-    def _fetch(self, pc: int) -> Instruction:
-        instr = self._decoded.get(pc)
-        if instr is None:
-            if not self._in_text(pc):
-                raise MemoryFault(pc, "translate-fetch")
-            instr = decode(self._mem.load_word(pc))
-            self._decoded[pc] = instr
-        return instr
+    def _walk(
+        self, pc: int, room: int
+    ) -> tuple[tuple[tuple[int, Instruction], ...], ExitKind]:
+        """The ``(pc, instruction)`` pairs of at most ``room`` instructions
+        from ``pc``, up to the first control transfer, and their exit kind.
+
+        The last walk from ``pc`` is reused when it had the same room and
+        guest memory still holds the bytes it decoded.
+        """
+        mem = self._mem
+        walk = self._walks.get(pc)
+        if (walk is not None and walk[0] == room
+                and mem.read_bytes(pc, len(walk[1])) == walk[1]):
+            return walk[2], walk[3]
+        walked = []
+        exit_kind = ExitKind.FALL
+        for at in range(pc, pc + 4 * room, 4):
+            if not self._in_text(at):
+                raise MemoryFault(at, "translate-fetch")
+            instr = decode(mem.load_word(at))
+            walked.append((at, instr))
+            if instr.is_control:
+                exit_kind = exit_kind_for(instr.iclass)
+                break
+        pairs = tuple(walked)
+        self._walks[pc] = (room, mem.read_bytes(pc, 4 * len(pairs)), pairs,
+                           exit_kind)
+        return pairs, exit_kind
 
     def get_or_translate(self, guest_pc: int) -> Fragment:
         """Return the fragment for ``guest_pc``, translating on a miss.
@@ -149,35 +146,31 @@ class Translator:
         trace = self.trace
         if trace is not None:
             trace.emit("translate.start", pc=guest_pc)
+        # straight-line walks, joined through fresh jump targets when
+        # tracing; a fresh list, never a walk's own pairs
         instrs: list[tuple[int, Instruction]] = []
+        room = self.max_fragment_instrs
         pc = guest_pc
-        exit_kind = ExitKind.FALL
         visited_jump_targets: set[int] = set()
-        for _ in range(self.max_fragment_instrs):
-            instr = self._fetch(pc)
-            instrs.append((pc, instr))
-            if instr.is_control:
-                exit_kind = exit_kind_for(instr.iclass)
-                if (
-                    self.trace_jumps
-                    and exit_kind is ExitKind.JUMP
-                    and len(instrs) < self.max_fragment_instrs
-                ):
-                    target = instr.branch_target(pc)
-                    fresh = (
-                        target not in visited_jump_targets
-                        and target != guest_pc
-                        and self.cache.lookup(target) is None
-                        and self._in_text(target)
-                    )
-                    if fresh:
-                        # inline the jump's successor into this trace
-                        visited_jump_targets.add(target)
-                        pc = target
-                        exit_kind = ExitKind.FALL
-                        continue
+        while True:
+            pairs, exit_kind = self._walk(pc, room)
+            instrs += pairs
+            room -= len(pairs)
+            if not (self.trace_jumps and exit_kind is ExitKind.JUMP
+                    and room):
                 break
-            pc += 4
+            jump_pc, jump = pairs[-1]
+            target = jump.branch_target(jump_pc)
+            if (
+                target in visited_jump_targets
+                or target == guest_pc
+                or self.cache.lookup(target) is not None
+                or not self._in_text(target)
+            ):
+                break
+            # inline the jump's successor into this trace
+            visited_jump_targets.add(target)
+            pc = target
 
         injector = self.fault_injector if inject else None
         profile = self.model.profile

@@ -105,14 +105,15 @@ class TestScenarioParity:
 
 
 class TestStaleDecodeRegression:
-    """Unwatching a page must drop its cached decodes.
+    """Stores to an unwatched page reach the next translation.
 
     Regression pin: whole-cache flush (and selective invalidation that
     empties a page) unwatches translated pages; dyn_loader's copy loop
-    keeps storing into the unwatched page, and the translator's decode
-    cache used to keep serving the pre-store instructions on
-    retranslation — mixing fresh memory words with stale decodes.
-    ``targeted`` masked the bug because the page stayed watched.
+    keeps storing into the unwatched page.  A per-PC decode cache once
+    kept serving the pre-store instructions on retranslation, mixing
+    fresh memory words with stale decodes (``targeted`` masked it: the
+    page stayed watched).  The translator now checks every walk it
+    reuses against live guest bytes, and these runs pin that check.
     """
 
     @pytest.mark.parametrize("policy", ("flush", "page"))

@@ -34,19 +34,18 @@ int main() {
 }
 """
 
-#: 200 trips through a four-instruction block, then the ``div`` faults
-#: one instruction into it (inside a tier2 region once the loop is hot)
-_DIV_LOOP = """
-.text
-main:
-    li t0, 1000
-    li t1, 200
-loop:
-    addi t1, t1, -1
-    div t2, t0, t1
-    add t3, t3, t2
-    j loop
-"""
+#: bodies of a four-instruction loop block whose ``div`` faults once the
+#: counter reaches 0 (inside a tier2 region once the loop is hot): the
+#: ``div`` first, in the middle and last before the ``j``, with the
+#: instructions retired at the fault
+_DIV_LOOPS = {
+    "first": (("div t2, t0, t1", "addi t1, t1, -1", "add t3, t3, t2"),
+              2 + 4 * 200),
+    "middle": (("addi t1, t1, -1", "div t2, t0, t1", "add t3, t3, t2"),
+               2 + 4 * 199 + 1),
+    "last": (("addi t1, t1, -1", "add t3, t3, t2", "div t2, t0, t1"),
+             2 + 4 * 199 + 2),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -97,11 +96,19 @@ def test_fuel_stop_inside_a_block(harness):
         assert runners["oracle"].retired == fuel
 
 
-@pytest.mark.parametrize("harness", ("native", "sdt"))
-def test_guest_fault_mid_block(harness):
-    runners = _parity(assemble(_DIV_LOOP), harness, stop=DivideByZeroFault)
+@pytest.mark.parametrize("harness, position", [
+    # the middle case keeps the bare harness id it had before the others
+    pytest.param(harness, position, id=harness if position == "middle"
+                 else f"{harness}-{position}")
+    for position in _DIV_LOOPS for harness in ("native", "sdt")
+])
+def test_guest_fault_mid_block(harness, position):
+    body, retired = _DIV_LOOPS[position]
+    source = "\n".join((".text", "main:", "li t0, 1000", "li t1, 200",
+                        "loop:", *body, "j loop", ""))
+    runners = _parity(assemble(source), harness, stop=DivideByZeroFault)
     for runner in runners.values():
-        assert runner.retired == 2 + 4 * 199 + 1
+        assert runner.retired == retired
     tier2 = runners["tier2"]
     promotions = (tier2.stats.tier2 if harness == "sdt"
                   else tier2._tier2.stats)["promote"]

@@ -8,7 +8,7 @@ from repro.host.profile import SIMPLE
 from repro.isa.assembler import assemble
 from repro.isa.opcodes import Op
 from repro.machine.loader import load_program
-from repro.sdt.cache import FragmentCache
+from repro.sdt.cache import DEFAULT_CAPACITY, FragmentCache
 from repro.sdt.config import SDTConfig
 from repro.sdt.fragment import ExitKind
 from repro.sdt.translator import Translator
@@ -86,10 +86,19 @@ class TestTraceShape:
 
 
 class TestTraceExecution:
-    @pytest.mark.parametrize("returns", ["same", "fast"])
-    def test_equivalence(self, returns):
-        config = SDTConfig(profile=SIMPLE, trace_jumps=True, returns=returns)
-        assert_equivalent(ALL_IB_KINDS_SOURCE, config)
+    @pytest.mark.parametrize("returns, capacity", [
+        pytest.param("same", DEFAULT_CAPACITY, id="same"),
+        pytest.param("fast", DEFAULT_CAPACITY, id="fast"),
+        # a flush storm: multi-walk traces are re-translated from
+        # reused walks
+        pytest.param("same", 512, id="same-flush-storm"),
+    ])
+    def test_equivalence(self, returns, capacity):
+        config = SDTConfig(profile=SIMPLE, trace_jumps=True, returns=returns,
+                           fragment_cache_bytes=capacity)
+        result = assert_equivalent(ALL_IB_KINDS_SOURCE, config)
+        if capacity < DEFAULT_CAPACITY:
+            assert result.stats.cache_flushes > 0
 
     def test_fewer_fragments_and_links(self):
         traced = run_minic_sdt(
