@@ -51,6 +51,8 @@ from repro.analysis.cfg import (
 )
 from repro.isa.opcodes import InstrClass, Op
 from repro.isa.registers import REG_V0, REG_ZERO
+from repro.machine.cpu import s32
+from repro.machine.executor import _sdiv, _srem
 
 #: Maximum size of a tracked constant set; joins past this widen to TOP.
 K_CONST = 16
@@ -285,36 +287,22 @@ def _binop(op: Op, a: int, b: int) -> int | None:
     if op is Op.NOR:
         return ~(a | b) & _MASK
     if op is Op.SLT:
-        return 1 if _s32(a) < _s32(b) else 0
+        return 1 if s32(a) < s32(b) else 0
     if op is Op.SLTU:
         return 1 if a < b else 0
     if op is Op.MUL:
         return (a * b) & _MASK
     if op is Op.DIV:
-        return None if b == 0 else (_div(a, b)) & _MASK
+        return None if b == 0 else _sdiv(s32(a), s32(b)) & _MASK
     if op is Op.REM:
-        return None if b == 0 else (_rem(a, b)) & _MASK
+        return None if b == 0 else _srem(s32(a), s32(b)) & _MASK
     if op is Op.SLLV:
         return (a << (b & 31)) & _MASK
     if op is Op.SRLV:
         return (a >> (b & 31)) & _MASK
     if op is Op.SRAV:
-        return (_s32(a) >> (b & 31)) & _MASK
+        return (s32(a) >> (b & 31)) & _MASK
     return None
-
-
-def _s32(v: int) -> int:
-    return v - 0x1_0000_0000 if v & 0x8000_0000 else v
-
-
-def _div(a: int, b: int) -> int:
-    sa, sb = _s32(a), _s32(b)
-    return int(sa / sb) if sb else 0
-
-
-def _rem(a: int, b: int) -> int:
-    sa, sb = _s32(a), _s32(b)
-    return sa - int(sa / sb) * sb if sb else 0
 
 
 def _cross(op: Op, a: Value, b: Value) -> Value:
@@ -413,7 +401,7 @@ def transfer(
                         elif op is Op.XORI:
                             out.add(v ^ (imm & 0xFFFF))
                         elif op is Op.SLTI:
-                            out.add(1 if _s32(v) < imm else 0)
+                            out.add(1 if s32(v) < imm else 0)
                         else:  # SLTIU: sign-extended imm, unsigned compare
                             out.add(1 if v < (imm & _MASK) else 0)
                     value = const(*out)
@@ -435,7 +423,7 @@ def transfer(
                 elif op is Op.SRL:
                     value = const(*(v >> sh for v in cs))
                 else:
-                    value = const(*((_s32(v) >> sh) & _MASK for v in cs))
+                    value = const(*((s32(v) >> sh) & _MASK for v in cs))
         elif iclass in (InstrClass.ALU, InstrClass.SHIFT, InstrClass.MUL,
                         InstrClass.DIV):
             value = _cross(op, _get(state, instr.rs), _get(state, instr.rt))

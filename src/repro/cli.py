@@ -13,7 +13,7 @@
     repro-sdt analyze <prog> [--json]               # static CFG/IB analysis
     repro-sdt lint <prog> [--json]                  # static lint checks
     repro-sdt crossval <workload|all> [--json]      # static-vs-dynamic oracle
-    repro-sdt compile <file.mc> [-O] [-o out.s]     # MiniC -> assembly
+    repro-sdt compile <file.mc> [-o out.s]          # MiniC -> assembly
     repro-sdt asm <file.s> [--run]                  # assemble (and run)
     repro-sdt list                                  # workloads & profiles
 
@@ -429,7 +429,7 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
 def _cmd_compile(args: argparse.Namespace) -> int:
     with open(args.file) as handle:
         source = handle.read()
-    assembly = compile_source(source, optimize=args.optimize)
+    assembly = compile_source(source)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(assembly)
@@ -662,8 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     compile_cmd = sub.add_parser("compile", help="compile MiniC to assembly")
     compile_cmd.add_argument("file")
     compile_cmd.add_argument("-o", "--output")
-    compile_cmd.add_argument("-O", "--optimize", action="store_true",
-                             help="enable constant folding/simplification")
 
     asm = sub.add_parser("asm", help="assemble (and optionally run) SR32 asm")
     asm.add_argument("file")

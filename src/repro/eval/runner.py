@@ -115,9 +115,9 @@ def run_native(
 ) -> NativeBaseline:
     """Interpreter run of a workload with native cost accounting (cached).
 
-    ``engine`` selects the simulation engine (oracle/threaded; see
-    :mod:`repro.machine.engine`); it is deliberately *not* part of the
-    memo key because both engines produce identical baselines.
+    ``engine`` selects the simulation engine (see
+    :data:`repro.machine.engine.ENGINES`); it is deliberately *not* part
+    of the memo key because every engine produces identical baselines.
     """
     if isinstance(workload, str):
         workload = get_workload(workload, scale)

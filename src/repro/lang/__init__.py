@@ -13,7 +13,6 @@ driven by :func:`repro.lang.compiler.compile_source`.
 
 from repro.lang.compiler import compile_source, compile_to_program
 from repro.lang.errors import LangError, LexError, ParseError, SemaError
-from repro.lang.optimize import optimize_unit
 
 __all__ = [
     "LangError",
@@ -22,5 +21,4 @@ __all__ = [
     "SemaError",
     "compile_source",
     "compile_to_program",
-    "optimize_unit",
 ]

@@ -5,24 +5,16 @@ from __future__ import annotations
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
 from repro.lang.codegen import generate
-from repro.lang.optimize import optimize_unit
 from repro.lang.parser import parse
 from repro.lang.sema import analyze
 
 
-def compile_source(source: str, optimize: bool = False) -> str:
-    """Compile MiniC source to SR32 assembly text.
-
-    ``optimize=True`` runs the constant-folding/simplification pass
-    (:mod:`repro.lang.optimize`) between semantic analysis and codegen.
-    """
+def compile_source(source: str) -> str:
+    """Compile MiniC source to SR32 assembly text."""
     unit = parse(source)
-    info = analyze(unit)
-    if optimize:
-        unit = optimize_unit(unit)
-    return generate(unit, info)
+    return generate(unit, analyze(unit))
 
 
-def compile_to_program(source: str, optimize: bool = False) -> Program:
+def compile_to_program(source: str) -> Program:
     """Compile MiniC source all the way to a loadable guest program."""
-    return assemble(compile_source(source, optimize=optimize))
+    return assemble(compile_source(source))

@@ -471,6 +471,9 @@ class Superblock:
         n: instruction count.
         class_counts: ``InstrClass -> count`` vector for the whole block
             (the plan-coherence check and tier2's commits read it).
+        class_items: the same counts as an immutable ``(class, count)``
+            tuple, fixed at compile time; a rebuild makes its fresh
+            ``class_counts`` from it.
         app_cycles: total APP cycles under the profile the block was
             compiled for (0 when compiled without a cost model).
         has_syscall: the block contains a ``SYSCALL``; callers must keep
@@ -490,8 +493,8 @@ class Superblock:
 
     __slots__ = (
         "entry_pc", "pcs", "fns", "iclasses", "n", "class_counts",
-        "app_cycles", "has_syscall", "term_pc", "term_iclass", "term_rd",
-        "hits", "region", "vector",
+        "class_items", "app_cycles", "has_syscall", "term_pc",
+        "term_iclass", "term_rd", "hits", "region", "vector",
     )
 
     def __init__(
@@ -511,6 +514,7 @@ class Superblock:
         )
         iclasses = tuple(instr.iclass for _pc, instr in pairs)
         counts = _class_counts(iclasses)
+        self.class_items = tuple(counts.items())
         self.app_cycles = (
             sum(class_cycles[ic] * c for ic, c in counts.items())
             if class_cycles is not None else 0
@@ -544,21 +548,22 @@ class Superblock:
         For a rebuild from pairs equal to the ones this block was
         compiled from (:meth:`repro.machine.runner.BlockRunner._build`).
         Only fields that fault injection never perturbs are shared or
-        copied: ``pcs``, ``iclasses``, ``fns``, ``app_cycles``,
-        ``vector`` and the terminator class, register and syscall flag.
-        Entry, length, terminator PC and class counts are derived again
-        from the immutable tuples, and the tier-2 heat starts over, so
-        the new block is exactly what a fresh compile would build.
+        copied: ``pcs``, ``iclasses``, ``fns``, ``class_items``,
+        ``app_cycles``, ``vector`` and the terminator class, register
+        and syscall flag.  Entry, length, terminator PC and class counts
+        are derived again from the immutable tuples, and the tier-2 heat
+        starts over, so the new block is exactly what a fresh compile
+        would build.
         """
         block = Superblock.__new__(Superblock)
         block.fns = self.fns
+        block.class_items = self.class_items
         block.app_cycles = self.app_cycles
         block.has_syscall = self.has_syscall
         block.term_iclass = self.term_iclass
         block.term_rd = self.term_rd
         block.vector = self.vector
-        iclasses = self.iclasses
-        block._start(self.pcs, iclasses, _class_counts(iclasses), trace)
+        block._start(self.pcs, self.iclasses, dict(self.class_items), trace)
         return block
 
     def coherent_with(self, entry_pc: int, pairs) -> bool:

@@ -61,10 +61,12 @@ class Fragment:
         exit_kind: how control leaves the fragment.
         links: direct-exit link slots (``"T"``/``"F"``/``"J"``) patched to
             successor fragments once those are translated.
-        valid: cleared when the fragment cache is flushed.
+        valid: cleared when the fragment cache is flushed or evicts the
+            fragment (selective invalidation).
         plan: compiled :class:`repro.machine.engine.Superblock` (closure
             list + block cost vector), built once at translation when the
-            threaded engine is active; ``None`` under the oracle engine.
+            threaded engine is active; ``None`` under the oracle engine
+            and after demotion or eviction.
         demoted: permanently pinned to the oracle execution engine after
             a plan-coherence failure (the graceful-degradation path; see
             docs/robustness.md).  Never set without fault injection.

@@ -215,11 +215,10 @@ class SDTVM(BlockRunner):
         """
         fragment.executions += 1
         if self._threaded and not fragment.demoted:
+            # translation attached the plan; only demotion and eviction
+            # clear it, and no holder hands back an evicted fragment
             plan = fragment.plan
-            if plan is None:
-                # fragment built without a plan factory (defensive)
-                plan = fragment.plan = self._compile_plan(fragment.instrs)
-            elif self._chaos and not plan.coherent_with(
+            if self._chaos and not plan.coherent_with(
                 fragment.guest_pc, fragment.instrs
             ):
                 # graceful degradation: a plan that no longer describes

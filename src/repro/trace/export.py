@@ -17,19 +17,10 @@ import json
 import re
 from pathlib import Path
 
-from repro.trace.session import POP_KINDS, PUSH_PHASES, TraceSession
+from repro.trace.session import POP_PHASES, PUSH_PHASES, TraceSession
 
 #: Metrics JSON schema identifier (bump on breaking changes).
 SCHEMA = "repro.trace/1"
-
-#: Bracket-closing kinds mapped to the slice name they close.
-_POP_NAMES = {
-    "dispatch.end": "dispatch",
-    "reentry.exit": "translator",
-    "translate.end": "translate",
-    "translate.abort": "translate",
-    "tier2.exit": "tier2",
-}
 
 
 def chrome_trace_events(session: TraceSession) -> list[dict]:
@@ -63,9 +54,9 @@ def chrome_trace_events(session: TraceSession) -> list[dict]:
                 "name": phase, "cat": kind, "ph": "B",
                 "ts": cycles, "pid": 1, "tid": 1, "args": args,
             })
-        elif kind in POP_KINDS:
+        elif kind in POP_PHASES:
             events.append({
-                "name": _POP_NAMES[kind], "cat": kind, "ph": "E",
+                "name": POP_PHASES[kind], "cat": kind, "ph": "E",
                 "ts": cycles, "pid": 1, "tid": 1, "args": args,
             })
         else:

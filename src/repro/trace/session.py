@@ -57,15 +57,19 @@ PUSH_PHASES: dict[str, str] = {
     "tier2.enter": "tier2",
 }
 
-#: Bracket-closing event kinds (``translate.abort`` closes the
-#: ``translate.start`` bracket on an injected translation failure).
-POP_KINDS = frozenset({
-    "dispatch.end",
-    "reentry.exit",
-    "translate.end",
-    "translate.abort",
-    "tier2.exit",
-})
+#: Bracket-closing event kinds and the phase whose bracket they close
+#: (``translate.abort`` closes the ``translate.start`` bracket on an
+#: injected translation failure).
+POP_PHASES: dict[str, str] = {
+    "dispatch.end": "dispatch",
+    "reentry.exit": "translator",
+    "translate.end": "translate",
+    "translate.abort": "translate",
+    "tier2.exit": "tier2",
+}
+
+#: Bracket-closing event kinds.
+POP_KINDS = frozenset(POP_PHASES)
 
 #: Event payload fields that feed value histograms automatically: an
 #: event ``emit(kind, depth=3)`` records 3 into histogram

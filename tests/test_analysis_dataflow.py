@@ -7,7 +7,8 @@ degenerate jump tables (duplicate entries, self-referential entries)
 must converge to sound sets.
 """
 
-from repro.analysis.cfg import build_cfg
+import pytest
+
 from repro.analysis.classify import analyze_program
 from repro.analysis.dataflow import (
     BOT,
@@ -17,6 +18,7 @@ from repro.analysis.dataflow import (
     Strided,
     StoreModel,
     TOP,
+    _binop,
     analyze_dataflow,
     concrete,
     const,
@@ -24,7 +26,16 @@ from repro.analysis.dataflow import (
 )
 from repro.analysis.targets import build_report
 from repro.isa.assembler import assemble
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Op
 from repro.isa.registers import reg_number
+from repro.machine.cpu import CPUState, u32
+from repro.machine.errors import DivideByZeroFault
+from repro.machine.executor import execute
+from repro.machine.memory import Memory
+from repro.machine.syscalls import SyscallHandler
+
+INT_MIN = 0x8000_0000
 
 
 def dataflow_for(source: str):
@@ -68,6 +79,43 @@ class TestDomain:
         assert concrete(Strided(0x100, 4, 3)) == frozenset(
             {0x100, 0x104, 0x108}
         )
+
+
+def executed(op: Op, a: int, b: int) -> int:
+    """``rd`` after the executor runs ``op rd, rs, rt`` on ``a`` and ``b``."""
+    cpu = CPUState()
+    cpu.regs[1], cpu.regs[2] = a, b
+    execute(Instruction(op=op, rd=3, rs=1, rt=2), cpu, Memory(),
+            SyscallHandler())
+    return cpu.regs[3]
+
+
+class TestBinop:
+    """Constant folding of register-register ops is the executor's
+    arithmetic: truncating signed division, sign-following remainder,
+    signed compare and arithmetic shift by the low five bits."""
+
+    @pytest.mark.parametrize("op", (Op.DIV, Op.REM, Op.SLT, Op.SRAV))
+    @pytest.mark.parametrize("a, b", [
+        (INT_MIN, u32(-1)),  # the one quotient that overflows
+        (INT_MIN, 1),
+        (INT_MIN, 3),
+        (u32(-7), 2),
+        (7, u32(-2)),
+        (u32(-7), u32(-2)),
+        (0x7FFF_FFFF, u32(-1)),
+        (u32(-1), 33),
+        (5, 7),
+    ])
+    def test_matches_executor(self, op, a, b):
+        assert _binop(op, a, b) == executed(op, a, b)
+
+    @pytest.mark.parametrize("op", (Op.DIV, Op.REM))
+    @pytest.mark.parametrize("a", (0, 7, INT_MIN, u32(-1)))
+    def test_zero_divisor_is_unknown(self, op, a):
+        with pytest.raises(DivideByZeroFault):
+            executed(op, a, 0)
+        assert _binop(op, a, 0) is None
 
 
 class TestStoreModel:

@@ -143,23 +143,6 @@ class TestCommands:
         assert "hi" in capsys.readouterr().out
 
 
-class TestCompileOptimize:
-    def test_optimize_flag_shrinks_output(self, tmp_path):
-        source = tmp_path / "p.mc"
-        source.write_text(
-            "int main() { print_int((1 + 2) * (3 + 4)); return 0; }"
-        )
-        from repro.cli import main as cli_main
-
-        plain = tmp_path / "plain.s"
-        optimized = tmp_path / "opt.s"
-        assert cli_main(["compile", str(source), "-o", str(plain)]) == 0
-        assert cli_main(
-            ["compile", str(source), "-O", "-o", str(optimized)]
-        ) == 0
-        assert len(optimized.read_text()) < len(plain.read_text())
-
-
 class TestJsonOutput:
     def test_run_json(self, capsys):
         import json

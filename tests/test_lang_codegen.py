@@ -129,6 +129,11 @@ class TestVariablesAndScopes:
     def test_uninitialised_global_is_zero(self):
         assert out("int g; int main() { print_int(g); return 0; }") == "0"
 
+    def test_unbraced_decl_arm_declares_into_enclosing_scope(self):
+        # `if (0) int x;` declares x for the rest of the block even
+        # though the arm never runs
+        assert main_out("if (0) int x; x = 5; print_int(x);") == "5"
+
     def test_register_vars(self):
         assert main_out(
             "register int a = 2; register int b = 3; print_int(a * b);"
@@ -248,6 +253,14 @@ class TestControlFlow:
             "for (i = 0; i < 10; i++) { if (i & 1) continue; c++; }"
             "print_int(c);"
         ) == "5"
+
+    def test_for_init_runs_once_when_condition_is_false(self):
+        assert out(
+            "int calls = 0;"
+            "int touch() { calls++; return 0; }"
+            "int main() { for (touch(); 0; ) print_int(9);"
+            "print_int(calls); return 0; }"
+        ) == "1"
 
 
 class TestSwitch:

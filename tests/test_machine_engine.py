@@ -12,6 +12,7 @@ import zlib
 
 import pytest
 
+from repro.faults.inject import apply_plan_perturbation
 from repro.host.costs import Category, HostModel, NativeCostObserver
 from repro.host.profile import SIMPLE
 from repro.isa.instruction import Instruction
@@ -317,6 +318,18 @@ class TestSuperblock:
         cpu, mem, sys_ = _fresh_state(0)
         with pytest.raises(ValueError):
             Superblock([], cpu, mem, sys_)
+
+    def test_rebuild_does_not_recount_classes(self, monkeypatch):
+        block = self._block([Op.ADD, Op.MUL, Op.ADD, Op.RET])
+        pristine = dict(block.class_counts)
+        apply_plan_perturbation(block, "classes")
+        calls = []
+        monkeypatch.setattr("repro.machine.engine._class_counts",
+                            lambda iclasses: calls.append(iclasses))
+        rebuilt = block.rebuilt()
+        assert calls == []
+        assert rebuilt.class_counts == pristine
+        assert list(rebuilt.class_counts) == list(pristine)
 
 
 class TestEngineSelection:

@@ -258,14 +258,13 @@ class TestExporters:
         assert "ibtc.hit" in text
 
     def test_every_pop_kind_has_a_slice_name(self):
-        # pinned: adding a bracket kind to session.POP_KINDS without
-        # teaching the Chrome exporter its slice name crashed export
-        # (KeyError on the first tier2.exit event)
-        from repro.trace.export import _POP_NAMES
-        from repro.trace.session import POP_KINDS, PUSH_PHASES
+        # pinned: a bracket-closing kind the Chrome exporter had no slice
+        # name for crashed export (KeyError on the first tier2.exit
+        # event); each closing kind's slice name is the phase it closes
+        from repro.trace.session import POP_KINDS, POP_PHASES, PUSH_PHASES
 
-        assert set(_POP_NAMES) == POP_KINDS
-        assert set(_POP_NAMES.values()) == set(PUSH_PHASES.values())
+        assert set(POP_PHASES) == POP_KINDS
+        assert set(POP_PHASES.values()) == set(PUSH_PHASES.values())
 
 
 class TestCLI:
