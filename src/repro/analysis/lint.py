@@ -27,7 +27,11 @@ Shipped checks
     (other than the canonical ``nop`` encoding).
 ``store-to-text``
     a store whose address is statically known to land inside the text
-    section — self-modifying code the SDT cannot see.
+    section.  It guards assumptions A1/A2 of the target analysis
+    (docs/analysis.md) for the 12 workloads and the example guests,
+    which run under the default ``coherence=none``: that policy detects
+    no code writes.  The three self-modifying scenarios are outside this
+    bar; ``coherence=flush|page|targeted`` sees their writes.
 """
 
 from __future__ import annotations

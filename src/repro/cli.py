@@ -3,8 +3,8 @@
 ::
 
     repro-sdt run <workload> [--scale S] [--ib M] [--returns R]
-                             [--profile P] [--engine E] [--trace] [--json]
-    repro-sdt trace <workload> [--mechanism M] [--returns R] [--out D]
+                             [--profile P] [--engine E] [--json]
+                             [--trace [ring=N,dir=D]]  # + phase summary
     repro-sdt experiments [--only e3,e6] [--jobs N] [--no-cache]
                           [--cache-dir D] [--scale S] [--engine E]
                           [--trace SPEC]
@@ -24,10 +24,16 @@
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
-from repro.eval.runner import export_stem, measure, run_native
+from repro.eval.runner import (
+    DEFAULT_FUEL,
+    build_measurement,
+    export_trace,
+    verified_run,
+)
 from repro.host.profile import PROFILES, get_profile
 from repro.isa.assembler import assemble
 from repro.lang import compile_source
@@ -91,30 +97,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    baseline = run_native(workload, profile, scale=args.scale,
-                          engine=config.engine)
-    trace_paths = None
-    if config.trace is not None:
-        # a traced run exports through measure()'s directory sink; default
-        # the sink so a bare --trace always produces files
-        import dataclasses
-
-        from repro.trace.export import slug
-
-        if not config.trace.dir:
-            config = dataclasses.replace(
-                config,
-                trace=dataclasses.replace(config.trace, dir="results/trace"),
-            )
-        stem = slug(export_stem(workload.name, args.scale, config))
-        trace_paths = tuple(
-            f"{config.trace.dir}/{stem}{suffix}"
-            for suffix in (".trace.json", ".metrics.json")
-        )
-    result = measure(workload, config, scale=args.scale)
+    baseline, vm, sdt_result = verified_run(workload, config, args.scale,
+                                            DEFAULT_FUEL)
+    result = build_measurement(workload.name, args.scale, config,
+                               baseline.cycles, sdt_result)
+    trace_paths = metrics = None
+    status = 0
+    if vm.trace is not None:
+        trace_paths = export_trace(vm.trace, workload.name, args.scale,
+                                   config, baseline.cycles, sdt_result)
+        metrics = json.loads(trace_paths[1].read_text())
+        # the ledger check: the phase cycles sum to the total exactly
+        if metrics["attributed_cycles"] != metrics["totals"]["total_cycles"]:
+            status = 1
     if args.json:
-        import json
-
         print(json.dumps({
             "workload": workload.name,
             "scale": args.scale,
@@ -128,9 +124,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "overhead": result.overhead,
             "breakdown": result.breakdown,
             "hit_rates": result.hit_rates,
-            **({"trace_files": list(trace_paths)} if trace_paths else {}),
+            **({"trace_files": [str(path) for path in trace_paths]}
+               if trace_paths else {}),
         }, indent=2))
-        return 0
+        if status:
+            print("trace    : phase cycles != total (MISMATCH)",
+                  file=sys.stderr)
+        return status
     print(f"workload : {workload.name} [{args.scale}] ({workload.spec_analog})")
     print(f"config   : {config.label} on {profile.name}")
     print(f"output   : {baseline.output.strip()}")
@@ -173,54 +173,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"demoted  : {result.stats.get('fragments_demoted', 0)} "
               f"fragment(s) pinned to the oracle engine")
     if trace_paths:
+        from repro.trace.export import summary
+
         for path in trace_paths:
             print(f"trace    : {path}")
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Traced run: terminal attribution summary plus JSON exports."""
-    from repro.trace.export import export_files, summary
-    from repro.trace.runtrace import trace_run
-    from repro.trace.spec import TraceSpec
-
-    profile = get_profile(args.profile)
-    config = SDTConfig(
-        profile=profile,
-        ib=args.mechanism,
-        ibtc_entries=args.ibtc_entries,
-        sieve_buckets=args.sieve_buckets,
-        returns=args.returns,
-        engine=resolve_engine(args.engine),
-        trace=TraceSpec(ring=args.ring),
-    )
-    traced = trace_run(args.workload, config, scale=args.scale)
-    trace_path, metrics_path = export_files(
-        traced.session, args.out, traced.stem,
-        result=traced.result, context=traced.context,
-    )
-    if args.json:
-        import json
-
-        from repro.trace.export import metrics_dict
-
-        print(json.dumps(
-            metrics_dict(traced.session, traced.result, traced.context),
-            indent=2, sort_keys=True,
-        ))
-    else:
-        workload = traced.workload
-        print(f"workload : {workload} [{args.scale}]")
-        print(f"config   : {config.label} on {profile.name} "
-              f"({config.engine} engine)")
-        overhead = traced.result.total_cycles / traced.baseline.cycles
-        print(f"overhead : {overhead:.3f}x "
-              f"({traced.result.total_cycles} / {traced.baseline.cycles} "
-              f"native)")
-        print(summary(traced.session, traced.result))
-    print(f"exported : {trace_path}", file=sys.stderr)
-    print(f"exported : {metrics_path}", file=sys.stderr)
-    return 0
+        print(summary(metrics))
+    return status
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -417,8 +375,6 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
     else:
         reports = [cross_validate(args.workload, scale=args.scale)]
     if args.json:
-        import json
-
         print(json.dumps([report.to_dict() for report in reports], indent=2))
     else:
         for report in reports:
@@ -503,36 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", nargs="?", const="on", default=None, metavar="SPEC",
         help="structured event tracing: bare flag or 'ring=N,dir=PATH' "
         "(default: $REPRO_TRACE); exports Chrome-trace + metrics JSON "
-        "under results/trace/ and never changes results",
+        "under dir (default results/trace/), prints the per-phase cycle "
+        "summary, exits 1 if the phases do not sum to the total; never "
+        "changes results",
     )
     run.add_argument("--json", action="store_true",
                      help="machine-readable output")
-
-    trace = sub.add_parser(
-        "trace",
-        help="traced run: per-phase cycle attribution, event counters, "
-        "Chrome trace_event + metrics JSON exports",
-    )
-    trace.add_argument("workload")
-    trace.add_argument("--scale", default="small",
-                       choices=("tiny", "small", "large"))
-    trace.add_argument("--profile", default="x86_p4")
-    trace.add_argument("--mechanism", "--ib", dest="mechanism",
-                       default="ibtc", choices=("reentry", "ibtc", "sieve"))
-    trace.add_argument("--ibtc-entries", type=int, default=4096)
-    trace.add_argument("--sieve-buckets", type=int, default=512)
-    trace.add_argument("--returns", default="same",
-                       choices=("same", "fast", "shadow", "retcache"))
-    trace.add_argument(
-        "--engine", default=None, choices=ENGINES,
-        help="simulation engine (default: threaded, or $REPRO_ENGINE)",
-    )
-    trace.add_argument("--ring", type=int, default=65536,
-                       help="event ring-buffer capacity (default: 65536)")
-    trace.add_argument("--out", default="results/trace", metavar="DIR",
-                       help="export directory (default: results/trace)")
-    trace.add_argument("--json", action="store_true",
-                       help="print the metrics JSON instead of the summary")
 
     experiments = sub.add_parser(
         "experiments",
@@ -673,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "list": _cmd_list,
     "run": _cmd_run,
-    "trace": _cmd_trace,
     "experiments": _cmd_experiments,
     "fragments": _cmd_fragments,
     "fanout": _cmd_fanout,

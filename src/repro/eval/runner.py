@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import repro
 from repro.host.costs import Category, HostModel, NativeCostObserver
@@ -177,23 +178,27 @@ def verified_run(
     return baseline, vm, result
 
 
-def export_stem(workload: str, scale: str, config: SDTConfig) -> str:
-    """Deterministic export-file stem of one run:
-    ``{workload}-{scale}-{profile}-{label}``."""
-    return f"{workload}-{scale}-{config.profile.name}-{config.label}"
+#: Where a traced run's exports go when its trace spec names no ``dir``.
+DEFAULT_TRACE_DIR = "results/trace"
 
 
-def run_context(workload: str, scale: str, config: SDTConfig,
-                native_cycles: int) -> dict:
-    """The ``run`` block of a metrics export: what was run, by which
-    package version, under which configuration.
+def export_trace(session, workload: str, scale: str, config: SDTConfig,
+                 native_cycles: int, result: SDTRunResult) -> tuple[Path, Path]:
+    """Write one traced run's ``.trace.json`` (Chrome ``trace_event``)
+    and ``.metrics.json`` and return both paths.
 
-    ``fingerprint`` is the first 16 hex digits of the SHA-256 of
+    Every trace export is written here: the file stem
+    ``{workload}-{scale}-{profile}-{label}`` and the metrics ``run``
+    block are built nowhere else.  The directory is ``config.trace.dir``
+    (default ``results/trace``), created if missing.  The ``run``
+    block's ``fingerprint`` is the first 16 hex digits of the SHA-256 of
     ``repr(config.fingerprint())``, the digest the benchmark manifest
     records per op, so an export and a benchmark report can be matched.
     """
+    from repro.trace.export import chrome_trace_json, metrics_json, slug
+
     digest = hashlib.sha256(repr(config.fingerprint()).encode()).hexdigest()
-    return {
+    context = {
         "workload": workload,
         "scale": scale,
         "config": config.label,
@@ -203,6 +208,35 @@ def run_context(workload: str, scale: str, config: SDTConfig,
         "version": repro.__version__,
         "fingerprint": digest[:16],
     }
+    directory = Path(config.trace.dir or DEFAULT_TRACE_DIR)
+    directory.mkdir(parents=True, exist_ok=True)
+    stem = slug(f"{workload}-{scale}-{config.profile.name}-{config.label}")
+    trace_path = directory / f"{stem}.trace.json"
+    metrics_path = directory / f"{stem}.metrics.json"
+    trace_path.write_text(chrome_trace_json(session))
+    metrics_path.write_text(metrics_json(session, result, context))
+    return trace_path, metrics_path
+
+
+def build_measurement(workload: str, scale: str, config: SDTConfig,
+                      native_cycles: int, result: SDTRunResult) -> Measurement:
+    """One verified SDT run, normalised to its native baseline."""
+    hit_rates = {}
+    for counter_key in result.stats.mechanism:
+        mechanism = counter_key.rsplit(".", 1)[0]
+        if mechanism not in hit_rates:
+            hit_rates[mechanism] = result.stats.hit_rate(mechanism)
+    return Measurement(
+        workload=workload,
+        scale=scale,
+        profile=config.profile.name,
+        config_label=config.label,
+        native_cycles=native_cycles,
+        sdt_cycles=result.total_cycles,
+        breakdown=dict(result.cycles),
+        stats=result.stats.as_dict(),
+        hit_rates=hit_rates,
+    )
 
 
 def measure(
@@ -226,38 +260,14 @@ def measure(
             return cached
 
     baseline, vm, result = verified_run(workload, config, scale, fuel)
-
     # Directory-sink tracing (REPRO_TRACE="dir=..."): cells that actually
     # simulate drop their trace + metrics exports next to the results.
     # Cache-served cells carry no event stream, so they (correctly) skip
     # this — tracing observes simulations, it does not replay them.
-    if vm.trace is not None and config.trace is not None and config.trace.dir:
-        from repro.trace.export import export_files
-
-        export_files(
-            vm.trace, config.trace.dir,
-            export_stem(workload.name, scale, config),
-            result=result,
-            context=run_context(workload.name, scale, config,
-                                baseline.cycles),
-        )
-
-    hit_rates = {}
-    for counter_key in result.stats.mechanism:
-        mechanism = counter_key.rsplit(".", 1)[0]
-        if mechanism not in hit_rates:
-            hit_rates[mechanism] = result.stats.hit_rate(mechanism)
-
-    measurement = Measurement(
-        workload=workload.name,
-        scale=scale,
-        profile=config.profile.name,
-        config_label=config.label,
-        native_cycles=baseline.cycles,
-        sdt_cycles=result.total_cycles,
-        breakdown=dict(result.cycles),
-        stats=result.stats.as_dict(),
-        hit_rates=hit_rates,
-    )
+    if traced_sink:
+        export_trace(vm.trace, workload.name, scale, config, baseline.cycles,
+                     result)
+    measurement = build_measurement(workload.name, scale, config,
+                                    baseline.cycles, result)
     _MEASURE_CACHE[key] = measurement
     return measurement

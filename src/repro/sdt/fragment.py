@@ -76,6 +76,10 @@ class Fragment:
             fragment once promoted, or ``False`` when the fragment is
             permanently region-ineligible.  Profile state, not
             architecture — results are identical with or without it.
+        exit_site: fragment-cache address of the terminating host branch
+            (the last instruction's): the address host predictors see
+            for the fragment's final control transfer.  The translator
+            sets it with ``fc_addr``.
     """
 
     guest_pc: int
@@ -88,21 +92,13 @@ class Fragment:
     plan: object | None = None
     demoted: bool = False
     region: object | None = None
+    exit_site: int = 0
 
     @property
     def size_bytes(self) -> int:
         """Estimated fragment-cache footprint (body + exit stubs)."""
         stub = 16 if self.exit_kind is ExitKind.COND else 8
         return 4 * len(self.instrs) + stub
-
-    @property
-    def exit_site(self) -> int:
-        """Fragment-cache address of the terminating host branch.
-
-        This is the address host predictors see for the fragment's final
-        control transfer.
-        """
-        return self.fc_addr + 4 * max(len(self.instrs) - 1, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -31,12 +31,9 @@ class _Prediction:
 class InlinePrediction(IBMechanism):
     """Per-site last-target inline cache wrapping a generic mechanism."""
 
-    def __init__(self, inner: IBMechanism, repatch: bool = True):
+    def __init__(self, inner: IBMechanism):
         super().__init__()
         self.inner = inner
-        #: re-patch the inline guard on every miss (last-target policy);
-        #: ``False`` freezes the first observed target (first-target)
-        self.repatch = repatch
         self.name = f"predict+{inner.name}"
         self._predictions: dict[int, _Prediction] = {}
 
@@ -72,12 +69,11 @@ class InlinePrediction(IBMechanism):
         if trace is not None:
             trace.emit("predict.miss", site=ib_pc, target=guest_target)
         target_fragment = self.inner.dispatch(fragment, ib_pc, guest_target)
-        if self.repatch or prediction is None:
-            # patching translated code costs a (small) fragment write
-            vm.model.charge(Category.IBTC, profile.fast_return_fixup)
-            self._predictions[ib_pc] = _Prediction(
-                target=guest_target, fragment=target_fragment
-            )
+        # re-patching translated code costs a (small) fragment write
+        vm.model.charge(Category.IBTC, profile.fast_return_fixup)
+        self._predictions[ib_pc] = _Prediction(
+            target=guest_target, fragment=target_fragment
+        )
         return target_fragment
 
     def preseed(

@@ -210,6 +210,7 @@ class Translator:
 
                 apply_plan_perturbation(fragment.plan, kind)
         fragment.fc_addr = self.cache.reserve(fragment.size_bytes)
+        fragment.exit_site = fragment.fc_addr + 4 * max(len(instrs) - 1, 0)
         self.model.charge(
             Category.TRANSLATE,
             profile.translate_fragment

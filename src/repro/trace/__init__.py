@@ -8,17 +8,17 @@ attribution, and Chrome ``trace_event`` / metrics JSON exporters.
 
 See docs/observability.md for the event taxonomy and schemas.
 
-This package initialiser deliberately exports only the cheap pieces
-(:mod:`repro.trace.spec`, :mod:`repro.trace.session`,
-:mod:`repro.trace.export`): :class:`repro.sdt.config.SDTConfig` imports
-:func:`default_trace_spec` at module load, so anything importing the
-evaluation layer here would be an import cycle.  The run helper lives in
-:mod:`repro.trace.runtrace` and is imported lazily by the CLI.
+A traced ``repro-sdt run`` (``--trace`` or ``REPRO_TRACE``) prints the
+terminal summary and writes two exports per run through
+:func:`repro.eval.runner.export_trace`, which ``measure``'s ``dir=``
+sink calls too.  This package holds no run helper of its own:
+:class:`repro.sdt.config.SDTConfig` imports :func:`default_trace_spec`
+at module load, so importing the evaluation layer here would be an
+import cycle.
 """
 
 from repro.trace.export import (
     chrome_trace_json,
-    export_files,
     metrics_dict,
     metrics_json,
     summary,
@@ -51,7 +51,6 @@ __all__ = [
     "TraceSpec",
     "chrome_trace_json",
     "default_trace_spec",
-    "export_files",
     "metrics_dict",
     "metrics_json",
     "parse_trace_spec",

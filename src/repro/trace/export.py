@@ -8,14 +8,15 @@ identical traced runs export byte-identical files
 The Chrome format targets ``chrome://tracing`` / Perfetto: load the
 ``*.trace.json`` file and the translate/translator/dispatch brackets
 render as a flame view over the run's cycle timeline, with instant
-events (probes, flushes, faults) as markers.
+events (probes, flushes, faults) as markers.  The files themselves are
+written by :func:`repro.eval.runner.export_trace`, the one producer of
+trace exports.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from pathlib import Path
 
 from repro.trace.session import POP_PHASES, PUSH_PHASES, TraceSession
 
@@ -130,38 +131,21 @@ def slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", text).strip("_")
 
 
-def export_files(
-    session: TraceSession,
-    out_dir: str | Path,
-    stem: str,
-    result=None,
-    context: dict | None = None,
-) -> tuple[Path, Path]:
-    """Write ``<stem>.trace.json`` + ``<stem>.metrics.json`` under
-    ``out_dir`` (created if missing); returns both paths."""
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    stem = slug(stem)
-    trace_path = directory / f"{stem}.trace.json"
-    metrics_path = directory / f"{stem}.metrics.json"
-    trace_path.write_text(chrome_trace_json(session))
-    metrics_path.write_text(metrics_json(session, result, context))
-    return trace_path, metrics_path
-
-
-def summary(session: TraceSession, result=None) -> str:
-    """Human-readable terminal summary (the ``repro-sdt trace`` view)."""
+def summary(metrics: dict) -> str:
+    """Human-readable terminal summary of a metrics export (the traced
+    ``repro-sdt run`` view), ending its phase table with the ledger
+    check: ``== total (exact)`` or ``!= total ... (MISMATCH)``."""
     lines: list[str] = []
-    attribution = session.attribution()
-    attributed = session.total_attributed()
+    events = metrics["events"]
+    attributed = metrics["attributed_cycles"]
     lines.append(
-        f"events   : {session.emitted} emitted, {session.dropped} dropped "
-        f"(ring {session.spec.ring})"
+        f"events   : {events['emitted']} emitted, {events['dropped']} "
+        f"dropped (ring {events['ring']})"
     )
-    total = result.total_cycles if result is not None else attributed
+    total = metrics.get("totals", {}).get("total_cycles", attributed)
     lines.append(f"cycles   : {total} total; phase attribution:")
     for phase, cycles in sorted(
-        attribution.items(), key=lambda item: (-item[1], item[0])
+        metrics["phase_cycles"].items(), key=lambda item: (-item[1], item[0])
     ):
         share = cycles / total if total else 0.0
         lines.append(f"  {phase:12s} {cycles:14d}  ({share:6.1%})")
@@ -170,18 +154,18 @@ def summary(session: TraceSession, result=None) -> str:
     )
     lines.append(f"  {'sum':12s} {attributed:14d}  {check}")
 
-    counters = session.metrics.counters
+    counters = metrics["counters"]
     if counters:
         lines.append("counters :")
         for name in sorted(counters):
             lines.append(f"  {name:24s} {counters[name]:12d}")
-    histograms = session.metrics.histograms
+    histograms = metrics["histograms"]
     if histograms:
         lines.append("histograms:")
         for name in sorted(histograms):
             hist = histograms[name]
             lines.append(
-                f"  {name:24s} n={hist.count} mean={hist.mean:.2f} "
-                f"min={hist.min} max={hist.max}"
+                f"  {name:24s} n={hist['count']} mean={hist['mean']:.2f} "
+                f"min={hist['min']} max={hist['max']}"
             )
     return "\n".join(lines)

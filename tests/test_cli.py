@@ -26,6 +26,13 @@ class TestParser:
             build_parser().parse_args(["serve"])
         assert exit_info.value.code == 2
 
+    def test_trace_is_not_a_subcommand(self, capsys):
+        # a traced run is `run --trace`
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["trace", "gzip_like"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
+
     def test_run_defaults(self):
         args = build_parser().parse_args(["run", "gzip_like"])
         assert args.workload == "gzip_like"

@@ -63,9 +63,19 @@ class TestFragment:
         assert cond.size_bytes == 3 * 4 + 16
 
     def test_exit_site_is_last_instruction(self):
-        frag = make_fragment(0x1000, 4)
-        frag.fc_addr = 0x100
-        assert frag.exit_site == 0x100 + 12
+        from conftest import ALL_IB_KINDS_SOURCE
+        from repro.faults.inject import tombstone
+        from repro.lang import compile_to_program
+        from repro.sdt.vm import SDTVM
+
+        vm = SDTVM(compile_to_program(ALL_IB_KINDS_SOURCE))
+        vm.run()
+        fragments = vm.cache.fragments()
+        assert any(len(frag.instrs) > 1 for frag in fragments)
+        for frag in fragments:
+            last = max(len(frag.instrs) - 1, 0)
+            assert frag.exit_site == frag.fc_addr + 4 * last
+            assert tombstone(frag).exit_site == frag.exit_site
 
     def test_exit_kind_mapping(self):
         assert exit_kind_for(InstrClass.BRANCH) is ExitKind.COND

@@ -71,24 +71,6 @@ class TestDynamics:
         wrapper = InlinePrediction(TranslatorReentry())
         assert wrapper.name == "predict+reentry"
 
-    def test_first_target_policy(self):
-        """repatch=False freezes the first observed target."""
-        from repro.lang import compile_to_program
-        from repro.sdt.vm import SDTVM
-
-        program = compile_to_program(dispatch_source(2, iterations=60))
-        vm = SDTVM(program, SDTConfig(profile=SIMPLE))
-        frozen = InlinePrediction(TranslatorReentry(), repatch=False)
-        vm.generic_ib = frozen
-        vm.return_mech.generic = frozen
-        frozen.bind(vm)
-        result = vm.run()
-        # with an alternating site and a frozen prediction, about half of
-        # the icalls hit (the frozen target) and half miss
-        hits = vm.stats.mechanism["predict+reentry.hit"]
-        assert hits > 0
-        assert result.exit_code == 0
-
 
 class TestMicrobench:
     def test_fanout_validation(self):

@@ -6,11 +6,11 @@ import json
 
 import pytest
 
+from repro.eval.runner import export_trace
 from repro.sdt.config import SDTConfig
 from repro.trace.export import (
     chrome_trace_events,
     chrome_trace_json,
-    export_files,
     metrics_dict,
     metrics_json,
     slug,
@@ -244,16 +244,23 @@ class TestExporters:
         assert slug("a b/c") == "a_b_c"
 
     def test_export_files(self, tmp_path):
-        trace_path, metrics_path = export_files(
-            self._session(), tmp_path / "out", "stem(1)"
+        from types import SimpleNamespace
+
+        config = SDTConfig(trace=TraceSpec(dir=str(tmp_path / "out")))
+        result = SimpleNamespace(total_cycles=9, retired=3, exit_code=0)
+        trace_path, metrics_path = export_trace(
+            self._session(), "w(1)", "tiny", config, 7, result
         )
-        assert trace_path.name == "stem_1.trace.json"
-        assert metrics_path.name == "stem_1.metrics.json"
+        stem = f"w_1_-tiny-{config.profile.name}-{slug(config.label)}"
+        assert trace_path == tmp_path / "out" / f"{stem}.trace.json"
+        assert metrics_path == tmp_path / "out" / f"{stem}.metrics.json"
         json.loads(trace_path.read_text())
-        json.loads(metrics_path.read_text())
+        metrics = json.loads(metrics_path.read_text())
+        assert metrics["totals"]["total_cycles"] == 9
+        assert metrics["run"]["native_cycles"] == 7
 
     def test_summary_reports_exact_attribution(self):
-        text = summary(self._session())
+        text = summary(metrics_dict(self._session()))
         assert "== total (exact)" in text
         assert "ibtc.hit" in text
 
@@ -268,12 +275,12 @@ class TestExporters:
 
 
 class TestCLI:
-    def test_trace_subcommand(self, tmp_path, capsys):
+    def test_run_trace_prints_exact_summary(self, tmp_path, capsys):
         from repro.cli import main
 
         code = main([
-            "trace", "gzip_like", "--scale", "tiny",
-            "--mechanism", "sieve", "--out", str(tmp_path),
+            "run", "gzip_like", "--scale", "tiny",
+            "--ib", "sieve", "--trace", f"dir={tmp_path}",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -295,17 +302,30 @@ class TestCLI:
         assert "trace    :" in capsys.readouterr().out
         assert len(list(tmp_path.iterdir())) == 2
 
+    @pytest.mark.parametrize("json_flag", ([], ["--json"]))
+    def test_ledger_mismatch_fails_the_run(self, tmp_path, capsys,
+                                           monkeypatch, json_flag):
+        from repro.cli import main
+
+        # one cycle more in the phases than the run charged
+        exact = TraceSession.total_attributed
+        monkeypatch.setattr(TraceSession, "total_attributed",
+                            lambda session: exact(session) + 1)
+        code = main([
+            "run", "gzip_like", "--scale", "tiny",
+            "--trace", f"dir={tmp_path}", *json_flag,
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "(MISMATCH)" in captured.out + captured.err
+
 
 class TestRunIdentity:
     """Every metrics export names the package version and the config
-    fingerprint, and both producers build the ``run`` block alike."""
+    fingerprint, and a traced ``run`` and ``measure``'s ``dir=`` sink
+    export the same bytes."""
 
-    @staticmethod
-    def _run_block(directory) -> dict:
-        (path,) = directory.glob("*.metrics.json")
-        return json.loads(path.read_text())["run"]
-
-    def test_trace_command_and_measure_export_agree(self, tmp_path):
+    def test_run_trace_and_measure_export_agree(self, tmp_path):
         import hashlib
 
         import repro
@@ -313,18 +333,23 @@ class TestRunIdentity:
         from repro.eval.runner import measure
         from repro.host.profile import X86_P4
 
-        traced_dir, measured_dir = tmp_path / "trace", tmp_path / "measure"
+        run_dir, measured_dir = tmp_path / "run", tmp_path / "measure"
         assert main([
-            "trace", "gzip_like", "--scale", "tiny", "--mechanism", "sieve",
-            "--profile", "x86_p4", "--out", str(traced_dir),
+            "run", "gzip_like", "--scale", "tiny", "--ib", "sieve",
+            "--profile", "x86_p4", "--trace", f"dir={run_dir}",
         ]) == 0
         config = SDTConfig(ib="sieve", profile=X86_P4,
                            trace=TraceSpec(dir=str(measured_dir)))
         measure("gzip_like", config, scale="tiny")
 
+        exports = sorted(path.name for path in run_dir.iterdir())
+        assert exports == sorted(path.name for path in measured_dir.iterdir())
+        assert len(exports) == 2
+        for name in exports:
+            assert (run_dir / name).read_bytes() == \
+                (measured_dir / name).read_bytes()
+        (metrics,) = run_dir.glob("*.metrics.json")
+        run = json.loads(metrics.read_text())["run"]
         digest = hashlib.sha256(repr(config.fingerprint()).encode())
-        for directory in (traced_dir, measured_dir):
-            run = self._run_block(directory)
-            assert run["version"] == repro.__version__
-            assert run["fingerprint"] == digest.hexdigest()[:16]
-        assert self._run_block(traced_dir) == self._run_block(measured_dir)
+        assert run["version"] == repro.__version__
+        assert run["fingerprint"] == digest.hexdigest()[:16]

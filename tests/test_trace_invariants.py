@@ -19,24 +19,32 @@ import dataclasses
 
 import pytest
 
+from repro.eval.runner import DEFAULT_FUEL, verified_run
 from repro.host.profile import SIMPLE
 from repro.sdt.config import GENERIC_MECHANISMS, RETURN_SCHEMES, SDTConfig
 from repro.sdt.vm import SDTVM
 from repro.trace.export import chrome_trace_json, metrics_json
-from repro.trace.runtrace import trace_run
 from repro.trace.spec import TraceSpec
 from repro.workloads import get_workload, workload_names
 
 pytestmark = pytest.mark.usefixtures("no_faults")
 
 
+def _traced(workload: str, config: SDTConfig, scale: str):
+    """One interpreter-verified run with tracing forced on: the VM's
+    trace session and the run's result."""
+    config = dataclasses.replace(config, trace=TraceSpec())
+    _baseline, vm, result = verified_run(get_workload(workload, scale),
+                                         config, scale, DEFAULT_FUEL)
+    return vm.trace, result
+
+
 def _attribution_exact(workload: str, config: SDTConfig, scale: str) -> None:
-    traced = trace_run(workload, config, scale=scale)
-    attributed = traced.session.total_attributed()
-    assert attributed == traced.result.total_cycles, (
+    session, result = _traced(workload, config, scale)
+    attributed = session.total_attributed()
+    assert attributed == result.total_cycles, (
         f"{workload}/{config.label}: attributed {attributed} != "
-        f"total {traced.result.total_cycles} "
-        f"(phases: {traced.session.attribution()})"
+        f"total {result.total_cycles} (phases: {session.attribution()})"
     )
 
 
@@ -74,26 +82,21 @@ class TestDeterminism:
     @pytest.mark.parametrize("mechanism", GENERIC_MECHANISMS)
     def test_traced_exports_byte_identical(self, mechanism):
         config = SDTConfig(profile=SIMPLE, ib=mechanism, returns="fast")
-        first = trace_run("vortex_like", config, scale="tiny")
-        second = trace_run("vortex_like", config, scale="tiny")
-        assert chrome_trace_json(first.session) == \
-            chrome_trace_json(second.session)
-        assert metrics_json(first.session, first.result, first.context) == \
-            metrics_json(second.session, second.result, second.context)
+        first, first_result = _traced("vortex_like", config, "tiny")
+        second, second_result = _traced("vortex_like", config, "tiny")
+        assert chrome_trace_json(first) == chrome_trace_json(second)
+        assert metrics_json(first, first_result) == \
+            metrics_json(second, second_result)
 
     def test_cross_engine_event_streams_match(self):
         # the emit sites are all architectural events, so the two engines
         # must produce the same event sequence (timestamps included)
         config = SDTConfig(profile=SIMPLE, ib="ibtc")
-        runs = {
-            engine: trace_run(
-                "twolf_like",
-                dataclasses.replace(config, engine=engine),
-                scale="tiny",
-            )
+        oracle, threaded = (
+            _traced("twolf_like", dataclasses.replace(config, engine=engine),
+                    "tiny")[0]
             for engine in ("oracle", "threaded")
-        }
-        oracle, threaded = runs["oracle"], runs["threaded"]
+        )
         # plan.build only exists under the threaded engine; everything
         # else — order, kinds, payloads, cycle stamps — must agree
         strip = lambda session: [  # noqa: E731 - local one-liner
@@ -101,8 +104,8 @@ class TestDeterminism:
             for _seq, cycles, kind, data in session.events
             if kind != "plan.build"
         ]
-        assert strip(oracle.session) == strip(threaded.session)
-        assert oracle.session.phase_cycles == threaded.session.phase_cycles
+        assert strip(oracle) == strip(threaded)
+        assert oracle.phase_cycles == threaded.phase_cycles
 
 
 class TestPureObservation:
