@@ -265,6 +265,16 @@ class Memory:
             raise MemoryFault(addr + prefix, "load")
         return bytes(out)
 
+    def holds(self, addr: int, data: bytes) -> bool:
+        """Does memory at ``addr`` hold ``data``?  The same answer and
+        faults as ``read_bytes(addr, len(data)) == data``, compared in
+        place, with no copy, when the range lies on one resident page."""
+        off = addr & PAGE_MASK
+        page = self._pages.get(addr >> PAGE_SHIFT)
+        if page is not None and off + len(data) <= PAGE_SIZE:
+            return page.startswith(data, off)
+        return self.read_bytes(addr, len(data)) == data
+
     def read_cstring(self, addr: int, limit: int = 1 << 16) -> str:
         """Read a NUL-terminated string (bounded by ``limit`` bytes)."""
         out = bytearray()

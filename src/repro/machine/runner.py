@@ -21,10 +21,11 @@ everything below the exit for both harnesses:
   dropped (a code write, a flush, an eviction, a demotion) takes no
   counts with it,
 - the compiled closures.  :meth:`BlockRunner._build` compiles each
-  distinct block once per runner: it keeps the last pairs and block
-  built at each entry PC, and a rebuild from equal pairs (an SDT
-  re-translation after a flush or an invalidation) gets a fresh block
-  sharing those closures (:meth:`Superblock.rebuilt`).
+  distinct block once per runner: it keeps the last few versions built
+  at each entry PC, and a rebuild from pairs equal to one of them (an
+  SDT re-translation after a flush or an invalidation, a guest writing
+  code back to an earlier version) gets a fresh block sharing that
+  version's closures (:meth:`Superblock.rebuilt`).
 
 A stop — fault or fuel — leaves ``cpu.pc`` on the next unexecuted guest
 instruction (the faulting one, for a fault), exactly like the oracle
@@ -51,6 +52,13 @@ from repro.machine.loader import load_program
 _APP = Category.APP
 _SYSCALL = InstrClass.SYSCALL
 _ICLASSES = tuple(InstrClass)
+
+#: Compiled versions :meth:`BlockRunner._build` keeps per entry PC, most
+#: recently built or reused first.  smc_loop and dyn_loader switch
+#: between two versions of a block; mini_jit writes a new one each time
+#: (256 at one entry at ``large``) and never returns to an old one, so
+#: the bound keeps those from piling up.
+BLOCK_VERSIONS = 8
 
 
 class BlockRunner:
@@ -85,8 +93,9 @@ class BlockRunner:
         self._vectors: dict[tuple[int, ...], int] = {}
         #: whole-block executions per interned class vector
         self._vector_runs: list[int] = []
-        #: entry PC -> the pairs and the block last compiled there
-        self._built: dict[int, tuple[list, Superblock]] = {}
+        #: entry PC -> ``(pairs, block)`` of the versions compiled there,
+        #: most recent first, at most :data:`BLOCK_VERSIONS`
+        self._built: dict[int, list[tuple[list, Superblock]]] = {}
 
     @property
     def iclass_counts(self) -> Counter:
@@ -103,22 +112,31 @@ class BlockRunner:
         """Compile ``pairs`` into a block on this machine and give it the
         run counter of its class multiset.
 
-        Each distinct block is compiled once per runner: when the last
-        block built at this entry PC came from pairs equal to ``pairs``,
-        the result is a fresh block sharing its closures
-        (:meth:`Superblock.rebuilt`).  ``pairs`` always hold what guest
-        memory holds now (the SDT translator checks each walk it reuses
-        against live bytes, the interpreter drops a decode when its word
-        is written), so equal pairs mean unchanged code.
-        ``class_cycles`` is fixed per runner.
+        Each distinct block is compiled once per runner: when a version
+        kept at this entry PC came from pairs equal to ``pairs``, the
+        result is a fresh block sharing its closures
+        (:meth:`Superblock.rebuilt`), and that version moves to the
+        front.  ``pairs`` always hold what guest memory holds now (the
+        SDT translator checks each walk it reuses against live bytes,
+        the interpreter drops a decode when its word is written), so
+        equal pairs mean the same code.  Versions are compared, never
+        hashed: a re-translation of unchanged code is one dict hit and
+        one list ``==`` whose elements are mostly the very same objects
+        (the translator's kept walk, :func:`repro.isa.encoding.decode`'s
+        memo).  ``class_cycles`` is fixed per runner.
 
         The vector is read from the immutable ``iclasses`` tuple, never
         from ``class_counts``, which fault injection may corrupt.
         """
         entry = pairs[0][0]
-        built = self._built.get(entry)
-        if built is not None and built[0] == pairs:
-            return built[1].rebuilt(trace)
+        versions = self._built.get(entry)
+        if versions is None:
+            versions = self._built[entry] = []
+        for at, (seen, block) in enumerate(versions):
+            if seen == pairs:
+                if at:
+                    versions.insert(0, versions.pop(at))
+                return block.rebuilt(trace)
         block = Superblock(pairs, self.cpu, self.mem, self.syscalls,
                            class_cycles=class_cycles, trace=trace)
         vector = tuple(map(block.iclasses.count, _ICLASSES))
@@ -127,7 +145,8 @@ class BlockRunner:
             index = self._vectors[vector] = len(self._vector_runs)
             self._vector_runs.append(0)
         block.vector = index
-        self._built[entry] = (pairs, block)
+        versions.insert(0, (pairs, block))
+        del versions[BLOCK_VERSIONS:]
         return block
 
     def _run_block(self, block: Superblock) -> int:

@@ -40,15 +40,18 @@ class Mechanism(FragmentHolder):
     def bind(self, vm: "SDTVM") -> None:
         """Attach to a VM and join its cache's fragment holders."""
         self.vm = vm
+        # the counter keys, built once instead of on every dispatch
+        self._hit_key = f"{self.name}.hit"
+        self._miss_key = f"{self.name}.miss"
         vm.cache.hold(self)
 
     def _hit(self) -> None:
         assert self.vm is not None
-        self.vm.stats.mechanism[f"{self.name}.hit"] += 1
+        self.vm.stats.mechanism[self._hit_key] += 1
 
     def _miss(self) -> None:
         assert self.vm is not None
-        self.vm.stats.mechanism[f"{self.name}.miss"] += 1
+        self.vm.stats.mechanism[self._miss_key] += 1
 
 
 class IBMechanism(Mechanism, ABC):

@@ -38,6 +38,10 @@ OUTLINE_STUB_SITE = 0xFC00_0000
 
 HASH_KINDS = ("fold", "shift")
 
+# enum members bound once: reading one off its class goes through
+# ``EnumType.__getattr__`` (docs/performance.md, "Host hot path")
+_IBTC = Category.IBTC
+
 
 def ibtc_index(target: int, mask: int, hash_kind: str = "fold") -> int:
     """Hash a guest target address into a table index.
@@ -113,7 +117,7 @@ class IBTC(IBMechanism):
             # host indirect-jump site for the whole program
             cost += profile.ibtc_stub_jump
             jump_site = OUTLINE_STUB_SITE
-        vm.model.charge(Category.IBTC, cost)
+        vm.model.charge(_IBTC, cost)
 
         table = self._table_for(ib_pc)
         index = ibtc_index(guest_target, self._mask, self.hash_kind)

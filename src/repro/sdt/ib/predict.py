@@ -21,6 +21,10 @@ from repro.host.costs import Category
 from repro.sdt.fragment import Fragment
 from repro.sdt.ib.base import IBMechanism
 
+# enum members bound once: reading one off its class goes through
+# ``EnumType.__getattr__`` (docs/performance.md, "Host hot path")
+_IBTC = Category.IBTC
+
 
 @dataclass(slots=True)
 class _Prediction:
@@ -50,14 +54,14 @@ class InlinePrediction(IBMechanism):
         vm = self.vm
         profile = vm.model.profile
         # the inlined compare-immediate + branch
-        vm.model.charge(Category.IBTC, 2)
+        vm.model.charge(_IBTC, 2)
         prediction = self._predictions.get(ib_pc)
         hit = (
             prediction is not None
             and prediction.target == guest_target
             and prediction.fragment.valid
         )
-        vm.model.cond_branch(fragment.exit_site, hit, category=Category.IBTC)
+        vm.model.cond_branch(fragment.exit_site, hit, category=_IBTC)
         trace = vm.trace
         if hit:
             self._hit()
@@ -70,7 +74,7 @@ class InlinePrediction(IBMechanism):
             trace.emit("predict.miss", site=ib_pc, target=guest_target)
         target_fragment = self.inner.dispatch(fragment, ib_pc, guest_target)
         # re-patching translated code costs a (small) fragment write
-        vm.model.charge(Category.IBTC, profile.fast_return_fixup)
+        vm.model.charge(_IBTC, profile.fast_return_fixup)
         self._predictions[ib_pc] = _Prediction(
             target=guest_target, fragment=target_fragment
         )

@@ -40,6 +40,13 @@ from repro.sdt.ib.base import IBMechanism, ReturnMechanism
 
 _PAD_STRIDE = 16
 
+# enum members bound once: reading one off its class goes through
+# ``EnumType.__getattr__`` (docs/performance.md, "Host hot path")
+_FAST_RETURN = Category.FAST_RETURN
+_LINK = Category.LINK
+_SHADOW_STACK = Category.SHADOW_STACK
+_RETCACHE = Category.RETCACHE
+
 
 class ReturnsAsIB(ReturnMechanism):
     """Delegate returns to the generic IB mechanism (paper's default)."""
@@ -84,7 +91,7 @@ class FastReturns(ReturnMechanism):
         pad = self._pad(guest_ret_pc)
         cpu.write(ret_reg, pad)
         vm.model.charge(
-            Category.FAST_RETURN, vm.model.profile.fast_return_fixup
+            _FAST_RETURN, vm.model.profile.fast_return_fixup
         )
         # the translated call is a real host call: the RAS learns the pad
         vm.model.host_call(pad)
@@ -121,7 +128,7 @@ class FastReturns(ReturnMechanism):
             trace.emit("fastret.cold", site=ib_pc, target=guest_pc)
         target_fragment = vm.reenter_translator(guest_pc)
         self._pad_fragment[target_value] = target_fragment
-        vm.model.charge(Category.LINK, vm.model.profile.link_patch)
+        vm.model.charge(_LINK, vm.model.profile.link_patch)
         return target_fragment
 
     def on_flush(self) -> None:
@@ -161,7 +168,7 @@ class ShadowReturnStack(ReturnMechanism):
     ) -> None:
         assert self.vm is not None
         vm = self.vm
-        vm.model.charge(Category.SHADOW_STACK, vm.model.profile.shadow_push)
+        vm.model.charge(_SHADOW_STACK, vm.model.profile.shadow_push)
         self._stack.append(guest_ret_pc)
         if self.depth and len(self._stack) > self.depth:
             del self._stack[0]
@@ -171,7 +178,7 @@ class ShadowReturnStack(ReturnMechanism):
     ) -> Fragment:
         assert self.vm is not None
         vm = self.vm
-        vm.model.charge(Category.SHADOW_STACK, vm.model.profile.shadow_pop)
+        vm.model.charge(_SHADOW_STACK, vm.model.profile.shadow_pop)
         trace = vm.trace
         if self._stack and self._stack[-1] == target_value:
             self._stack.pop()
@@ -226,10 +233,10 @@ class ReturnCache(ReturnMechanism):
         profile = vm.model.profile
         index = (target_value >> 2) & self._mask
         cached = self._table.get(index)
-        vm.model.charge(Category.RETCACHE, profile.retcache_probe)
+        vm.model.charge(_RETCACHE, profile.retcache_probe)
         landing = cached.fc_addr if cached is not None else 0
         vm.model.indirect_jump(fragment.exit_site, landing)
-        vm.model.charge(Category.RETCACHE, profile.retcache_check)
+        vm.model.charge(_RETCACHE, profile.retcache_check)
         trace = vm.trace
         if (
             cached is not None

@@ -32,6 +32,10 @@ SIEVE_BASE = 0xFD00_0000
 _BUCKET_STRIDE = 256  # synthetic bytes per bucket (stub chain region)
 _STUB_STRIDE = 16     # synthetic bytes per stub
 
+# enum members bound once: reading one off its class goes through
+# ``EnumType.__getattr__`` (docs/performance.md, "Host hot path")
+_SIEVE = Category.SIEVE
+
 
 def sieve_index(target: int, mask: int) -> int:
     """Hash a guest target into a bucket index (same folding as the IBTC)."""
@@ -71,9 +75,9 @@ class Sieve(IBMechanism):
         bucket_addr = SIEVE_BASE + index * _BUCKET_STRIDE
 
         # computed jump into the bucket
-        vm.model.charge(Category.SIEVE, profile.sieve_dispatch)
+        vm.model.charge(_SIEVE, profile.sieve_dispatch)
         vm.model.indirect_jump(
-            fragment.exit_site, bucket_addr, category=Category.SIEVE
+            fragment.exit_site, bucket_addr, category=_SIEVE
         )
 
         # walk the stub chain
@@ -90,11 +94,11 @@ class Sieve(IBMechanism):
                 chain[0] = (known, tombstone(frag))
         trace = vm.trace
         for position, (known_target, target_fragment) in enumerate(chain):
-            vm.model.charge(Category.SIEVE, profile.sieve_stage)
+            vm.model.charge(_SIEVE, profile.sieve_stage)
             self.stage_executions += 1
             stub_addr = bucket_addr + position * _STUB_STRIDE
             matched = known_target == guest_target
-            vm.model.cond_branch(stub_addr, matched, category=Category.SIEVE)
+            vm.model.cond_branch(stub_addr, matched, category=_SIEVE)
             if matched:
                 if target_fragment.valid:
                     self._hit()

@@ -28,6 +28,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 DEFAULT_MAX_FRAGMENT_INSTRS = 128
 
+# enum members bound once: reading one off its class goes through
+# ``EnumType.__getattr__`` (docs/performance.md, "Host hot path")
+_TRANSLATE = Category.TRANSLATE
+_FALL = ExitKind.FALL
+_JUMP = ExitKind.JUMP
+
 #: Compiles a fragment body into an execution plan (threaded engine).
 PlanFactory = Callable[[list[tuple[int, Instruction]]], object]
 
@@ -96,11 +102,10 @@ class Translator:
         """
         mem = self._mem
         walk = self._walks.get(pc)
-        if (walk is not None and walk[0] == room
-                and mem.read_bytes(pc, len(walk[1])) == walk[1]):
+        if walk is not None and walk[0] == room and mem.holds(pc, walk[1]):
             return walk[2], walk[3]
         walked = []
-        exit_kind = ExitKind.FALL
+        exit_kind = _FALL
         for at in range(pc, pc + 4 * room, 4):
             if not self._in_text(at):
                 raise MemoryFault(at, "translate-fetch")
@@ -156,7 +161,7 @@ class Translator:
             pairs, exit_kind = self._walk(pc, room)
             instrs += pairs
             room -= len(pairs)
-            if not (self.trace_jumps and exit_kind is ExitKind.JUMP
+            if not (self.trace_jumps and exit_kind is _JUMP
                     and room):
                 break
             jump_pc, jump = pairs[-1]
@@ -181,7 +186,7 @@ class Translator:
             from repro.faults.inject import InjectedTranslationFault
 
             self.model.charge(
-                Category.TRANSLATE,
+                _TRANSLATE,
                 profile.translate_fragment
                 + profile.translate_per_instr * len(instrs),
             )
@@ -212,7 +217,7 @@ class Translator:
         fragment.fc_addr = self.cache.reserve(fragment.size_bytes)
         fragment.exit_site = fragment.fc_addr + 4 * max(len(instrs) - 1, 0)
         self.model.charge(
-            Category.TRANSLATE,
+            _TRANSLATE,
             profile.translate_fragment
             + profile.translate_per_instr * len(instrs),
         )

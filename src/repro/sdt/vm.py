@@ -34,6 +34,12 @@ from repro.sdt.translator import Translator
 #: cache — a single, maximally polymorphic indirect jump site.
 TRANSLATOR_DISPATCH_SITE = 0xFFFF_0000
 
+# enum members bound once: reading one off its class goes through
+# ``EnumType.__getattr__`` (docs/performance.md, "Host hot path")
+_CONTEXT_SWITCH = Category.CONTEXT_SWITCH
+_MAP_LOOKUP = Category.MAP_LOOKUP
+_LINK = Category.LINK
+
 
 @dataclass(slots=True)
 class SDTRunResult:
@@ -168,8 +174,8 @@ class SDTVM(BlockRunner):
         if trace is not None:
             trace.emit("reentry.enter", target=guest_target)
         self.stats.translator_reentries += 1
-        model.charge(Category.CONTEXT_SWITCH, 2 * profile.context_half_switch)
-        model.charge(Category.MAP_LOOKUP, profile.map_lookup)
+        model.charge(_CONTEXT_SWITCH, 2 * profile.context_half_switch)
+        model.charge(_MAP_LOOKUP, profile.map_lookup)
         # the translator's own execution trashes the hardware RAS
         model.ras.flush()
         fragment = self.translator.get_or_translate(guest_target)
@@ -178,7 +184,7 @@ class SDTVM(BlockRunner):
         model.indirect_jump(
             TRANSLATOR_DISPATCH_SITE,
             fragment.fc_addr,
-            category=Category.CONTEXT_SWITCH,
+            category=_CONTEXT_SWITCH,
         )
         if trace is not None:
             trace.emit("reentry.exit", target=guest_target,
@@ -195,7 +201,7 @@ class SDTVM(BlockRunner):
         successor = self.reenter_translator(guest_target)
         if self.config.linking and fragment.valid:
             fragment.links[key] = successor
-            self.model.charge(Category.LINK, self.model.profile.link_patch)
+            self.model.charge(_LINK, self.model.profile.link_patch)
             self.stats.links_patched += 1
             if self.trace is not None:
                 self.trace.emit("fragment.link", from_pc=fragment.guest_pc,

@@ -1,11 +1,12 @@
 """Each distinct block is compiled once per runner.
 
-``BlockRunner._build`` keeps the last pairs and block built at each
-entry PC.  A rebuild from equal pairs (an SDT re-translation after a
-flush or an invalidation, an interpreter block dropped by a code write
-that left it unchanged) gets a fresh :class:`Superblock` that shares
-the cached closures and derives everything fault injection may perturb
-afresh.  A changed instruction compiles anew.
+``BlockRunner._build`` keeps the last few versions built at each entry
+PC.  A rebuild from pairs equal to one of them (an SDT re-translation
+after a flush or an invalidation, an interpreter block dropped by a code
+write that left it unchanged, a guest writing code back to an earlier
+version) gets a fresh :class:`Superblock` that shares that version's
+closures and derives everything fault injection may perturb afresh.  A
+changed instruction compiles anew.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _record_builds(monkeypatch) -> list:
 @pytest.mark.parametrize(
     "name, harness, config, shares",
     [
-        ("smc_loop", "native", {}, False),
+        ("smc_loop", "native", {}, True),
         ("mini_jit", "sdt", {"coherence": "flush"}, True),
         ("mini_jit", "sdt", {"coherence": "targeted"}, False),
     ],
@@ -117,7 +118,10 @@ def test_code_write_compiles_new_closure(monkeypatch, name, harness, config,
                                          shares):
     """A PC whose instruction a code write changed never runs the old
     instruction's closure, and the run stays identical to the oracle.
-    Only a whole-cache flush re-translates unchanged code here."""
+    Closures are shared where a block is rebuilt unchanged: smc_loop
+    writes its code back to an earlier version, and a whole-cache flush
+    re-translates unchanged code.  mini_jit writes a new version each
+    time, so under ``targeted`` every build compiles."""
     program = get_coherence_workload(name, "tiny").compile()
     reference = observe(program, harness, engine="oracle", **config)
     built = _record_builds(monkeypatch)
@@ -139,11 +143,7 @@ def test_code_write_compiles_new_closure(monkeypatch, name, harness, config,
     assert (distinct < len(built)) is shares
 
 
-def test_flush_storm_compiles_fewer_blocks_than_it_translates(monkeypatch):
-    """The non-vacuity bar: under a 1 KiB fragment cache most
-    re-translations rebuild a block whose closures are already
-    compiled, so ``Superblock.__init__`` runs fewer times than the SDT
-    translates."""
+def _count_compiles(monkeypatch) -> list:
     compiles = []
     init = Superblock.__init__
 
@@ -151,10 +151,42 @@ def test_flush_storm_compiles_fewer_blocks_than_it_translates(monkeypatch):
         compiles.append(1)
         init(self, *args, **kwargs)
 
+    monkeypatch.setattr(Superblock, "__init__", counting)
+    return compiles
+
+
+@pytest.mark.parametrize("harness, config", [
+    ("native", {}),
+    ("sdt", {"coherence": "targeted"}),
+])
+@pytest.mark.parametrize("name", ("smc_loop", "dyn_loader"))
+def test_code_versions_compile_once(monkeypatch, name, harness, config):
+    """The non-vacuity bar of the kept versions: these guests write
+    blocks back to an earlier version, so each distinct version is
+    compiled once and every later build of it reuses its closures, in
+    both harnesses, and the run stays identical to the oracle.  Under
+    ``targeted`` no flush re-translates unchanged code, so only the
+    earlier versions are reused here."""
+    program = get_coherence_workload(name, "tiny").compile()
+    reference = observe(program, harness, engine="oracle", **config)
+    built = _record_builds(monkeypatch)
+    compiles = _count_compiles(monkeypatch)
+    runner = make_runner(program, harness, engine="threaded", **config)
+    runner.run()
+    assert diff(reference, snapshot(runner), ALL) is None
+    assert len(compiles) == len({tuple(pairs) for pairs, _block in built})
+    assert 0 < len(compiles) < len(built)
+
+
+def test_flush_storm_compiles_fewer_blocks_than_it_translates(monkeypatch):
+    """The non-vacuity bar: under a 1 KiB fragment cache most
+    re-translations rebuild a block whose closures are already
+    compiled, so ``Superblock.__init__`` runs fewer times than the SDT
+    translates."""
     program = get_workload("vortex_like", "small").compile()
     runner = make_runner(program, "sdt", engine="threaded",
                          fragment_cache_bytes=1024)
-    monkeypatch.setattr(Superblock, "__init__", counting)
+    compiles = _count_compiles(monkeypatch)
     runner.run()
     stats = runner.stats
     assert stats.cache_flushes > 100

@@ -75,6 +75,44 @@ class TestDecodeErrors:
             decode(-1)
 
 
+def _example(op: Op) -> Instruction:
+    """One instruction of ``op`` with every field its format uses set."""
+    fmt = spec(op).fmt
+    if fmt in (Fmt.R3, Fmt.JALR):
+        return Instruction(op, rd=3, rs=5, rt=7)
+    if fmt == Fmt.SHIFT:
+        return Instruction(op, rd=3, rt=7, shamt=9)
+    if fmt == Fmt.JR:
+        return Instruction(op, rs=5)
+    if fmt == Fmt.NONE:
+        return Instruction(op)
+    if fmt == Fmt.J:
+        return Instruction(op, imm=0x12345)
+    imm = 0xBEEF if spec(op).zero_ext_imm else -42
+    if fmt == Fmt.LUI:
+        return Instruction(op, rt=7, imm=imm)
+    return Instruction(op, rs=5, rt=7, imm=imm)
+
+
+class TestDecodeMemo:
+    """``decode`` is memoised per word; failures are never remembered."""
+
+    def test_same_word_same_object(self):
+        word = encode(Instruction(Op.ADDI, rt=4, rs=2, imm=-3))
+        assert decode(word) is decode(word)
+
+    def test_invalid_word_raises_every_call(self):
+        for word in (0x0000003F, 0xFC000000, 1 << 32, -1):
+            for _call in range(3):
+                with pytest.raises(DecodeError):
+                    decode(word)
+
+    @pytest.mark.parametrize("op", list(Op), ids=lambda op: op.value)
+    def test_matches_unmemoised_decode(self, op):
+        word = encode(_example(op))
+        assert decode(word) == decode.__wrapped__(word) == _example(op)
+
+
 class TestOpcodeTable:
     def test_all_ops_have_specs(self):
         assert set(OP_TABLE) == set(Op)

@@ -39,6 +39,18 @@ from repro.machine.memory import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, Memory
 from repro.machine.runner import BlockRunner
 from repro.machine.syscalls import SyscallHandler
 from repro.sdt.fragment import ExitKind
+from repro.sdt.ib.base import Mechanism
+from repro.sdt.ib.ibtc import IBTC
+from repro.sdt.ib.predict import InlinePrediction
+from repro.sdt.ib.returns import (
+    FastReturns,
+    ReturnCache,
+    ReturnsAsIB,
+    ShadowReturnStack,
+)
+from repro.sdt.ib.sieve import Sieve
+from repro.sdt.translator import Translator
+from repro.sdt.vm import SDTVM
 
 from conftest import ExitRecorder, run_minic, stepped_exits
 
@@ -175,14 +187,37 @@ def test_hot_enums_hash_by_identity(cls):
 
 @pytest.mark.parametrize("fn", (
     NativeCostObserver.exit, BlockRunner._run_block, HostModel.charge_instr,
+    IBTC.dispatch, Sieve.dispatch, InlinePrediction.dispatch,
+    ReturnsAsIB.dispatch_ret, FastReturns.on_call, FastReturns.dispatch_ret,
+    ShadowReturnStack.on_call, ShadowReturnStack.dispatch_ret,
+    ReturnCache.dispatch_ret, SDTVM.reenter_translator,
+    SDTVM._direct_successor, Translator.translate,
 ), ids=lambda fn: fn.__qualname__)
 def test_hot_enum_members_bound_once(fn):
-    """Per-block code reads enum members from module globals, not off
-    the class through ``EnumType.__getattr__`` (docs/performance.md,
-    "Host hot path")."""
+    """Per-block and per-dispatch code reads enum members from module
+    globals, not off the class through ``EnumType.__getattr__``
+    (docs/performance.md, "Host hot path")."""
     names = fn.__code__.co_names
     assert "InstrClass" not in names
     assert "Category" not in names
+    assert "ExitKind" not in names
+
+
+def test_mechanism_counter_keys_built_once():
+    """A hit or a miss bumps a counter under a key built in ``bind``,
+    not an f-string of ``name`` per dispatch."""
+    from repro.isa.assembler import assemble
+
+    for fn in (Mechanism._hit, Mechanism._miss):
+        assert "name" not in fn.__code__.co_names
+    vm = SDTVM(assemble(".text\nmain:\n    halt\n"))
+    mech = IBTC(entries=64)
+    mech.bind(vm)
+    mech._hit()
+    mech._miss()
+    mech._miss()
+    assert vm.stats.mechanism["ibtc-shared-64.hit"] == 1
+    assert vm.stats.mechanism["ibtc-shared-64.miss"] == 2
 
 
 def test_block_body_bumps_one_counter():

@@ -191,6 +191,47 @@ class TestBulkEquivalence:
             bytewise.read_bytes(addr, len(data)) == data
 
 
+class TestHolds:
+    """``holds`` answers ``read_bytes(addr, len(data)) == data``, raising
+    what it raises, without allocating pages."""
+
+    def test_single_page(self):
+        mem = Memory()
+        mem.write_bytes(0x100, b"guest code")
+        assert mem.holds(0x100, b"guest code")
+        assert mem.holds(0x106, b"code")
+        assert not mem.holds(0x100, b"guest cold")
+        assert mem.holds(0x100, b"")
+
+    def test_straddles_two_pages(self):
+        mem = Memory()
+        addr = PAGE_SIZE - 4
+        mem.write_bytes(addr, b"abcdefgh")
+        assert mem.holds(addr, b"abcdefgh")
+        assert not mem.holds(addr, b"abcdefgX")
+        assert not mem.holds(addr, b"Xbcdefgh")
+
+    def test_missing_page_reads_as_zeros(self):
+        mem = Memory()
+        mem.store_byte(PAGE_SIZE - 1, 0xAA)
+        assert mem.holds(5 * PAGE_SIZE, bytes(8))
+        assert not mem.holds(5 * PAGE_SIZE, b"\x01" + bytes(7))
+        # a resident page running into a missing one
+        assert mem.holds(PAGE_SIZE - 2, b"\x00\xaa\x00\x00")
+        assert not mem.holds(PAGE_SIZE - 2, b"\x00\xaa\x00\x01")
+        assert mem.resident_pages == 1
+
+    def test_faults_as_read_bytes(self):
+        mem = Memory()
+        for addr in (-4, (1 << 32) - 2):
+            with pytest.raises(MemoryFault) as want:
+                mem.read_bytes(addr, 4)
+            with pytest.raises(MemoryFault) as got:
+                mem.holds(addr, bytes(4))
+            assert got.value.addr == want.value.addr
+            assert str(got.value) == str(want.value)
+
+
 class TestWriteWatch:
     def _armed(self):
         mem = Memory()
