@@ -1,28 +1,37 @@
-"""Threaded-code execution engine: closure-specialised dispatch.
+"""Threaded-code execution engine: one compiled function per block.
 
 The reference executor (:func:`repro.machine.executor.execute`) pays a
 ~40-way opcode dispatch, per-field attribute loads and a ``cpu.write``
 call for every retired guest instruction.  This module removes that cost
-by *specialising* each decoded :class:`~repro.isa.instruction.Instruction`
-into a Python closure at decode/translation time: operands, immediates,
-sign-extension masks, branch targets and the bound memory accessors are
-pre-resolved into the closure's cell/default variables, so executing an
-instruction is one argumentless call with no dispatch at all.
+by compiling each straight-line block of guest code — a
+:class:`Superblock` — into one Python function of straight-line source,
+one template per instruction from one per-opcode table: register
+numbers are spelled into the text, and the instruction's immediates,
+PCs and branch targets, the machine's register list, its syscall handler
+and its memory accessors are the function's default arguments.
+Executing a block is one argumentless call that returns the next guest
+PC.
 
-Closures are grouped into :class:`Superblock` plans — straight-line runs
-executed as a flat list — and each plan precomputes its total APP cycle
-cost under the active :class:`~repro.host.profile.ArchProfile`, so cycle
-accounting is charged once per block execution instead of once per
-instruction (:meth:`repro.machine.runner.BlockRunner._run_block`).
+The code depends only on the block's *shape*, its ``(op, rd, rs, rt,
+shamt)`` per instruction, so it is generated and compiled once per
+process per shape (:func:`compile_shape`), keyed on those tuples, never
+on :class:`~repro.isa.instruction.Instruction` hashes.  Each block binds
+the shared code object to its own values, so the native and SDT copies
+of a block, the same code at another address and each rewritten version
+of self-modifying code share one code object.  ``lw`` and ``sw`` are
+source lines from :mod:`repro.machine.memory`, which owns the page
+layout they access in place.
+
+Each plan precomputes its total APP cycle cost under the active
+:class:`~repro.host.profile.ArchProfile`, so cycle accounting is charged
+once per block execution instead of once per instruction
+(:meth:`repro.machine.runner.BlockRunner._run_block`).
 Instruction-class counting costs one counter bump per block execution:
 the runner that builds a plan interns its
 :class:`~repro.isa.opcodes.InstrClass` multiset and counts the plan's
 runs against it, deriving the class counts only when they are read.
-The ``lw`` and ``sw`` closures come from
-:class:`~repro.machine.memory.Memory`, which owns the page layout they
-access in place.  Closures are compiled once per distinct block: a
-runner rebuilding a block from equal ``(pc, instruction)`` pairs gets a
-fresh plan from :meth:`Superblock.rebuilt` that shares them and
+A runner rebuilding a block from equal ``(pc, instruction)`` pairs gets a
+fresh plan from :meth:`Superblock.rebuilt` that shares its function and
 re-derives every field fault injection may perturb.
 
 Invariants the block layer relies on (see docs/performance.md):
@@ -30,25 +39,34 @@ Invariants the block layer relies on (see docs/performance.md):
 - only the final instruction of a plan can transfer control, so host
   predictor events fire exactly once per block, at the terminator;
 - ``SYSCALL`` can appear mid-plan only in SDT fragments (interpreter
-  superblocks terminate at syscalls); plans flag ``has_syscall`` so
-  callers keep per-step exit checks on those blocks;
+  superblocks terminate at syscalls): the function checks for program
+  exit right after such a ``SYSCALL`` and raises :class:`ProgramExit`;
 - fuel is decremented in block-sized strides; when a stride would
-  overshoot, callers execute a per-instruction prefix instead so runs
-  stop at exactly the same retired count as the oracle engine.
+  overshoot, callers run their oracle loop for the remaining budget
+  instead, so runs stop at exactly the same retired count as the oracle
+  engine;
+- a fault raised inside a block is placed by the function frame's line:
+  the shape's line table maps it to the faulting instruction.
 
 :class:`repro.machine.runner.BlockRunner` executes plans under these
 rules for both harnesses.
 
 The oracle engine remains the single source of SR32 semantics; every
-closure here must match it bit-for-bit (enforced by
-tests/test_engine_differential.py).  Unusual cases — writes to ``r0``,
-loads into ``r0`` — fall back to a closure that simply calls the oracle
-executor, so unspecialised paths cannot drift.
+template here must match it bit-for-bit (enforced by
+tests/test_machine_engine.py and tests/test_engine_differential.py).
+Unusual cases — writes to ``r0``, loads into ``r0`` — fall back to a line
+that simply calls the oracle executor, so unspecialised paths cannot
+drift.
 """
 
 from __future__ import annotations
 
+import builtins
+import functools
 import os
+import re
+import string
+from types import FunctionType
 from typing import Callable
 
 from repro.isa.instruction import Instruction
@@ -56,12 +74,17 @@ from repro.isa.opcodes import InstrClass, Op
 from repro.isa.registers import REG_RA
 from repro.machine.cpu import CPUState, s32
 from repro.machine.executor import _sdiv, _srem, execute
-from repro.machine.memory import Memory
+from repro.machine.memory import (
+    WORD_NAMES,
+    Memory,
+    load_word_source,
+    store_word_source,
+)
 from repro.machine.syscalls import SyscallHandler
 
 #: The execution engines.  ``oracle`` steps through
 #: :func:`repro.machine.executor.execute` (the semantics reference);
-#: ``threaded`` runs closure-specialised superblocks; ``tier2`` adds
+#: ``threaded`` runs superblocks compiled to functions; ``tier2`` adds
 #: profile-guided region compilation to generated Python source on top
 #: of the threaded tier (:mod:`repro.machine.tier2`), deoptimizing back
 #: to it at any guard failure.  All three are architecturally and
@@ -72,10 +95,17 @@ ENGINES = ("oracle", "threaded", "tier2")
 #: already capped by ``max_fragment_instrs``).
 MAX_SUPERBLOCK_INSTRS = 256
 
+#: Block shapes whose compiled code :func:`compile_shape` keeps, least
+#: recently used dropped first.  A benchmark round of the 12 guests
+#: compiles about 350.
+SHAPE_CACHE_SIZE = 4096
+
 U32 = 0xFFFFFFFF
 _SBIT = 0x8000_0000
 
-StepFn = Callable[[], int]
+#: ``(op, rd, rs, rt, shamt)`` per instruction: all a block function's
+#: code depends on.
+Shape = tuple[tuple[Op, int, int, int, int], ...]
 
 
 def default_engine() -> str:
@@ -93,364 +123,191 @@ def resolve_engine(engine: str | None) -> str:
     return engine
 
 
-def compile_instr(
-    pc: int,
-    instr: Instruction,
-    cpu: CPUState,
-    mem: Memory,
-    syscalls: SyscallHandler,
-) -> StepFn:
-    """Specialise one instruction at ``pc`` into an argumentless closure.
+class ProgramExit(Exception):
+    """A ``SYSCALL`` before the last instruction of a block exited the
+    program.
 
-    The closure executes the instruction against the bound machine state
-    and returns the next guest PC, exactly like the oracle executor.
-    Operands and constants are captured as default arguments so every
-    name the closure touches is a fast local.
+    Only SDT fragments hold a ``SYSCALL`` there.  The block function
+    raises this right after it, and
+    :meth:`repro.machine.runner.BlockRunner._run_block` accounts the
+    block up to and including the ``SYSCALL``.
     """
-    regs = cpu.regs
-    op = instr.op
-    rd, rs, rt = instr.rd, instr.rs, instr.rt
-    imm, shamt = instr.imm, instr.shamt
-    npc = (pc + 4) & U32
 
-    # Fallback for shapes not worth specialising (e.g. ALU writes to the
-    # hardwired-zero register, loads into r0): defer to the oracle so the
-    # semantics cannot diverge.  Side effects (faults) still occur.
-    def oracle(pc=pc, instr=instr, cpu=cpu, mem=mem, syscalls=syscalls):
-        cpu.pc = pc
-        return execute(instr, cpu, mem, syscalls)
 
-    # -- ALU register forms -------------------------------------------------
-    if op is Op.ADD:
-        if not rd:
-            return oracle
+def _falls(dest: str | None, *stmts: str):
+    """The template of an instruction whose successor is the next one."""
+    return dest, stmts, "{npc}"
 
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = (regs[rs] + regs[rt]) & U32
-            return npc
-        return step
-    if op is Op.ADDI:
-        if not rt:
-            return oracle
 
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, npc=npc):
-            regs[rt] = (regs[rs] + imm) & U32
-            return npc
-        return step
-    if op is Op.SUB:
-        if not rd:
-            return oracle
+#: One template per opcode: ``(destination, statements, next PC)``.
+#: ``{d}``, ``{s}``, ``{t}`` and ``{sh}`` are the instruction's register
+#: numbers and shift amount, spelled into the source: they are part of
+#: the shape.  Every other field names a value of the instruction
+#: (:data:`_VALUES`) that the block function takes as a default
+#: argument.  ``destination`` names the register an ALU op or a load
+#: writes; writing ``r0`` compiles to :data:`_ORACLE` instead.  Masks are
+#: spelled out: 4294967295 is ``2**32 - 1``, 2147483648 the sign bit
+#: (signed compares go through it: ``s32(a) < s32(b)`` iff
+#: ``a ^ 2**31 < b ^ 2**31``).  Each line matches the oracle executor bit
+#: for bit, and faults fire at the same point in the same order.
+_TEMPLATES: dict[Op, tuple[str | None, tuple[str, ...], str]] = {
+    Op.ADD: _falls("d", "regs[{d}] = (regs[{s}] + regs[{t}]) & 4294967295"),
+    Op.SUB: _falls("d", "regs[{d}] = (regs[{s}] - regs[{t}]) & 4294967295"),
+    Op.AND: _falls("d", "regs[{d}] = regs[{s}] & regs[{t}]"),
+    Op.OR: _falls("d", "regs[{d}] = regs[{s}] | regs[{t}]"),
+    Op.XOR: _falls("d", "regs[{d}] = regs[{s}] ^ regs[{t}]"),
+    Op.NOR: _falls("d", "regs[{d}] = ~(regs[{s}] | regs[{t}]) & 4294967295"),
+    Op.SLT: _falls("d", "regs[{d}] = 1 if (regs[{s}] ^ 2147483648) "
+                        "< (regs[{t}] ^ 2147483648) else 0"),
+    Op.SLTU: _falls("d", "regs[{d}] = 1 if regs[{s}] < regs[{t}] else 0"),
+    # s32(a) * s32(b) is congruent to a * b mod 2**32
+    Op.MUL: _falls("d", "regs[{d}] = (regs[{s}] * regs[{t}]) & 4294967295"),
+    Op.DIV: _falls("d", "regs[{d}] = _sdiv(_sx(regs[{s}]), _sx(regs[{t}])) "
+                        "& 4294967295"),
+    Op.REM: _falls("d", "regs[{d}] = _srem(_sx(regs[{s}]), _sx(regs[{t}])) "
+                        "& 4294967295"),
+    Op.SLLV: _falls("d", "regs[{d}] = (regs[{s}] << (regs[{t}] & 31)) "
+                         "& 4294967295"),
+    Op.SRLV: _falls("d", "regs[{d}] = regs[{s}] >> (regs[{t}] & 31)"),
+    Op.SRAV: _falls("d", "regs[{d}] = (_sx(regs[{s}]) >> (regs[{t}] & 31)) "
+                         "& 4294967295"),
+    Op.SLL: _falls("d", "regs[{d}] = (regs[{t}] << {sh}) & 4294967295"),
+    Op.SRL: _falls("d", "regs[{d}] = regs[{t}] >> {sh}"),
+    Op.SRA: _falls("d", "regs[{d}] = (_sx(regs[{t}]) >> {sh}) & 4294967295"),
+    Op.ADDI: _falls("t", "regs[{t}] = (regs[{s}] + {imm}) & 4294967295"),
+    Op.ANDI: _falls("t", "regs[{t}] = regs[{s}] & {imm}"),
+    Op.ORI: _falls("t", "regs[{t}] = regs[{s}] | {imm}"),
+    Op.XORI: _falls("t", "regs[{t}] = regs[{s}] ^ {imm}"),
+    Op.SLTI: _falls("t", "regs[{t}] = 1 if (regs[{s}] ^ 2147483648) "
+                         "< {biased} else 0"),
+    Op.SLTIU: _falls("t", "regs[{t}] = 1 if regs[{s}] < {uimm} else 0"),
+    Op.LUI: _falls("t", "regs[{t}] = {upper}"),
+    Op.LW: _falls("t", *load_word_source(
+        "regs[{t}]", "(regs[{s}] + {imm}) & 4294967295")),
+    Op.SW: _falls(None, *store_word_source(
+        "(regs[{s}] + {imm}) & 4294967295", "regs[{t}]")),
+    Op.LB: _falls("t", "_v = _lb((regs[{s}] + {imm}) & 4294967295)",
+                  "regs[{t}] = _v | 4294967040 if _v & 128 else _v"),
+    Op.LBU: _falls("t", "regs[{t}] = _lb((regs[{s}] + {imm}) & 4294967295)"),
+    Op.LH: _falls("t", "_v = _lh((regs[{s}] + {imm}) & 4294967295)",
+                  "regs[{t}] = _v | 4294901760 if _v & 32768 else _v"),
+    Op.LHU: _falls("t", "regs[{t}] = _lh((regs[{s}] + {imm}) & 4294967295)"),
+    Op.SB: _falls(None, "_sb((regs[{s}] + {imm}) & 4294967295, regs[{t}])"),
+    Op.SH: _falls(None, "_sh((regs[{s}] + {imm}) & 4294967295, regs[{t}])"),
+    Op.BEQ: (None, (), "{tgt} if regs[{s}] == regs[{t}] else {npc}"),
+    Op.BNE: (None, (), "{tgt} if regs[{s}] != regs[{t}] else {npc}"),
+    Op.BLT: (None, (), "{tgt} if (regs[{s}] ^ 2147483648) "
+                       "< (regs[{t}] ^ 2147483648) else {npc}"),
+    Op.BGE: (None, (), "{tgt} if (regs[{s}] ^ 2147483648) "
+                       ">= (regs[{t}] ^ 2147483648) else {npc}"),
+    Op.BLTU: (None, (), "{tgt} if regs[{s}] < regs[{t}] else {npc}"),
+    Op.BGEU: (None, (), "{tgt} if regs[{s}] >= regs[{t}] else {npc}"),
+    Op.J: (None, (), "{tgt}"),
+    Op.JAL: (None, (f"regs[{REG_RA}] = {{npc}}",), "{tgt}"),
+    Op.JR: (None, (), "regs[{s}]"),
+    # the target is read before the link write, as in the oracle (rd == rs)
+    Op.JALR: (None, ("_j = regs[{s}]", "regs[{d}] = {npc}"), "_j"),
+    Op.RET: (None, (), f"regs[{REG_RA}]"),
+    Op.SYSCALL: _falls(None, "_sc(_cpu, _mem)"),
+    # halt spins; run loops stop on ``exited``
+    Op.HALT: (None, ("if _sys.exit_code is None: _sys.exit_code = 0",),
+              "{pc}"),
+}
 
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = (regs[rs] - regs[rt]) & U32
-            return npc
-        return step
-    if op is Op.AND:
-        if not rd:
-            return oracle
+#: Writes to the hardwired-zero register are not worth specialising: the
+#: line calls the oracle executor, so their semantics cannot drift.
+#: Side effects (faults) still occur.
+_ORACLE = (None, ("_cpu.pc = {pc}", "_n = _ex({ins}, _cpu, _mem, _sys)"),
+           "_n")
 
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = regs[rs] & regs[rt]
-            return npc
-        return step
-    if op is Op.OR:
-        if not rd:
-            return oracle
+#: The per-instruction values a template can name, from ``(pc,
+#: instruction)``.
+_VALUES: dict[str, Callable[[int, Instruction], object]] = {
+    "imm": lambda pc, instr: instr.imm,
+    "biased": lambda pc, instr: (instr.imm & U32) ^ _SBIT,
+    "uimm": lambda pc, instr: instr.imm & U32,
+    "upper": lambda pc, instr: (instr.imm << 16) & U32,
+    "npc": lambda pc, instr: (pc + 4) & U32,
+    "tgt": lambda pc, instr: instr.branch_target(pc),
+    "pc": lambda pc, instr: pc,
+    "ins": lambda pc, instr: instr,
+}
 
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = regs[rs] | regs[rt]
-            return npc
-        return step
-    if op is Op.XOR:
-        if not rd:
-            return oracle
+#: What a block function reads of its machine, in parameter order.
+_MACHINE = ("regs", "_cpu", "_mem", "_sys", "_sc", "_lb", "_lh", "_sb",
+            "_sh") + WORD_NAMES
 
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = regs[rs] ^ regs[rt]
-            return npc
-        return step
-    if op is Op.NOR:
-        if not rd:
-            return oracle
 
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = ~(regs[rs] | regs[rt]) & U32
-            return npc
-        return step
-    if op is Op.SLT:
-        if not rd:
-            return oracle
+def _machine(cpu: CPUState, mem: Memory,
+             syscalls: SyscallHandler) -> dict[str, object]:
+    """The :data:`_MACHINE` names bound to one machine."""
+    names = mem.word_names()
+    names.update(regs=cpu.regs, _cpu=cpu, _mem=mem, _sys=syscalls,
+                 _sc=syscalls.dispatch, _lb=mem.load_byte,
+                 _lh=mem.load_half, _sb=mem.store_byte, _sh=mem.store_half)
+    return names
 
-        # signed compare via bias: s32(a) < s32(b)  <=>  a^SBIT < b^SBIT
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = 1 if (regs[rs] ^ _SBIT) < (regs[rt] ^ _SBIT) else 0
-            return npc
-        return step
-    if op is Op.SLTU:
-        if not rd:
-            return oracle
 
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = 1 if regs[rs] < regs[rt] else 0
-            return npc
-        return step
-    if op is Op.MUL:
-        if not rd:
-            return oracle
+#: The globals of every block function: pure helpers and the exit signal.
+_GLOBALS = {"__builtins__": builtins, "_sx": s32, "_sdiv": _sdiv,
+            "_srem": _srem, "_ex": execute, "ProgramExit": ProgramExit}
 
-        # s32(a)*s32(b) is congruent to a*b mod 2^32
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = (regs[rs] * regs[rt]) & U32
-            return npc
-        return step
-    if op is Op.DIV:
-        if not rd:
-            return oracle
+_FORMATTER = string.Formatter()
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc,
-                 sdiv=_sdiv, sx=s32):
-            regs[rd] = sdiv(sx(regs[rs]), sx(regs[rt])) & U32
-            return npc
-        return step
-    if op is Op.REM:
-        if not rd:
-            return oracle
 
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc,
-                 srem=_srem, sx=s32):
-            regs[rd] = srem(sx(regs[rs]), sx(regs[rt])) & U32
-            return npc
-        return step
+def _template(op: Op, rd: int, rt: int) -> tuple[tuple[str, ...], str]:
+    """The statements and next-PC expression of one instruction."""
+    dest, stmts, next_pc = _TEMPLATES[op]
+    if dest == "d" and not rd or dest == "t" and not rt:
+        _dest, stmts, next_pc = _ORACLE
+    elif op is Op.JALR and not rd:
+        _dest, stmts, next_pc = _TEMPLATES[Op.JR]  # links nowhere: a ``jr``
+    return stmts, next_pc
 
-    # -- ALU immediate forms ------------------------------------------------
-    if op is Op.ANDI:
-        if not rt:
-            return oracle
 
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, npc=npc):
-            regs[rt] = regs[rs] & imm
-            return npc
-        return step
-    if op is Op.ORI:
-        if not rt:
-            return oracle
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def compile_shape(shape: Shape):
+    """Generate and compile the function of every block of ``shape``.
 
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, npc=npc):
-            regs[rt] = regs[rs] | imm
-            return npc
-        return step
-    if op is Op.XORI:
-        if not rt:
-            return oracle
-
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, npc=npc):
-            regs[rt] = regs[rs] ^ imm
-            return npc
-        return step
-    if op is Op.SLTI:
-        if not rt:
-            return oracle
-        biased = (imm & U32) ^ _SBIT
-
-        def step(regs=regs, rt=rt, rs=rs, biased=biased, npc=npc):
-            regs[rt] = 1 if (regs[rs] ^ _SBIT) < biased else 0
-            return npc
-        return step
-    if op is Op.SLTIU:
-        if not rt:
-            return oracle
-        uimm = imm & U32
-
-        def step(regs=regs, rt=rt, rs=rs, uimm=uimm, npc=npc):
-            regs[rt] = 1 if regs[rs] < uimm else 0
-            return npc
-        return step
-    if op is Op.LUI:
-        if not rt:
-            return oracle
-        value = (imm << 16) & U32
-
-        def step(regs=regs, rt=rt, value=value, npc=npc):
-            regs[rt] = value
-            return npc
-        return step
-
-    # -- shifts -------------------------------------------------------------
-    if op is Op.SLL:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rt=rt, sh=shamt, npc=npc):
-            regs[rd] = (regs[rt] << sh) & U32
-            return npc
-        return step
-    if op is Op.SRL:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rt=rt, sh=shamt, npc=npc):
-            regs[rd] = regs[rt] >> sh
-            return npc
-        return step
-    if op is Op.SRA:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rt=rt, sh=shamt, npc=npc, sx=s32):
-            regs[rd] = (sx(regs[rt]) >> sh) & U32
-            return npc
-        return step
-    if op is Op.SLLV:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = (regs[rs] << (regs[rt] & 31)) & U32
-            return npc
-        return step
-    if op is Op.SRLV:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = regs[rs] >> (regs[rt] & 31)
-            return npc
-        return step
-    if op is Op.SRAV:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc, sx=s32):
-            regs[rd] = (sx(regs[rs]) >> (regs[rt] & 31)) & U32
-            return npc
-        return step
-
-    # -- memory -------------------------------------------------------------
-    if op is Op.LW:
-        if not rt:
-            return oracle
-        return mem.load_word_step(regs, rt, rs, imm, npc)
-    if op is Op.SW:
-        return mem.store_word_step(regs, rt, rs, imm, npc)
-    if op is Op.LB:
-        if not rt:
-            return oracle
-
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, load=mem.load_byte,
-                 npc=npc):
-            value = load((regs[rs] + imm) & U32)
-            regs[rt] = value | 0xFFFFFF00 if value & 0x80 else value
-            return npc
-        return step
-    if op is Op.LBU:
-        if not rt:
-            return oracle
-
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, load=mem.load_byte,
-                 npc=npc):
-            regs[rt] = load((regs[rs] + imm) & U32)
-            return npc
-        return step
-    if op is Op.LH:
-        if not rt:
-            return oracle
-
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, load=mem.load_half,
-                 npc=npc):
-            value = load((regs[rs] + imm) & U32)
-            regs[rt] = value | 0xFFFF0000 if value & 0x8000 else value
-            return npc
-        return step
-    if op is Op.LHU:
-        if not rt:
-            return oracle
-
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, load=mem.load_half,
-                 npc=npc):
-            regs[rt] = load((regs[rs] + imm) & U32)
-            return npc
-        return step
-    if op is Op.SB:
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, store=mem.store_byte,
-                 npc=npc):
-            store((regs[rs] + imm) & U32, regs[rt])
-            return npc
-        return step
-    if op is Op.SH:
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, store=mem.store_half,
-                 npc=npc):
-            store((regs[rs] + imm) & U32, regs[rt])
-            return npc
-        return step
-
-    # -- control ------------------------------------------------------------
-    if op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU):
-        tgt = instr.branch_target(pc)
-        if op is Op.BEQ:
-            def step(regs=regs, rs=rs, rt=rt, tgt=tgt, npc=npc):
-                return tgt if regs[rs] == regs[rt] else npc
-        elif op is Op.BNE:
-            def step(regs=regs, rs=rs, rt=rt, tgt=tgt, npc=npc):
-                return tgt if regs[rs] != regs[rt] else npc
-        elif op is Op.BLT:
-            def step(regs=regs, rs=rs, rt=rt, tgt=tgt, npc=npc):
-                return tgt if (regs[rs] ^ _SBIT) < (regs[rt] ^ _SBIT) else npc
-        elif op is Op.BGE:
-            def step(regs=regs, rs=rs, rt=rt, tgt=tgt, npc=npc):
-                return tgt if (regs[rs] ^ _SBIT) >= (regs[rt] ^ _SBIT) else npc
-        elif op is Op.BLTU:
-            def step(regs=regs, rs=rs, rt=rt, tgt=tgt, npc=npc):
-                return tgt if regs[rs] < regs[rt] else npc
-        else:  # BGEU
-            def step(regs=regs, rs=rs, rt=rt, tgt=tgt, npc=npc):
-                return tgt if regs[rs] >= regs[rt] else npc
-        return step
-    if op is Op.J:
-        tgt = instr.branch_target(pc)
-
-        def step(tgt=tgt):
-            return tgt
-        return step
-    if op is Op.JAL:
-        tgt = instr.branch_target(pc)
-
-        def step(regs=regs, ra=npc, tgt=tgt):
-            regs[REG_RA] = ra
-            return tgt
-        return step
-    if op is Op.JR:
-        def step(regs=regs, rs=rs):
-            return regs[rs]
-        return step
-    if op is Op.JALR:
-        if not rd:
-            def step(regs=regs, rs=rs):
-                return regs[rs]
-            return step
-
-        # target is read before the link write, as in the oracle (rd == rs)
-        def step(regs=regs, rd=rd, rs=rs, ra=npc):
-            target = regs[rs]
-            regs[rd] = ra
-            return target
-        return step
-    if op is Op.RET:
-        def step(regs=regs):
-            return regs[REG_RA]
-        return step
-    if op is Op.SYSCALL:
-        def step(dispatch=syscalls.dispatch, cpu=cpu, mem=mem, npc=npc):
-            dispatch(cpu, mem)
-            return npc
-        return step
-    if op is Op.HALT:
-        def step(syscalls=syscalls, pc=pc):
-            if syscalls.exit_code is None:
-                syscalls.exit_code = 0
-            return pc  # halt spins; run loops stop on `exited`
-        return step
-
-    return oracle  # pragma: no cover - exhaustive over Op
+    Straight-line source, one template per instruction: the statements
+    of each, then ``return`` of the last one's next PC, and after a
+    ``SYSCALL`` that is not last, the exit check.  Returns ``(code,
+    lines, machine, values)``: the function's code object; its line
+    table (source line number -> index of the instruction the line
+    belongs to); the :data:`_MACHINE` names it takes first; and, for
+    each further parameter, ``(k, value)``: the index of its instruction
+    and the :data:`_VALUES` function that gives its argument.
+    """
+    body: list[str] = []
+    lines = [0, 0]  # no line 0; line 1 is the ``def``
+    params: list[str] = []
+    values: list[tuple[int, Callable]] = []
+    last = len(shape) - 1
+    for k, (op, rd, rs, rt, shamt) in enumerate(shape):
+        stmts, next_pc = _template(op, rd, rt)
+        if k == last:
+            stmts += (f"return {next_pc}",)
+        elif op is Op.SYSCALL:
+            stmts += ("if _sys.exited: raise ProgramExit",)
+        names = {field: f"{field}{k}" for field in _VALUES}
+        taken: set[str] = set()
+        for stmt in stmts:
+            for _text, field, _spec, _conv in _FORMATTER.parse(stmt):
+                if field in names and field not in taken:
+                    taken.add(field)
+                    params.append(names[field])
+                    values.append((k, _VALUES[field]))
+            body.append("    " + stmt.format(d=rd, s=rs, t=rt, sh=shamt,
+                                             **names))
+            lines.append(k)
+    text = "\n".join(body)
+    used = set(_TOKEN.findall(text))
+    machine = tuple(name for name in _MACHINE if name in used)
+    source = f"def block({', '.join(machine + tuple(params))}):\n{text}\n"
+    namespace: dict = {}
+    exec(compile(source, "<block>", "exec"), namespace)
+    return namespace["block"].__code__, tuple(lines), machine, tuple(values)
 
 
 def _class_counts(iclasses) -> dict[InstrClass, int]:
@@ -462,12 +319,16 @@ def _class_counts(iclasses) -> dict[InstrClass, int]:
 
 
 class Superblock:
-    """A compiled straight-line block: closures plus block-level costs.
+    """A compiled straight-line block: its function plus block-level costs.
 
     Attributes:
         entry_pc: guest address of the first instruction.
-        pcs / fns / iclasses: per-instruction guest PCs, step closures and
-            instruction classes (parallel tuples).
+        pcs / iclasses: per-instruction guest PCs and instruction classes
+            (parallel tuples).
+        fn: the block function: executes the whole block on the machine
+            it was built for and returns the next guest PC.
+        lines: the line table of its shape: source line number -> index
+            of the instruction the line belongs to (fault placement).
         n: instruction count.
         class_counts: ``InstrClass -> count`` vector for the whole block
             (the plan-coherence check and tier2's commits read it).
@@ -476,8 +337,8 @@ class Superblock:
             ``class_counts`` from it.
         app_cycles: total APP cycles under the profile the block was
             compiled for (0 when compiled without a cost model).
-        has_syscall: the block contains a ``SYSCALL``; callers must keep
-            per-step exit checks when executing it.
+        has_syscall: the block contains a ``SYSCALL``; callers check for
+            program exit after executing it.
         term_pc / term_iclass / term_rd: terminator metadata (host
             predictor events and SDT call/return bookkeeping key on these).
         hits: full fast-path executions — the tier-2 engine's heat
@@ -492,7 +353,7 @@ class Superblock:
     """
 
     __slots__ = (
-        "entry_pc", "pcs", "fns", "iclasses", "n", "class_counts",
+        "entry_pc", "pcs", "fn", "lines", "iclasses", "n", "class_counts",
         "class_items", "app_cycles", "has_syscall", "term_pc",
         "term_iclass", "term_rd", "hits", "region", "vector",
     )
@@ -508,10 +369,15 @@ class Superblock:
     ):
         if not pairs:
             raise ValueError("cannot compile an empty block")
-        self.fns = tuple(
-            compile_instr(pc, instr, cpu, mem, syscalls)
-            for pc, instr in pairs
-        )
+        code, self.lines, machine, values = compile_shape(tuple([
+            (instr.op, instr.rd, instr.rs, instr.rt, instr.shamt)
+            for _pc, instr in pairs
+        ]))
+        bound = _machine(cpu, mem, syscalls)
+        self.fn = FunctionType(code, _GLOBALS, None, tuple(
+            [bound[name] for name in machine]
+            + [value(*pairs[k]) for k, value in values]
+        ))
         iclasses = tuple(instr.iclass for _pc, instr in pairs)
         counts = _class_counts(iclasses)
         self.class_items = tuple(counts.items())
@@ -543,12 +409,12 @@ class Superblock:
                        syscall=self.has_syscall)
 
     def rebuilt(self, trace=None) -> "Superblock":
-        """A fresh block sharing this block's compiled closures.
+        """A fresh block sharing this block's function.
 
         For a rebuild from pairs equal to the ones this block was
         compiled from (:meth:`repro.machine.runner.BlockRunner._build`).
         Only fields that fault injection never perturbs are shared or
-        copied: ``pcs``, ``iclasses``, ``fns``, ``class_items``,
+        copied: ``pcs``, ``iclasses``, ``fn``, ``lines``, ``class_items``,
         ``app_cycles``, ``vector`` and the terminator class, register
         and syscall flag.  Entry, length, terminator PC and class counts
         are derived again from the immutable tuples, and the tier-2 heat
@@ -556,7 +422,8 @@ class Superblock:
         would build.
         """
         block = Superblock.__new__(Superblock)
-        block.fns = self.fns
+        block.fn = self.fn
+        block.lines = self.lines
         block.class_items = self.class_items
         block.app_cycles = self.app_cycles
         block.has_syscall = self.has_syscall

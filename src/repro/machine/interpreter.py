@@ -22,8 +22,9 @@ Three execution engines are available (see docs/performance.md):
     one :func:`repro.machine.executor.execute` call per instruction — the
     semantics reference.
 ``threaded``
-    closure-specialised superblocks from :mod:`repro.machine.engine`,
-    cached by entry PC and invalidated together with ``_decoded``.
+    superblocks from :mod:`repro.machine.engine`, each one compiled
+    function, cached by entry PC and invalidated together with
+    ``_decoded``.
     Observable results (output, exit code, retired count, iclass counts,
     charged cycles, observer exits, fault timing, fuel semantics) are
     identical; only wall-clock speed differs.
@@ -196,10 +197,13 @@ class Interpreter(BlockRunner):
             iclass_counts=self.iclass_counts,
         )
 
-    def _run_oracle(self, fuel: int) -> None:
+    def _run_oracle(self, fuel: int, remaining: int | None = None) -> None:
+        """Step until the program exits; after ``remaining`` instructions
+        (all of ``fuel`` by default) raise ``FuelExhausted(fuel)``."""
         syscalls = self.syscalls
         step = self.step
-        remaining = fuel
+        if remaining is None:
+            remaining = fuel
         while not syscalls.exited:
             if remaining <= 0:
                 raise FuelExhausted(fuel)
@@ -259,9 +263,9 @@ class Interpreter(BlockRunner):
             n = block.n
             if n > remaining:
                 # fuel runs out inside this block (before its terminator,
-                # the only place a block can exit): this raises after
-                # exactly ``remaining`` instructions
-                self._run_steps(block, remaining, fuel)
+                # the only place a block can exit): the oracle loop
+                # raises after exactly ``remaining`` instructions
+                self._run_oracle(fuel, remaining)
             if tier2 is not None:
                 region = block.region
                 if region is None and block.hits >= threshold:

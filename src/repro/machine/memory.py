@@ -17,17 +17,20 @@ the bytes land, with the store's address and length.  When no watch is
 installed the per-store cost is one membership test on an empty set, so
 coherence-off configurations pay nothing measurable.
 
-Word closures
--------------
+Word access in place
+--------------------
 
-The threaded engine (:mod:`repro.machine.engine`) gets its ``lw`` and
-``sw`` closures from :meth:`Memory.load_word_step` and
-:meth:`Memory.store_word_step`, so the page layout stays in this module.
-A closure reads or writes the page ``bytearray`` in place only for a
-resident page and an aligned address (for a store, on an unwatched
-page); every other access calls :meth:`Memory.load_word` /
-:meth:`Memory.store_word`, the only code that faults, allocates pages
-and fires the watch hook.
+``lw`` and ``sw`` are about 29% of retired guest instructions, so the
+code generators of the threaded engine (:mod:`repro.machine.engine`) and
+the tier-2 regions (:mod:`repro.machine.tier2`) spell them out as source
+lines instead of calling :meth:`Memory.load_word` /
+:meth:`Memory.store_word`.  The lines come from :func:`load_word_source`
+and :func:`store_word_source`, so the page layout stays in this module,
+and they read the names :meth:`Memory.word_names` binds.  They read or write
+the page ``bytearray`` in place only for a resident page and an aligned
+address (for a store, on an unwatched page); every other access calls
+:meth:`Memory.load_word` / :meth:`Memory.store_word`, the only code that
+faults, allocates pages and fires the watch hook.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class Memory:
     __slots__ = ("_pages", "_watched", "_watch_hook")
 
     def __init__(self) -> None:
-        # the word closures hold both containers: never rebind them
+        # generated word access holds both containers: never rebind them
         self._pages: dict[int, bytearray] = {}
         #: watched page indices, empty when no watch is installed
         self._watched: set[int] = set()
@@ -169,40 +172,14 @@ class Memory:
         if (addr >> PAGE_SHIFT) in self._watched:
             self._watch_hook(addr, 4)
 
-    # -- word closures (see "Word closures" above) ----------------------------
-
-    def load_word_step(self, regs: list[int], rt: int, rs: int, imm: int,
-                       npc: int) -> Callable[[], int]:
-        """``lw rt, imm(rs)`` on this memory as a closure returning
-        ``npc``; ``rt`` must not be ``r0``."""
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, npc=npc,
-                 page_of=self._pages.get, unpack=_WORD.unpack_from,
-                 load=self.load_word):
-            addr = (regs[rs] + imm) & U32
-            page = page_of(addr >> PAGE_SHIFT)
-            if page is None or addr & 3:
-                regs[rt] = load(addr)
-            else:
-                regs[rt] = unpack(page, addr & PAGE_MASK)[0]
-            return npc
-        return step
-
-    def store_word_step(self, regs: list[int], rt: int, rs: int, imm: int,
-                        npc: int) -> Callable[[], int]:
-        """``sw rt, imm(rs)`` on this memory as a closure returning
-        ``npc``."""
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, npc=npc,
-                 page_of=self._pages.get, watched=self._watched,
-                 pack=_WORD.pack_into, store=self.store_word):
-            addr = (regs[rs] + imm) & U32
-            index = addr >> PAGE_SHIFT
-            page = page_of(index)
-            if page is None or addr & 3 or index in watched:
-                store(addr, regs[rt])
-            else:
-                pack(page, addr & PAGE_MASK, regs[rt] & U32)
-            return npc
-        return step
+    def word_names(self) -> dict[str, object]:
+        """The names :func:`load_word_source` and
+        :func:`store_word_source` read, bound to this memory."""
+        return {
+            "_wpage": self._pages.get, "_wwatched": self._watched,
+            "_wunpack": _WORD.unpack_from, "_wpack": _WORD.pack_into,
+            "_wload": self.load_word, "_wstore": self.store_word,
+        }
 
     # -- bulk --------------------------------------------------------------
 
@@ -289,3 +266,37 @@ class Memory:
     def resident_pages(self) -> int:
         """Number of host-allocated guest pages (for stats)."""
         return len(self._pages)
+
+
+# -- in-place word access (see "Word access in place" above) -----------------
+
+#: The names the word-access source reads (:meth:`Memory.word_names`).
+WORD_NAMES = ("_wpage", "_wwatched", "_wunpack", "_wpack", "_wload",
+              "_wstore")
+
+
+def load_word_source(dst: str, addr: str) -> tuple[str, str, str]:
+    """Statements assigning the word at source expression ``addr`` to
+    target ``dst``, exactly as ``dst = mem.load_word(addr)`` would for an
+    ``addr`` in ``[0, 2**32)``.  They use the temporaries ``_a`` and
+    ``_p``."""
+    return (
+        f"_a = {addr}",
+        f"_p = _wpage(_a >> {PAGE_SHIFT})",
+        f"{dst} = _wload(_a) if _p is None or _a & 3 "
+        f"else _wunpack(_p, _a & {PAGE_MASK})[0]",
+    )
+
+
+def store_word_source(addr: str, value: str) -> tuple[str, str, str, str]:
+    """Statements storing source expression ``value`` at ``addr``,
+    exactly as ``mem.store_word(addr, value)`` would for an ``addr`` in
+    ``[0, 2**32)``.  They use the temporaries ``_a``, ``_i`` and
+    ``_p``."""
+    return (
+        f"_a = {addr}",
+        f"_i = _a >> {PAGE_SHIFT}",
+        "_p = _wpage(_i)",
+        f"_wstore(_a, {value}) if _p is None or _a & 3 or _i in _wwatched "
+        f"else _wpack(_p, _a & {PAGE_MASK}, {value} & {U32})",
+    )

@@ -5,52 +5,56 @@ differs (a static edge in the interpreter, a patched link or an IB
 mechanism dispatch in the SDT).  :class:`BlockRunner` therefore owns
 everything below the exit for both harnesses:
 
-- the whole-block body (closure list, one run-counter bump, one APP
-  cycle commit),
-- the per-instruction body (exact fuel stop, mid-block exit ``SYSCALL``),
-- the partial-block accounting after a fault, which the tier-2 fault
-  replay (:mod:`repro.machine.tier2`) reuses,
+- the whole-block body: one call of the block's compiled function, one
+  run-counter bump, one APP cycle commit.  A guest fault inside the
+  block is placed by the line the function's frame stopped on, through
+  its shape's line table, and a ``SYSCALL`` before an SDT fragment's
+  last instruction that exits the program stops the block right after
+  it (:class:`~repro.machine.engine.ProgramExit`); both account exactly
+  the retired prefix,
+- the partial-block accounting after a fault or a mid-block exit, which
+  the tier-2 fault replay (:mod:`repro.machine.tier2`) reuses,
 - the instruction-class counts.  Every block a harness builds goes
   through :meth:`BlockRunner._build`, which interns the block's class
   multiset into a per-runner table with one run counter per distinct
   vector; the whole-block body bumps that counter instead of adding up
-  class counts.  The per-instruction paths count into a plain dict, and
+  class counts.  The per-instruction paths (the harnesses' oracle
+  loops, the partial-block accounting) count into a plain dict, and
   :attr:`BlockRunner.iclass_counts` adds the two up on read
   (block-count profiling: count the blocks, derive the rest).  The
   counters live in the runner, not in the blocks, so a block that is
   dropped (a code write, a flush, an eviction, a demotion) takes no
   counts with it,
-- the compiled closures.  :meth:`BlockRunner._build` compiles each
-  distinct block once per runner: it keeps the last few versions built
-  at each entry PC, and a rebuild from pairs equal to one of them (an
-  SDT re-translation after a flush or an invalidation, a guest writing
-  code back to an earlier version) gets a fresh block sharing that
-  version's closures (:meth:`Superblock.rebuilt`).
+- the blocks.  :meth:`BlockRunner._build` builds each distinct block
+  once per runner: it keeps the last few versions built at each entry
+  PC, and a rebuild from pairs equal to one of them (an SDT
+  re-translation after a flush or an invalidation, a guest writing code
+  back to an earlier version) gets a fresh block sharing that version's
+  function (:meth:`Superblock.rebuilt`).
 
-A stop — fault or fuel — leaves ``cpu.pc`` on the next unexecuted guest
-instruction (the faulting one, for a fault), exactly like the oracle
-loops.  A clean exit leaves it where the exiting instruction sent it.
-Each harness keeps its oracle reference loop, its block lookup and its
-exit hook.
+A block that does not fit the remaining fuel is not run here: each
+harness runs its oracle reference loop for the remaining budget, which
+stops it exactly.  A stop — fault or fuel — leaves ``cpu.pc`` on the
+next unexecuted guest instruction (the faulting one, for a fault),
+exactly like the oracle loops.  A clean exit leaves it where the exiting
+instruction sent it.  Each harness keeps its oracle reference loop, its
+block lookup and its exit hook.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from operator import length_hint
 
 from repro.host.costs import Category
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import InstrClass
 from repro.isa.program import Program
-from repro.machine.engine import Superblock
-from repro.machine.errors import FuelExhausted
+from repro.machine.engine import ProgramExit, Superblock
 from repro.machine.loader import load_program
 
 # enum members bound once: reading one off its class goes through
 # ``EnumType.__getattr__`` (docs/performance.md, "Host hot path")
 _APP = Category.APP
-_SYSCALL = InstrClass.SYSCALL
 _ICLASSES = tuple(InstrClass)
 
 #: Compiled versions :meth:`BlockRunner._build` keeps per entry PC, most
@@ -84,7 +88,7 @@ class BlockRunner:
         self.model = model
         self.retired = 0
         #: classes counted one instruction at a time: the oracle loops,
-        #: the per-instruction and partial-fault bodies, tier2 commits
+        #: the partial-block accounting, tier2 commits
         self._direct_counts: dict[InstrClass, int] = dict.fromkeys(
             InstrClass, 0
         )
@@ -114,7 +118,7 @@ class BlockRunner:
 
         Each distinct block is compiled once per runner: when a version
         kept at this entry PC came from pairs equal to ``pairs``, the
-        result is a fresh block sharing its closures
+        result is a fresh block sharing its function
         (:meth:`Superblock.rebuilt`), and that version moves to the
         front.  ``pairs`` always hold what guest memory holds now (the
         SDT translator checks each walk it reuses against live bytes,
@@ -150,21 +154,26 @@ class BlockRunner:
         return block
 
     def _run_block(self, block: Superblock) -> int:
-        """Execute a whole block with block-level accounting.
+        """Execute a whole block with block-level accounting: one call.
 
-        Only for blocks that fit the remaining fuel and cannot exit
-        mid-block, so no per-instruction checks are needed.  Returns the
-        next guest PC.
+        Only for blocks that fit the remaining fuel.  Returns the next
+        guest PC; after a ``SYSCALL`` that exited the program mid-block,
+        the ``SYSCALL``'s successor.
         """
-        it = iter(block.fns)
         try:
-            for fn in it:
-                next_pc = fn()
-        except BaseException:
-            # the faulting closure's index, counted on the immutable
-            # ``fns`` (fault injection may perturb ``n``)
-            self._account_partial(block.pcs, block.iclasses,
-                                  len(block.fns) - 1 - length_hint(it))
+            next_pc = block.fn()
+        except BaseException as exc:
+            # the block frame's line, through the shape's line table,
+            # names the instruction (never ``n``, which fault injection
+            # may perturb)
+            tb = exc.__traceback__.tb_next
+            k = block.lines[tb.tb_lineno] if tb is not None else 0
+            if exc.__class__ is ProgramExit:
+                # the SYSCALL at ``k`` retired; it is not the last
+                # instruction, so its successor is the block's next one
+                self._account_partial(block.pcs, block.iclasses, k + 1)
+                return self.cpu.pc
+            self._account_partial(block.pcs, block.iclasses, k)
             raise
         self.retired += block.n
         self._vector_runs[block.vector] += 1
@@ -175,45 +184,9 @@ class BlockRunner:
             model.cycles[_APP] += block.app_cycles
         return next_pc
 
-    def _run_steps(self, block: Superblock, budget: int,
-                   fuel: int) -> int | None:
-        """Execute a block one instruction at a time.
-
-        Raises :class:`FuelExhausted` after exactly ``budget``
-        instructions and returns ``None`` when a ``SYSCALL`` exits the
-        program mid-block (``cpu.pc`` on its successor); otherwise
-        returns the next guest PC.
-        """
-        syscalls = self.syscalls
-        counts = self._direct_counts
-        model = self.model
-        iclasses = block.iclasses
-        k = 0
-        next_pc = block.entry_pc
-        try:
-            for fn in block.fns:
-                if k >= budget:
-                    raise FuelExhausted(fuel)
-                next_pc = fn()
-                iclass = iclasses[k]
-                k += 1
-                counts[iclass] += 1
-                if model is not None:
-                    model.charge_instr(iclass)
-                if iclass is _SYSCALL and syscalls.exited:
-                    self.cpu.pc = next_pc
-                    return None
-        except BaseException:
-            # fault or fuel stop: cpu.pc on the next unexecuted instruction
-            self.cpu.pc = block.pcs[min(k, block.n - 1)]
-            raise
-        finally:
-            self.retired += k
-        return next_pc
-
     def _account_partial(self, pcs, iclasses, k: int) -> None:
-        """Account a block's first ``k`` instructions after a fault and
-        leave ``cpu.pc`` on the faulting instruction."""
+        """Account a block's first ``k`` instructions and leave ``cpu.pc``
+        on the next one: the faulting instruction, after a fault."""
         counts = self._direct_counts
         model = self.model
         for iclass in iclasses[:k]:

@@ -1,9 +1,9 @@
 """Tier-2 execution: profile-guided region compilation to Python source.
 
 The threaded engine (:mod:`repro.machine.engine`) removed per-instruction
-dispatch by specialising instructions into closures, but every hot region
-still pays one Python call per instruction and one dispatch round-trip
-per block per iteration.  This module removes those too: when a block's
+dispatch by compiling each block into one function, but every hot region
+still pays one dispatch round-trip per block per iteration and keeps
+guest registers in a list.  This module removes those too: when a block's
 execution counter crosses a threshold, a *region* is grown along its hot
 direct-branch successors and compiled — ``compile()``/``exec()`` — into a
 single Python function of straight-line source:
@@ -56,6 +56,7 @@ once a block has executed this many times, default 64).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 from collections import Counter
@@ -67,6 +68,11 @@ from repro.isa.opcodes import CONTROL_CLASSES, InstrClass, Op
 from repro.isa.registers import REG_RA
 from repro.machine.cpu import s32
 from repro.machine.executor import _sdiv, _srem
+from repro.machine.memory import (
+    WORD_NAMES,
+    load_word_source,
+    store_word_source,
+)
 from repro.sdt.cache import FragmentHolder
 from repro.sdt.fragment import ExitKind, Fragment
 
@@ -101,9 +107,11 @@ def _read(reg: int) -> str:
 
 #: Source templates, built once at import.  ``instr_source`` runs for
 #: every instruction of every promotion candidate, so it must not build
-#: expression tables per call — it fills exactly one template.
+#: expression tables per call — it fills exactly one template.  ``lw``
+#: and ``sw`` access the page in place with the statements
+#: :mod:`repro.machine.memory` owns, joined onto one line.
 _MEM_TPL = {
-    Op.LW: "r{t} = _mlw({addr})",
+    Op.LW: "; ".join(load_word_source("r{t}", "{addr}")),
     Op.LBU: "r{t} = _mlb({addr})",
     Op.LHU: "r{t} = _mlh({addr})",
     Op.LB: f"_t = _mlb({{addr}}); "
@@ -112,7 +120,7 @@ _MEM_TPL = {
     f"r{{t}} = _t | {0xFFFF0000} if _t & 0x8000 else _t",
 }
 _STORE_TPL = {
-    Op.SW: "_msw({addr}, {b})",
+    Op.SW: "; ".join(store_word_source("{addr}", "{b}")),
     Op.SB: "_msb({addr}, {b})",
     Op.SH: "_msh({addr}, {b})",
 }
@@ -153,9 +161,10 @@ def instr_source(
     ``None`` when the shape is not specialisable (writes to r0,
     syscalls) and the block must stay on the tiers below.
 
-    Every line matches :func:`repro.machine.engine.compile_instr` (and
-    therefore the oracle executor) bit for bit; fault side effects occur
-    at the same point in the same order.  Template groups are probed in
+    Every line matches the block templates of
+    :mod:`repro.machine.engine` (and therefore the oracle executor) bit
+    for bit; fault side effects occur at the same point in the same
+    order.  Template groups are probed in
     rough frequency order (memory + ALU-imm dominate block bodies).
     """
     op = instr.op
@@ -288,8 +297,8 @@ class _SourceBuilder:
 
 #: Hot callables bound as default arguments (body-line speed); everything
 #: colder resolves through the generated function's globals.
-_HOT_DEFAULTS = ("_mlw", "_mlh", "_mlb", "_msw", "_msh", "_msb",
-                 "_sx", "_sdiv", "_srem")
+_HOT_DEFAULTS = ("_mlh", "_mlb", "_msh", "_msb", "_sx", "_sdiv",
+                 "_srem") + WORD_NAMES
 
 
 def _def_line(extra: str = "") -> str:
@@ -317,17 +326,18 @@ def _extra_binds(ns: dict, body: str) -> str:
     )
 
 
-#: Compiled region code, keyed by (filename, source).  Regions are
-#: re-promoted after flush storms and re-created for every VM of the same
-#: program (differential tests, chaos sweeps, experiment cells), and the
-#: source fully determines the code object — all per-VM identities bind
-#: at ``exec`` time through the namespace, never into the code.
-_CODE_CACHE: dict[tuple[str, str], object] = {}
+#: Compiled region code, keyed by filename and a digest of the source
+#: (the cache keeps no source text alive).  Regions are re-promoted after
+#: flush storms and re-created for every VM of the same program
+#: (differential tests, chaos sweeps, experiment cells), and the source
+#: fully determines the code object — all per-VM identities bind at
+#: ``exec`` time through the namespace, never into the code.
+_CODE_CACHE: dict[tuple[str, bytes], object] = {}
 _CODE_CACHE_MAX = 1024
 
 
 def _compile_cached(source: str, filename: str):
-    key = (filename, source)
+    key = (filename, hashlib.blake2b(source.encode()).digest())
     code = _CODE_CACHE.get(key)
     if code is None:
         if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
@@ -529,14 +539,14 @@ class _Regions:
         spill = _spill(sorted(written))
         filename = f"<{self.TAG} {plans[0].entry_pc:#x}>"
 
-        ns = {
-            "_mlw": mem.load_word, "_mlh": mem.load_half,
-            "_mlb": mem.load_byte, "_msw": mem.store_word,
+        ns = mem.word_names()
+        ns.update({
+            "_mlh": mem.load_half, "_mlb": mem.load_byte,
             "_msh": mem.store_half, "_msb": mem.store_byte,
             "_sx": s32, "_sdiv": _sdiv, "_srem": _srem,
             "_regs": owner.cpu.regs, "_cpu": owner.cpu, "_rt": owner,
             "_cnt": owner._direct_counts,
-        }
+        })
         if model is not None:
             ns.update(_cyc=model.cycles, _APP=Category.APP)
         for iclass in InstrClass:
@@ -895,7 +905,7 @@ class InterpreterTier2(_Regions):
     # -- harness hooks -------------------------------------------------------
 
     def _pairs(self, block: "Superblock"):
-        """Re-fetch the block's instructions (superblocks keep closures,
+        """Re-fetch the block's instructions (superblocks keep a function,
         not the decoded :class:`Instruction` objects)."""
         if block.has_syscall or block.term_iclass is InstrClass.HALT:
             return None

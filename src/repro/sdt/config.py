@@ -79,8 +79,8 @@ class SDTConfig:
             fragments survive a write — and under ``none`` potentially
             the architectural results of self-modifying guests — so it
             is fingerprint-relevant and appears in :attr:`label`.
-        engine: simulation execution engine — ``"threaded"`` (closure
-            superblocks, the default), ``"oracle"`` (per-instruction
+        engine: simulation execution engine — ``"threaded"``
+            (superblocks compiled to functions, the default), ``"oracle"`` (per-instruction
             reference dispatch) or ``"tier2"`` (threaded plus
             profile-guided region compilation to generated Python,
             :mod:`repro.machine.tier2`).  Results — output, retired

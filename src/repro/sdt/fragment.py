@@ -63,8 +63,8 @@ class Fragment:
             successor fragments once those are translated.
         valid: cleared when the fragment cache is flushed or evicts the
             fragment (selective invalidation).
-        plan: compiled :class:`repro.machine.engine.Superblock` (closure
-            list + block cost vector), built once at translation when the
+        plan: compiled :class:`repro.machine.engine.Superblock` (block
+            function + block cost vector), built once at translation when the
             threaded engine is active; ``None`` under the oracle engine
             and after demotion or eviction.
         demoted: permanently pinned to the oracle execution engine after

@@ -235,7 +235,17 @@ class SDTVM(BlockRunner):
                 self._demote(fragment)
                 return self._run_oracle(fragment)
             budget = self._fuel - self.retired
-            if not plan.has_syscall and plan.n <= budget:
+            if plan.n > budget:
+                # fuel runs out inside this fragment, unless a SYSCALL
+                # exits first: the oracle body stops exactly there
+                return self._run_oracle(fragment)
+            if plan.has_syscall:
+                next_pc = self._run_block(plan)
+                if self.syscalls.exited:
+                    # a SYSCALL exited the program: cpu.pc on its successor
+                    self.cpu.pc = next_pc
+                    return None
+            else:
                 tier2 = self._tier2
                 if tier2 is not None:
                     region = fragment.region
@@ -249,12 +259,6 @@ class SDTVM(BlockRunner):
                         # guarded inside the region.
                         return tier2.execute(region, budget)
                 next_pc = self._run_block(plan)
-            else:
-                # the plan may exit mid-block (SYSCALL) or fuel runs out
-                # inside it: per-instruction checks
-                next_pc = self._run_steps(plan, budget, self._fuel)
-                if next_pc is None:
-                    return None
             return self._exits[fragment.exit_kind](
                 fragment, next_pc, plan.term_pc, plan.term_rd
             )

@@ -5,8 +5,9 @@ PC.  A rebuild from pairs equal to one of them (an SDT re-translation
 after a flush or an invalidation, an interpreter block dropped by a code
 write that left it unchanged, a guest writing code back to an earlier
 version) gets a fresh :class:`Superblock` that shares that version's
-closures and derives everything fault injection may perturb afresh.  A
-changed instruction compiles anew.
+function and derives everything fault injection may perturb afresh.  A
+changed instruction builds a new function, which shares its code object
+with every block of the same shape.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ int main() {
 }
 """
 
-#: every field a build sets, the closures and the tier-2 state aside
+#: every field a build sets, the block function and the tier-2 state aside
 _FIELDS = ("entry_pc", "pcs", "iclasses", "n", "class_counts", "app_cycles",
            "has_syscall", "term_pc", "term_iclass", "term_rd", "vector")
 
@@ -68,15 +69,17 @@ def _build_twice(harness: str, perturbation: str | None = None):
 
 @pytest.mark.parametrize("harness", ("native", "sdt"))
 def test_rebuild_shares_closures(harness):
+    """A rebuild from equal pairs shares the block function."""
     runner, entry, pairs, first, second = _build_twice(harness)
     assert second is not first
-    assert second.fns is first.fns
+    assert second.fn is first.fn
     assert second.hits == 0 and second.region is None
     assert second.class_counts is not first.class_counts
     # exactly what a fresh compile of the same pairs builds
     fresh = Superblock(pairs, runner.cpu, runner.mem, runner.syscalls,
                        class_cycles=runner.model.profile.class_cycles)
     fresh.vector = first.vector
+    assert fresh.fn.__code__ is first.fn.__code__
     for name in _FIELDS:
         assert getattr(second, name) == getattr(fresh, name), name
     # tier2's generated class commits follow this key order
@@ -89,7 +92,7 @@ def test_rebuild_shares_closures(harness):
 def test_rebuild_after_perturbation_is_coherent(harness, perturbation):
     _runner, entry, pairs, first, second = _build_twice(harness,
                                                         perturbation)
-    assert second.fns is first.fns
+    assert second.fn is first.fn
     assert second.coherent_with(entry, pairs)
 
 
@@ -106,22 +109,22 @@ def _record_builds(monkeypatch) -> list:
     return built
 
 
-@pytest.mark.parametrize(
-    "name, harness, config, shares",
-    [
-        ("smc_loop", "native", {}, True),
-        ("mini_jit", "sdt", {"coherence": "flush"}, True),
-        ("mini_jit", "sdt", {"coherence": "targeted"}, False),
-    ],
-)
+@pytest.mark.parametrize("name, harness, config, shares", [
+    pytest.param("smc_loop", "native", {}, True, id="smc_loop-native"),
+    pytest.param("mini_jit", "sdt", {"coherence": "flush"}, True,
+                 id="mini_jit-sdt-flush"),
+    pytest.param("mini_jit", "sdt", {"coherence": "targeted"}, False,
+                 id="mini_jit-sdt-targeted"),
+])
 def test_code_write_compiles_new_closure(monkeypatch, name, harness, config,
                                          shares):
-    """A PC whose instruction a code write changed never runs the old
-    instruction's closure, and the run stays identical to the oracle.
-    Closures are shared where a block is rebuilt unchanged: smc_loop
-    writes its code back to an earlier version, and a whole-cache flush
-    re-translates unchanged code.  mini_jit writes a new version each
-    time, so under ``targeted`` every build compiles."""
+    """A PC whose instruction a code write changed never runs a block
+    function built for the old instruction, and the run stays identical
+    to the oracle.  Functions are shared where a block is rebuilt
+    unchanged: smc_loop writes its code back to an earlier version, and
+    a whole-cache flush re-translates unchanged code.  mini_jit writes a
+    new version each time, so under ``targeted`` every build makes a new
+    function."""
     program = get_coherence_workload(name, "tiny").compile()
     reference = observe(program, harness, engine="oracle", **config)
     built = _record_builds(monkeypatch)
@@ -129,18 +132,43 @@ def test_code_write_compiles_new_closure(monkeypatch, name, harness, config,
     runner.run()
     assert diff(reference, snapshot(runner), ALL) is None
 
-    closures = defaultdict(lambda: defaultdict(set))
+    functions = defaultdict(lambda: defaultdict(set))
     for pairs, block in built:
-        for (pc, instr), fn in zip(pairs, block.fns):
-            closures[pc][instr].add(fn)
-    rewritten = {pc: by_instr for pc, by_instr in closures.items()
+        for pc, instr in pairs:
+            functions[pc][instr].add(block.fn)
+    rewritten = {pc: by_instr for pc, by_instr in functions.items()
                  if len(by_instr) > 1}
     assert rewritten, "the guest should have rewritten an instruction"
     for pc, by_instr in rewritten.items():
         groups = list(by_instr.values())
         assert sum(map(len, groups)) == len(set().union(*groups)), hex(pc)
-    distinct = len({id(block.fns) for _pairs, block in built})
+    distinct = len({id(block.fn) for _pairs, block in built})
     assert (distinct < len(built)) is shares
+
+
+@pytest.mark.parametrize("harness, config", [
+    ("native", {}),
+    ("sdt", {"coherence": "targeted"}),
+], ids=("native", "sdt"))
+def test_rewritten_versions_share_one_code_object(monkeypatch, harness,
+                                                  config):
+    """mini_jit at ``large`` writes 256 versions of one block that differ
+    only in an immediate: each gets its own function, all bound to one
+    code object, and the run stays identical to the oracle."""
+    program = get_coherence_workload("mini_jit", "large").compile()
+    reference = observe(program, harness, engine="oracle", **config)
+    built = _record_builds(monkeypatch)
+    runner = make_runner(program, harness, engine="threaded", **config)
+    runner.run()
+    assert diff(reference, snapshot(runner), ALL) is None
+    by_entry = defaultdict(dict)
+    for pairs, block in built:
+        by_entry[pairs[0][0]][tuple(pairs)] = block
+    versions = max(by_entry.values(), key=len)
+    assert len(versions) >= 256
+    assert len({id(block.fn) for block in versions.values()}) == \
+        len(versions)
+    assert len({id(block.fn.__code__) for block in versions.values()}) == 1
 
 
 def _count_compiles(monkeypatch) -> list:
@@ -163,7 +191,7 @@ def _count_compiles(monkeypatch) -> list:
 def test_code_versions_compile_once(monkeypatch, name, harness, config):
     """The non-vacuity bar of the kept versions: these guests write
     blocks back to an earlier version, so each distinct version is
-    compiled once and every later build of it reuses its closures, in
+    compiled once and every later build of it reuses its function, in
     both harnesses, and the run stays identical to the oracle.  Under
     ``targeted`` no flush re-translates unchanged code, so only the
     earlier versions are reused here."""
@@ -180,8 +208,8 @@ def test_code_versions_compile_once(monkeypatch, name, harness, config):
 
 def test_flush_storm_compiles_fewer_blocks_than_it_translates(monkeypatch):
     """The non-vacuity bar: under a 1 KiB fragment cache most
-    re-translations rebuild a block whose closures are already
-    compiled, so ``Superblock.__init__`` runs fewer times than the SDT
+    re-translations rebuild a block whose function is already built,
+    so ``Superblock.__init__`` runs fewer times than the SDT
     translates."""
     program = get_workload("vortex_like", "small").compile()
     runner = make_runner(program, "sdt", engine="threaded",

@@ -17,7 +17,11 @@ from repro.eval.differential import make_runner
 from repro.isa.assembler import assemble
 from repro.lang import compile_to_program
 from repro.machine.engine import ENGINES
-from repro.machine.errors import DivideByZeroFault, FuelExhausted
+from repro.machine.errors import (
+    AlignmentFault,
+    DivideByZeroFault,
+    FuelExhausted,
+)
 from repro.machine.interpreter import DEFAULT_FUEL, Interpreter
 from repro.workloads import get_coherence_workload, get_workload
 
@@ -34,17 +38,30 @@ int main() {
 }
 """
 
-#: bodies of a four-instruction loop block whose ``div`` faults once the
-#: counter reaches 0 (inside a tier2 region once the loop is hot): the
-#: ``div`` first, in the middle and last before the ``j``, with the
-#: instructions retired at the fault
-_DIV_LOOPS = {
-    "first": (("div t2, t0, t1", "addi t1, t1, -1", "add t3, t3, t2"),
-              2 + 4 * 200),
-    "middle": (("addi t1, t1, -1", "div t2, t0, t1", "add t3, t3, t2"),
-               2 + 4 * 199 + 1),
-    "last": (("addi t1, t1, -1", "add t3, t3, t2", "div t2, t0, t1"),
-             2 + 4 * 199 + 2),
+#: bodies of a four-instruction loop block with one faulting instruction
+#: (inside a tier2 region once the loop is hot), first, in the middle and
+#: last before the ``j``, with the instructions retired at the fault.
+#: The ``div`` faults once the counter reaches 0.  The ``lw`` reads word
+#: 0 until ``t5`` turns 1 with the counter at 0, then faults misaligned:
+#: a multi-line template whose fault is raised inside
+#: ``Memory.load_word``.
+_FAULT_LOOPS = {
+    "div": (DivideByZeroFault, {
+        "first": (("div t2, t0, t1", "addi t1, t1, -1", "add t3, t3, t2"),
+                  2 + 4 * 200),
+        "middle": (("addi t1, t1, -1", "div t2, t0, t1", "add t3, t3, t2"),
+                   2 + 4 * 199 + 1),
+        "last": (("addi t1, t1, -1", "add t3, t3, t2", "div t2, t0, t1"),
+                 2 + 4 * 199 + 2),
+    }),
+    "lw": (AlignmentFault, {
+        "first": (("lw t2, 0(t5)", "addi t1, t1, -1", "sltiu t5, t1, 1"),
+                  2 + 4 * 200),
+        "middle": (("addi t1, t1, -1", "lw t2, 0(t5)", "sltiu t5, t1, 1"),
+                   2 + 4 * 200 + 1),
+        "last": (("addi t1, t1, -1", "sltiu t5, t1, 1", "lw t2, 0(t5)"),
+                 2 + 4 * 199 + 2),
+    }),
 }
 
 
@@ -96,17 +113,26 @@ def test_fuel_stop_inside_a_block(harness):
         assert runners["oracle"].retired == fuel
 
 
-@pytest.mark.parametrize("harness, position", [
-    # the middle case keeps the bare harness id it had before the others
-    pytest.param(harness, position, id=harness if position == "middle"
-                 else f"{harness}-{position}")
-    for position in _DIV_LOOPS for harness in ("native", "sdt")
+def _fault_id(harness: str, fault: str, position: str) -> str:
+    # the div cases keep the ids they had before the lw ones; the middle
+    # div case keeps the bare harness id it had before the others
+    if fault == "lw":
+        return f"{harness}-lw-{position}"
+    return harness if position == "middle" else f"{harness}-{position}"
+
+
+@pytest.mark.parametrize("harness, fault, position", [
+    pytest.param(harness, fault, position,
+                 id=_fault_id(harness, fault, position))
+    for fault in _FAULT_LOOPS for position in _FAULT_LOOPS[fault][1]
+    for harness in ("native", "sdt")
 ])
-def test_guest_fault_mid_block(harness, position):
-    body, retired = _DIV_LOOPS[position]
+def test_guest_fault_mid_block(harness, fault, position):
+    stop, bodies = _FAULT_LOOPS[fault]
+    body, retired = bodies[position]
     source = "\n".join((".text", "main:", "li t0, 1000", "li t1, 200",
                         "loop:", *body, "j loop", ""))
-    runners = _parity(assemble(source), harness, stop=DivideByZeroFault)
+    runners = _parity(assemble(source), harness, stop=stop)
     for runner in runners.values():
         assert runner.retired == retired
     tier2 = runners["tier2"]

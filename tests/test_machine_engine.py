@@ -1,8 +1,10 @@
-"""Closure compiler + superblock unit tests (repro.machine.engine).
+"""Block compiler + superblock unit tests (repro.machine.engine).
 
-Every specialised closure must match :func:`repro.machine.executor.execute`
-bit-for-bit; these tests drive each opcode through both paths on
-randomised machine state and compare the complete architectural outcome.
+Every instruction template must match
+:func:`repro.machine.executor.execute` bit-for-bit; these tests drive
+each opcode through both paths on randomised machine state, as a
+one-instruction block and ahead of a terminator, and compare the
+complete architectural outcome.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ from repro.faults.inject import apply_plan_perturbation
 from repro.host.costs import Category, HostModel, NativeCostObserver
 from repro.host.profile import SIMPLE
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OP_TABLE, Fmt, InstrClass, Op
+from repro.isa.opcodes import CONTROL_CLASSES, OP_TABLE, Fmt, InstrClass, Op
 from repro.machine.cpu import CPUState
 from repro.machine.engine import (
     ENGINES,
     MAX_SUPERBLOCK_INSTRS,
     Superblock,
-    compile_instr,
+    compile_shape,
     default_engine,
     resolve_engine,
 )
@@ -110,8 +112,15 @@ def _random_instr(op: Op, rng: random.Random) -> Instruction:
     return Instruction(op=op)  # NONE: ret, syscall, halt
 
 
-def _run_both(instr: Instruction, seed: int):
-    """Execute one instruction via oracle and closure on twin states."""
+def _block_fn(instr: Instruction, cpu, mem, syscalls):
+    """The function of the one-instruction block ``instr`` at ``PC``."""
+    return Superblock([(PC, instr)], cpu, mem, syscalls).fn
+
+
+def _run_both(instr: Instruction, seed: int, then: Instruction | None = None):
+    """Execute one instruction via oracle and block function on twin
+    states; with ``then``, as the first of a two-instruction block whose
+    terminator ``then`` the oracle executes next."""
     cpu_a, mem_a, sys_a = _fresh_state(seed)
     cpu_b, mem_b, sys_b = _fresh_state(seed)
     rng = random.Random(seed + 1)
@@ -120,8 +129,13 @@ def _run_both(instr: Instruction, seed: int):
 
     cpu_a.pc = PC
     next_a = execute(instr, cpu_a, mem_a, sys_a)
-    fn = compile_instr(PC, instr, cpu_b, mem_b, sys_b)
-    next_b = fn()
+    if then is None:
+        next_b = _block_fn(instr, cpu_b, mem_b, sys_b)()
+    else:
+        cpu_a.pc = next_a
+        next_a = execute(then, cpu_a, mem_a, sys_a)
+        next_b = Superblock([(PC, instr), (PC + 4, then)], cpu_b, mem_b,
+                            sys_b).fn()
 
     assert next_a == next_b, f"{instr}: next_pc {next_a:#x} != {next_b:#x}"
     assert cpu_a.regs == cpu_b.regs, f"{instr}: register files diverged"
@@ -133,9 +147,14 @@ def _run_both(instr: Instruction, seed: int):
 
 NON_SYSCALL_OPS = [op for op in Op if op is not Op.SYSCALL]
 
+#: ops that fall through to the next instruction: the ones a block holds
+#: before its terminator (the SDT's inlined ``j`` aside)
+BODY_OPS = [op for op in NON_SYSCALL_OPS
+            if OP_TABLE[op].iclass not in CONTROL_CLASSES]
+
 
 #: ``lw``/``sw`` effective addresses beyond the resident aligned words
-#: of ``_fresh_state``: every fallback of the word closures' fast path,
+#: of ``_fresh_state``: every fallback of the in-place word access,
 #: and the top of the address space
 WORD_ADDRESSES = {
     "untouched": 0x3000_0000,  # no page yet: a load reads 0, a store allocates
@@ -145,9 +164,10 @@ WORD_ADDRESSES = {
 }
 
 
-def _word_outcome(instr: Instruction, addr: int, kind: str, closure: bool):
+def _word_outcome(instr: Instruction, addr: int, kind: str, block: bool):
     """Run one ``lw``/``sw`` at ``addr`` through the oracle executor or
-    the threaded closure; return everything it can observably change."""
+    a one-instruction block; return everything it can observably
+    change."""
     cpu, mem, syscalls = _fresh_state(5)
     calls: list[tuple[int, int]] = []
     mem.set_write_watch(lambda at, length: calls.append((at, length)))
@@ -159,8 +179,8 @@ def _word_outcome(instr: Instruction, addr: int, kind: str, closure: bool):
     cpu.pc = PC
     fault = None
     try:
-        if closure:
-            compile_instr(PC, instr, cpu, mem, syscalls)()
+        if block:
+            _block_fn(instr, cpu, mem, syscalls)()
         else:
             execute(instr, cpu, mem, syscalls)
     except GuestFault as exc:
@@ -240,11 +260,18 @@ def test_block_body_bumps_one_counter():
 class TestClosureSemantics:
     @pytest.mark.parametrize("op", NON_SYSCALL_OPS, ids=lambda o: o.value)
     def test_matches_oracle_on_random_state(self, op):
+        """As a one-instruction block, and for an op that falls through
+        also ahead of a ``jr``: an instruction that is not last emits
+        only its statements, and the ``jr`` returns the next PC."""
         # crc32, not hash(): str hashes are salted per process
         rng = random.Random(zlib.crc32(op.value.encode()) & 0xFFFF)
         for trial in range(16):
             instr = _random_instr(op, rng)
             _run_both(instr, seed=trial * 1021 + 7)
+            if op in BODY_OPS:
+                then = Instruction(op=Op.JR,
+                                   rs=random.Random(trial).randrange(32))
+                _run_both(instr, seed=trial * 1021 + 7, then=then)
 
     def test_write_to_r0_discarded(self):
         for op in (Op.ADD, Op.LW, Op.JALR, Op.LUI, Op.SLL):
@@ -271,7 +298,7 @@ class TestClosureSemantics:
         cpu_a.pc = PC
         with pytest.raises(DivideByZeroFault):
             execute(instr, cpu_a, mem_a, sys_a)
-        fn = compile_instr(PC, instr, cpu_b, mem_b, sys_b)
+        fn = _block_fn(instr, cpu_b, mem_b, sys_b)
         with pytest.raises(DivideByZeroFault):
             fn()
 
@@ -280,12 +307,12 @@ class TestClosureSemantics:
     def test_word_fallbacks_match_oracle(self, op, kind):
         """On every address the word fast path hands on to
         ``load_word``/``store_word``, and at the top of memory, the
-        closure ends exactly as the oracle: registers, memory, page
+        block ends exactly as the oracle: registers, memory, page
         allocation, fault type and message, watch-hook calls."""
         addr = WORD_ADDRESSES[kind]
         instr = Instruction(op=op, rt=3, rs=1, imm=8)
-        oracle = _word_outcome(instr, addr, kind, closure=False)
-        threaded = _word_outcome(instr, addr, kind, closure=True)
+        oracle = _word_outcome(instr, addr, kind, block=False)
+        threaded = _word_outcome(instr, addr, kind, block=True)
         assert threaded == oracle
         watched_store = op is Op.SW and kind == "watched"
         assert threaded["calls"] == ([(addr, 4)] if watched_store else [])
@@ -306,7 +333,7 @@ class TestClosureSemantics:
                 execute(instr, cpu_a, mem_a, sys_a)
             except Exception as exc:
                 a = type(exc)
-            fn = compile_instr(PC, instr, cpu_b, mem_b, sys_b)
+            fn = _block_fn(instr, cpu_b, mem_b, sys_b)
             try:
                 fn()
             except Exception as exc:
@@ -353,6 +380,41 @@ class TestSuperblock:
         cpu, mem, sys_ = _fresh_state(0)
         with pytest.raises(ValueError):
             Superblock([], cpu, mem, sys_)
+
+    def test_same_shape_shares_one_code_object(self, monkeypatch):
+        """Blocks whose instructions differ only in immediates, at other
+        PCs, on other machines, share one code object, and a hit
+        generates no source.  The cache keys on ``(op, rd, rs, rt,
+        shamt)``, never on an ``Instruction`` hash."""
+        def pairs(base, imm, rt=5):
+            return [(base, Instruction(op=Op.ADDI, rt=rt, rs=5, imm=imm)),
+                    (base + 4, Instruction(op=Op.LW, rt=4, rs=29, imm=imm)),
+                    (base + 8, Instruction(op=Op.BNE, rs=4, rt=0, imm=-3))]
+
+        def instr_hash(self):
+            raise AssertionError("an Instruction was hashed")
+
+        monkeypatch.setattr(Instruction, "__hash__", instr_hash)
+        first = Superblock(pairs(PC, 8), *_fresh_state(1))
+        before = compile_shape.cache_info()
+        second = Superblock(pairs(PC + 0x100, -4), *_fresh_state(2))
+        after = compile_shape.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert second.fn is not first.fn
+        assert second.fn.__code__ is first.fn.__code__
+        assert second.lines is first.lines
+        other = Superblock(pairs(PC, 8, rt=6), *_fresh_state(1))
+        assert other.fn.__code__ is not first.fn.__code__
+
+    def test_fault_lines_name_their_instruction(self):
+        """Every source line of a block belongs to one instruction, in
+        order, and a multi-line template spans several lines."""
+        block = self._block([Op.ADD, Op.MUL, Op.RET])
+        assert block.lines[2:] == (0, 1, 2)
+        cpu, mem, sys_ = _fresh_state(1)
+        word = Superblock([(PC, Instruction(op=Op.LW, rt=3, rs=1)),
+                           (PC + 4, Instruction(op=Op.RET))], cpu, mem, sys_)
+        assert word.lines[2:] == (0, 0, 0, 1)
 
     def test_rebuild_does_not_recount_classes(self, monkeypatch):
         block = self._block([Op.ADD, Op.MUL, Op.ADD, Op.RET])
