@@ -6,7 +6,8 @@ Usage::
     python scripts/perf_gate.py BASE
 
 ``BASE`` (a git ref) is checked out into a temporary ``git worktree``;
-the working tree is the change.  Each tree runs its own
+the working tree is the change.  Both trees are byte-compiled first
+(:func:`_byte_compile`).  Each tree runs its own
 ``benchmarks/suite/run.py --trace 0`` in ``PAIRS`` pairs, alternating
 which goes first, both runs of a pair with the same ``--seed``, so drift
 in the host's speed hits both sides.  Every report, its log and
@@ -125,6 +126,19 @@ def _git(*args: str) -> str:
                           capture_output=True).stdout.strip()
 
 
+def _byte_compile(tree: Path) -> None:
+    """Write valid ``__pycache__`` for every module the benchmark loads.
+
+    With ``PYTHONDONTWRITEBYTECODE`` set, a tree without it (the fresh
+    worktree of ``BASE``, any copy) compiles each module from source in
+    every child, which shows as a higher ``setup_s`` and ``peak_rss_mb``
+    on that side alone; compiling both trees first compares them in the
+    same state."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src",
+                    "benchmarks/suite"], cwd=tree, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
 def _run_suite(tree: Path, side: str, pair: int) -> dict:
     """One run in ``tree``; a non-zero exit counts as a failed op."""
     out = OUT / f"{side}-{pair}.json"
@@ -161,6 +175,8 @@ def main(argv: list[str] | None = None) -> int:
         trees = {"base": Path(tmp) / "base", "change": ROOT}
         _git("worktree", "add", "--detach", str(trees["base"]), base)
         try:
+            for tree in trees.values():
+                _byte_compile(tree)
             for pair in range(PAIRS):
                 order = ("base", "change") if pair % 2 == 0 else \
                     ("change", "base")

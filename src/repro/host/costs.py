@@ -5,6 +5,15 @@ The native baseline drives it through :class:`NativeCostObserver`; the SDT
 drives it directly from its dispatch paths.  Both charge *exactly* the same
 costs for application instructions, so `sdt_cycles / native_cycles` isolates
 SDT overhead — the paper's normalisation.
+
+The event methods (:meth:`HostModel.cond_branch`,
+:meth:`~HostModel.indirect_jump`, :meth:`~HostModel.host_call`,
+:meth:`~HostModel.host_return`) are the reference for what a host branch
+costs.  The per-block paths — :meth:`NativeCostObserver.exit`, the SDT's
+conditional exit and the IBTC hit — call the predictor itself and add
+:attr:`HostModel.penalty` on a misprediction: the same cycles in the same
+category with one Python call instead of two (docs/performance.md, "Host
+hot path").
 """
 
 from __future__ import annotations
@@ -45,6 +54,8 @@ class Category(enum.Enum):
 # Enum members bound once: reading one off its class goes through
 # ``EnumType.__getattr__`` (docs/performance.md, "Host hot path").
 _APP = Category.APP
+_COND_MISPREDICT = Category.COND_MISPREDICT
+_IND_MISPREDICT = Category.IND_MISPREDICT
 _BRANCH = InstrClass.BRANCH
 _CALL = InstrClass.CALL
 _ICALL = InstrClass.ICALL
@@ -65,6 +76,9 @@ class HostModel:
 
     def __init__(self, profile: ArchProfile):
         self.profile = profile
+        #: cycles one host misprediction costs (the profile's
+        #: ``mispredict_penalty``)
+        self.penalty = profile.mispredict_penalty
         self.bimodal = BimodalPredictor(profile.bimodal_entries)
         self.btb = BranchTargetBuffer(profile.btb_entries)
         self.ras = ReturnAddressStack(profile.ras_entries)
@@ -93,11 +107,11 @@ class HostModel:
         self,
         site: int,
         taken: bool,
-        category: Category = Category.COND_MISPREDICT,
+        category: Category = _COND_MISPREDICT,
     ) -> bool:
         """A conditional direct branch executed at ``site``."""
         if self.bimodal.access(site, taken):
-            self.cycles[category] += self.profile.mispredict_penalty
+            self.cycles[category] += self.penalty
             return True
         return False
 
@@ -105,11 +119,11 @@ class HostModel:
         self,
         site: int,
         target: int,
-        category: Category = Category.IND_MISPREDICT,
+        category: Category = _IND_MISPREDICT,
     ) -> bool:
         """An indirect jump/call at ``site`` landing on ``target``."""
         if self.btb.access(site, target):
-            self.cycles[category] += self.profile.mispredict_penalty
+            self.cycles[category] += self.penalty
             return True
         return False
 
@@ -120,11 +134,11 @@ class HostModel:
     def host_return(
         self,
         target: int,
-        category: Category = Category.IND_MISPREDICT,
+        category: Category = _IND_MISPREDICT,
     ) -> bool:
         """A host ``ret``: pops and checks the hardware RAS."""
         if self.ras.pop(target):
-            self.cycles[category] += self.profile.mispredict_penalty
+            self.cycles[category] += self.penalty
             return True
         return False
 
@@ -161,16 +175,21 @@ class NativeCostObserver:
 
     def exit(self, pc: int, iclass: InstrClass, next_pc: int) -> None:
         """Charge the host-predictor event of the control transfer at
-        ``pc`` (``JUMP`` and ``HALT`` have none)."""
+        ``pc`` (``JUMP`` and ``HALT`` have none): the event method's
+        cycles, one predictor call per predictor."""
         model = self.model
         if iclass is _BRANCH:
-            model.cond_branch(pc, taken=next_pc != pc + 4)
-        elif iclass is _CALL:
-            model.host_call(pc + 4)
-        elif iclass is _ICALL:
-            model.host_call(pc + 4)
-            model.indirect_jump(pc, next_pc)
-        elif iclass is _IJUMP:
-            model.indirect_jump(pc, next_pc)
+            if model.bimodal.access(pc, next_pc != pc + 4):
+                model.cycles[_COND_MISPREDICT] += model.penalty
         elif iclass is _RET:
-            model.host_return(next_pc)
+            if model.ras.pop(next_pc):
+                model.cycles[_IND_MISPREDICT] += model.penalty
+        elif iclass is _CALL:
+            model.ras.push(pc + 4)
+        elif iclass is _IJUMP:
+            if model.btb.access(pc, next_pc):
+                model.cycles[_IND_MISPREDICT] += model.penalty
+        elif iclass is _ICALL:
+            model.ras.push(pc + 4)
+            if model.btb.access(pc, next_pc):
+                model.cycles[_IND_MISPREDICT] += model.penalty

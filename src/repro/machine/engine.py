@@ -24,8 +24,10 @@ layout they access in place.
 
 Each plan precomputes its total APP cycle cost under the active
 :class:`~repro.host.profile.ArchProfile`, so cycle accounting is charged
-once per block execution instead of once per instruction
-(:meth:`repro.machine.runner.BlockRunner._run_block`).
+once per block execution instead of once per instruction, inline in
+each harness's block step
+(:meth:`repro.machine.interpreter.Interpreter._run_threaded`,
+:meth:`repro.sdt.vm.SDTVM.execute_fragment`).
 Instruction-class counting costs one counter bump per block execution:
 the runner that builds a plan interns its
 :class:`~repro.isa.opcodes.InstrClass` multiset and counts the plan's
@@ -48,8 +50,8 @@ Invariants the block layer relies on (see docs/performance.md):
 - a fault raised inside a block is placed by the function frame's line:
   the shape's line table maps it to the faulting instruction.
 
-:class:`repro.machine.runner.BlockRunner` executes plans under these
-rules for both harnesses.
+Both harnesses execute plans under these rules;
+:class:`repro.machine.runner.BlockRunner` holds what they share.
 
 The oracle engine remains the single source of SR32 semantics; every
 template here must match it bit-for-bit (enforced by
@@ -129,7 +131,7 @@ class ProgramExit(Exception):
 
     Only SDT fragments hold a ``SYSCALL`` there.  The block function
     raises this right after it, and
-    :meth:`repro.machine.runner.BlockRunner._run_block` accounts the
+    :meth:`repro.machine.runner.BlockRunner._block_raised` accounts the
     block up to and including the ``SYSCALL``.
     """
 

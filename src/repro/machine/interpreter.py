@@ -24,7 +24,10 @@ Three execution engines are available (see docs/performance.md):
 ``threaded``
     superblocks from :mod:`repro.machine.engine`, each one compiled
     function, cached by entry PC and invalidated together with
-    ``_decoded``.
+    ``_decoded``.  The loop runs each block itself: one call of its
+    function, the block's accounting inline, then the observer's
+    ``exit`` at a control-transfer terminator; the loop stops on
+    ``syscalls.exit_code``, read as an attribute.
     Observable results (output, exit code, retired count, iclass counts,
     charged cycles, observer exits, fault timing, fuel semantics) are
     identical; only wall-clock speed differs.
@@ -46,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from repro.host.costs import HostModel, NativeCostObserver
+from repro.host.costs import Category, HostModel, NativeCostObserver
 from repro.isa.encoding import DecodeError, decode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import CONTROL_CLASSES, InstrClass
@@ -62,6 +65,10 @@ from repro.machine.memory import PAGE_SHIFT
 from repro.machine.runner import BlockRunner
 
 DEFAULT_FUEL = 50_000_000
+
+# enum members bound once: reading one off its class goes through
+# ``EnumType.__getattr__`` (docs/performance.md, "Host hot path")
+_APP = Category.APP
 
 
 class Observer(Protocol):
@@ -248,12 +255,13 @@ class Interpreter(BlockRunner):
         on_exit = self.observer.exit if self.observer is not None else None
         blocks = self._blocks
         block_at = self._block_at
-        run_block = self._run_block
+        runs = self._vector_runs
+        cycles = self.model.cycles if self.model is not None else None
         tier2 = self._tier2
         threshold = tier2.threshold if tier2 is not None else 0
         remaining = fuel
 
-        while not syscalls.exited:
+        while syscalls.exit_code is None:
             if remaining <= 0:
                 raise FuelExhausted(fuel)
             pc = cpu.pc
@@ -276,7 +284,18 @@ class Interpreter(BlockRunner):
                     remaining = tier2.execute(region, remaining)
                     continue
                 block.hits += 1
-            next_pc = run_block(block)
+            # the whole block: one call, then its accounting inline (the
+            # block's precomputed APP sum is cycle-identical to charging
+            # each instruction)
+            try:
+                next_pc = block.fn()
+            except BaseException as exc:
+                self._block_raised(block, exc)
+                raise
+            self.retired += n
+            runs[block.vector] += 1
+            if cycles is not None:
+                cycles[_APP] += block.app_cycles
             remaining -= n
             if on_exit is not None and block.term_iclass in CONTROL_CLASSES:
                 on_exit(block.term_pc, block.term_iclass, next_pc)

@@ -26,16 +26,25 @@ the tier-2 regions (:mod:`repro.machine.tier2`) spell them out as source
 lines instead of calling :meth:`Memory.load_word` /
 :meth:`Memory.store_word`.  The lines come from :func:`load_word_source`
 and :func:`store_word_source`, so the page layout stays in this module,
-and they read the names :meth:`Memory.word_names` binds.  They read or write
-the page ``bytearray`` in place only for a resident page and an aligned
-address (for a store, on an unwatched page); every other access calls
-:meth:`Memory.load_word` / :meth:`Memory.store_word`, the only code that
-faults, allocates pages and fires the watch hook.
+and they read the names :meth:`Memory.word_names` binds.  Beside each
+page ``bytearray`` the memory keeps its *word view*,
+``memoryview(page).cast("I")``, made wherever a page is made; the lines
+index that view, one subscript per access, only for a resident page and
+an aligned address (for a store, on an unwatched page).  Every other
+access calls :meth:`Memory.load_word` / :meth:`Memory.store_word`, the
+only code that faults, allocates pages and fires the watch hook.
+
+The view reads and writes native ``unsigned int``, which is a
+little-endian guest word only on a little-endian host whose ``I`` is 4
+bytes, so this module refuses to import anywhere else.  There is no
+byte-order-neutral fallback.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
+import sys
 from typing import Callable
 
 from repro.machine.cpu import U32
@@ -49,18 +58,26 @@ ADDR_LIMIT = 1 << 32
 #: Write-watch callback: ``hook(addr, length)`` after the store landed.
 WriteWatch = Callable[[int, int], None]
 
-#: One little-endian guest word.
-_WORD = struct.Struct("<I")
+if sys.byteorder != "little" or struct.calcsize("I") != 4:
+    raise ImportError(
+        "repro.machine.memory indexes guest words through a native "
+        "unsigned int view: it needs a little-endian host with a 4-byte "
+        f"'I' (this host: {sys.byteorder}-endian, "
+        f"{struct.calcsize('I')}-byte 'I')"
+    )
 
 
 class Memory:
     """Sparse 32-bit guest address space."""
 
-    __slots__ = ("_pages", "_watched", "_watch_hook")
+    __slots__ = ("_pages", "_words", "_watched", "_watch_hook")
 
     def __init__(self) -> None:
-        # generated word access holds both containers: never rebind them
         self._pages: dict[int, bytearray] = {}
+        # generated word access holds the next two containers: never
+        # rebind them
+        #: page index -> the page's word view (see "Word access in place")
+        self._words: dict[int, memoryview] = {}
         #: watched page indices, empty when no watch is installed
         self._watched: set[int] = set()
         self._watch_hook: WriteWatch | None = None
@@ -68,8 +85,13 @@ class Memory:
     def _page(self, addr: int) -> bytearray:
         page = self._pages.get(addr >> PAGE_SHIFT)
         if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[addr >> PAGE_SHIFT] = page
+            page = self._new_page(addr >> PAGE_SHIFT)
+        return page
+
+    def _new_page(self, index: int) -> bytearray:
+        """Allocate page ``index``, zeroed, and its word view."""
+        page = self._pages[index] = bytearray(PAGE_SIZE)
+        self._words[index] = memoryview(page).cast("I")
         return page
 
     def _fail(self, addr: int, width: int, op: str) -> None:
@@ -176,9 +198,9 @@ class Memory:
         """The names :func:`load_word_source` and
         :func:`store_word_source` read, bound to this memory."""
         return {
-            "_wpage": self._pages.get, "_wwatched": self._watched,
-            "_wunpack": _WORD.unpack_from, "_wpack": _WORD.pack_into,
-            "_wload": self.load_word, "_wstore": self.store_word,
+            "_wview": self._words.get, "_wwatched": self._watched,
+            "_wset": operator.setitem, "_wload": self.load_word,
+            "_wstore": self.store_word,
         }
 
     # -- bulk --------------------------------------------------------------
@@ -207,8 +229,7 @@ class Memory:
             index = cursor >> PAGE_SHIFT
             page = pages.get(index)
             if page is None:
-                page = bytearray(PAGE_SIZE)
-                pages[index] = page
+                page = self._new_page(index)
             page[off : off + take] = data[pos : pos + take]
             if index in watched:
                 self._watch_hook(cursor, take)
@@ -271,8 +292,7 @@ class Memory:
 # -- in-place word access (see "Word access in place" above) -----------------
 
 #: The names the word-access source reads (:meth:`Memory.word_names`).
-WORD_NAMES = ("_wpage", "_wwatched", "_wunpack", "_wpack", "_wload",
-              "_wstore")
+WORD_NAMES = ("_wview", "_wwatched", "_wset", "_wload", "_wstore")
 
 
 def load_word_source(dst: str, addr: str) -> tuple[str, str, str]:
@@ -282,9 +302,9 @@ def load_word_source(dst: str, addr: str) -> tuple[str, str, str]:
     ``_p``."""
     return (
         f"_a = {addr}",
-        f"_p = _wpage(_a >> {PAGE_SHIFT})",
+        f"_p = _wview(_a >> {PAGE_SHIFT})",
         f"{dst} = _wload(_a) if _p is None or _a & 3 "
-        f"else _wunpack(_p, _a & {PAGE_MASK})[0]",
+        f"else _p[(_a & {PAGE_MASK}) >> 2]",
     )
 
 
@@ -292,11 +312,12 @@ def store_word_source(addr: str, value: str) -> tuple[str, str, str, str]:
     """Statements storing source expression ``value`` at ``addr``,
     exactly as ``mem.store_word(addr, value)`` would for an ``addr`` in
     ``[0, 2**32)``.  They use the temporaries ``_a``, ``_i`` and
-    ``_p``."""
+    ``_p``.  The in-place store is a ``setitem`` call, so each statement
+    stays one expression that tier2 can join onto one line."""
     return (
         f"_a = {addr}",
         f"_i = _a >> {PAGE_SHIFT}",
-        "_p = _wpage(_i)",
+        "_p = _wview(_i)",
         f"_wstore(_a, {value}) if _p is None or _a & 3 or _i in _wwatched "
-        f"else _wpack(_p, _a & {PAGE_MASK}, {value} & {U32})",
+        f"else _wset(_p, (_a & {PAGE_MASK}) >> 2, {value} & {U32})",
     )

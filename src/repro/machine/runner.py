@@ -5,19 +5,23 @@ differs (a static edge in the interpreter, a patched link or an IB
 mechanism dispatch in the SDT).  :class:`BlockRunner` therefore owns
 everything below the exit for both harnesses:
 
-- the whole-block body: one call of the block's compiled function, one
-  run-counter bump, one APP cycle commit.  A guest fault inside the
-  block is placed by the line the function's frame stopped on, through
-  its shape's line table, and a ``SYSCALL`` before an SDT fragment's
-  last instruction that exits the program stops the block right after
-  it (:class:`~repro.machine.engine.ProgramExit`); both account exactly
+- what follows a block function that raised
+  (:meth:`BlockRunner._block_raised`).  Each harness runs a whole block
+  itself, in its main loop: one call of the block's compiled function,
+  then, inline, the ``retired`` add, the run-counter bump and the APP
+  cycle commit.  Only when the function raises does its ``except``
+  clause call into the runner: a guest fault inside the block is placed
+  by the line the function's frame stopped on, through its shape's line
+  table, and a ``SYSCALL`` before an SDT fragment's last instruction
+  that exits the program stops the block right after it
+  (:class:`~repro.machine.engine.ProgramExit`); both account exactly
   the retired prefix,
 - the partial-block accounting after a fault or a mid-block exit, which
   the tier-2 fault replay (:mod:`repro.machine.tier2`) reuses,
 - the instruction-class counts.  Every block a harness builds goes
   through :meth:`BlockRunner._build`, which interns the block's class
   multiset into a per-runner table with one run counter per distinct
-  vector; the whole-block body bumps that counter instead of adding up
+  vector; a whole-block run bumps that counter instead of adding up
   class counts.  The per-instruction paths (the harnesses' oracle
   loops, the partial-block accounting) count into a plain dict, and
   :attr:`BlockRunner.iclass_counts` adds the two up on read
@@ -38,23 +42,19 @@ stops it exactly.  A stop — fault or fuel — leaves ``cpu.pc`` on the
 next unexecuted guest instruction (the faulting one, for a fault),
 exactly like the oracle loops.  A clean exit leaves it where the exiting
 instruction sent it.  Each harness keeps its oracle reference loop, its
-block lookup and its exit hook.
+block lookup, its whole-block step and its exit hook.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from repro.host.costs import Category
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import InstrClass
 from repro.isa.program import Program
 from repro.machine.engine import ProgramExit, Superblock
 from repro.machine.loader import load_program
 
-# enum members bound once: reading one off its class goes through
-# ``EnumType.__getattr__`` (docs/performance.md, "Host hot path")
-_APP = Category.APP
 _ICLASSES = tuple(InstrClass)
 
 #: Compiled versions :meth:`BlockRunner._build` keeps per entry PC, most
@@ -153,36 +153,25 @@ class BlockRunner:
         del versions[BLOCK_VERSIONS:]
         return block
 
-    def _run_block(self, block: Superblock) -> int:
-        """Execute a whole block with block-level accounting: one call.
+    def _block_raised(self, block: Superblock, exc: BaseException) -> bool:
+        """Account a block whose function raised ``exc``.
 
-        Only for blocks that fit the remaining fuel.  Returns the next
-        guest PC; after a ``SYSCALL`` that exited the program mid-block,
-        the ``SYSCALL``'s successor.
+        Only a harness's ``except`` clause around ``block.fn()`` calls
+        this, with the exception it caught there.  The block frame's
+        line, through the shape's line table, names the instruction
+        (never ``n``, which fault injection may perturb).  For a guest
+        fault the retired prefix before it is accounted and ``cpu.pc``
+        left on it; the caller re-raises.  For a :class:`ProgramExit`
+        the ``SYSCALL`` retired too, and ``cpu.pc`` is left on its
+        successor, the block's next instruction; returns True.
         """
-        try:
-            next_pc = block.fn()
-        except BaseException as exc:
-            # the block frame's line, through the shape's line table,
-            # names the instruction (never ``n``, which fault injection
-            # may perturb)
-            tb = exc.__traceback__.tb_next
-            k = block.lines[tb.tb_lineno] if tb is not None else 0
-            if exc.__class__ is ProgramExit:
-                # the SYSCALL at ``k`` retired; it is not the last
-                # instruction, so its successor is the block's next one
-                self._account_partial(block.pcs, block.iclasses, k + 1)
-                return self.cpu.pc
-            self._account_partial(block.pcs, block.iclasses, k)
-            raise
-        self.retired += block.n
-        self._vector_runs[block.vector] += 1
-        model = self.model
-        if model is not None:
-            # the block's precomputed APP sum: cycle-identical to
-            # charging each instruction
-            model.cycles[_APP] += block.app_cycles
-        return next_pc
+        tb = exc.__traceback__.tb_next
+        k = block.lines[tb.tb_lineno] if tb is not None else 0
+        if exc.__class__ is ProgramExit:
+            self._account_partial(block.pcs, block.iclasses, k + 1)
+            return True
+        self._account_partial(block.pcs, block.iclasses, k)
+        return False
 
     def _account_partial(self, pcs, iclasses, k: int) -> None:
         """Account a block's first ``k`` instructions and leave ``cpu.pc``

@@ -56,7 +56,6 @@ once a block has executed this many times, default 64).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 from collections import Counter
@@ -326,26 +325,6 @@ def _extra_binds(ns: dict, body: str) -> str:
     )
 
 
-#: Compiled region code, keyed by filename and a digest of the source
-#: (the cache keeps no source text alive).  Regions are re-promoted after
-#: flush storms and re-created for every VM of the same program
-#: (differential tests, chaos sweeps, experiment cells), and the source
-#: fully determines the code object — all per-VM identities bind at
-#: ``exec`` time through the namespace, never into the code.
-_CODE_CACHE: dict[tuple[str, bytes], object] = {}
-_CODE_CACHE_MAX = 1024
-
-
-def _compile_cached(source: str, filename: str):
-    key = (filename, hashlib.blake2b(source.encode()).digest())
-    code = _CODE_CACHE.get(key)
-    if code is None:
-        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-            _CODE_CACHE.clear()
-        code = _CODE_CACHE[key] = compile(source, filename, "exec")
-    return code
-
-
 def _spill(used: list[int]) -> str:
     return "; ".join(f"_regs[{reg}] = r{reg}" for reg in used)
 
@@ -584,7 +563,7 @@ class _Regions:
 
         sb.lines[0] = _def_line(_extra_binds(ns, "\n".join(sb.lines[1:])))
         source = sb.source()
-        exec(_compile_cached(source, filename), ns)
+        exec(compile(source, filename, "exec"), ns)
         member_meta = tuple((plan.pcs, plan.iclasses) for plan in plans)
         return Region(ns["_region"], members, filename, sb.line_table,
                       order, member_meta, source)

@@ -41,6 +41,7 @@ HASH_KINDS = ("fold", "shift")
 # enum members bound once: reading one off its class goes through
 # ``EnumType.__getattr__`` (docs/performance.md, "Host hot path")
 _IBTC = Category.IBTC
+_IND_MISPREDICT = Category.IND_MISPREDICT
 
 
 def ibtc_index(target: int, mask: int, hash_kind: str = "fold") -> int:
@@ -103,25 +104,42 @@ class IBTC(IBMechanism):
             return [self._shared_table]
         return list(self._site_tables.values())
 
+    def bind(self, vm) -> None:
+        super().bind(vm)
+        profile = vm.model.profile
+        #: probe cycles charged per dispatch
+        self._cost = profile.ibtc_probe + profile.ibtc_spill
+        if not self.inline:
+            # shared stub: extra control transfer, and one polymorphic
+            # host indirect-jump site for the whole program
+            self._cost += profile.ibtc_stub_jump
+
     def dispatch(
         self, fragment: Fragment, ib_pc: int, guest_target: int
     ) -> Fragment:
+        """Probe, then a hit or a refill.
+
+        The hit path makes one Python call, the BTB access: the table
+        choice (:meth:`_table_for`), the hash (:func:`ibtc_index`), the
+        hit counter (:meth:`_hit`) and the model's ``charge`` and
+        ``indirect_jump`` are spelled out here, in the same order.
+        """
         assert self.vm is not None
         vm = self.vm
-        profile = vm.model.profile
-        cost = profile.ibtc_probe + profile.ibtc_spill
-        if self.inline:
-            jump_site = fragment.exit_site
-        else:
-            # shared stub: extra control transfer, and one polymorphic
-            # host indirect-jump site for the whole program
-            cost += profile.ibtc_stub_jump
-            jump_site = OUTLINE_STUB_SITE
-        vm.model.charge(_IBTC, cost)
+        model = vm.model
+        cycles = model.cycles
+        cycles[_IBTC] += self._cost
 
-        table = self._table_for(ib_pc)
-        index = ibtc_index(guest_target, self._mask, self.hash_kind)
-        injector = getattr(vm, "fault_injector", None)
+        table = self._shared_table
+        if table is None:
+            table = self._site_tables.get(ib_pc)
+            if table is None:
+                table = self._site_tables[ib_pc] = {}
+        word = guest_target >> 2
+        if self.hash_kind == "fold":
+            word ^= word >> 10
+        index = word & self._mask
+        injector = vm.fault_injector
         if injector is not None:
             event = injector.table_event("ibtc")
             if event == "drop":
@@ -135,13 +153,15 @@ class IBTC(IBMechanism):
         trace = vm.trace
         if entry is not None and entry[0] == guest_target and entry[1].valid:
             cached = entry[1]
-            self._hit()
+            vm.stats.mechanism[self._hit_key] += 1
             if trace is not None:
                 trace.emit("ibtc.hit", site=ib_pc, target=guest_target,
                            probes=1)
             # the probe ends in a host indirect jump through the cached
             # fragment address
-            vm.model.indirect_jump(jump_site, cached.fc_addr)
+            site = fragment.exit_site if self.inline else OUTLINE_STUB_SITE
+            if model.btb.access(site, cached.fc_addr):
+                cycles[_IND_MISPREDICT] += model.penalty
             return cached
 
         # a tag match on an invalidated fragment is a stale entry (missed

@@ -1,11 +1,24 @@
 """The SDT virtual machine: fragment-cache execution main loop.
 
-Execution alternates between *translated code* (fragments, executed here
-with real guest semantics via :func:`repro.machine.executor.execute`) and
-the *translator* (entered on fragment-cache misses and unhandled indirect
-branches).  All cycle costs — application work, dispatch code, context
-switches, translation, host branch mispredictions — are charged to the
-bound :class:`repro.host.costs.HostModel` as they occur.
+Execution alternates between *translated code* (fragments) and the
+*translator* (entered on fragment-cache misses and unhandled indirect
+branches).  A fragment runs as its plan, the block function
+:mod:`repro.machine.engine` compiled at translation; under the
+``oracle`` engine, after a chaos demotion or when the fuel left ends
+inside it, it runs one :func:`repro.machine.executor.execute` call per
+instruction instead.  All cycle costs — application work, dispatch
+code, context switches, translation, host branch mispredictions — are
+charged to the bound :class:`repro.host.costs.HostModel` as they occur.
+
+One step per fragment: :meth:`SDTVM.execute_fragment` calls the plan's
+function itself, does the block's accounting inline, and hands the
+exit to one handler per :class:`~repro.sdt.fragment.ExitKind`, shared
+with the oracle body.  A direct exit follows a valid link without a
+further call, a conditional exit charges its host branch with one
+predictor call, and a call exit skips a return scheme's ``on_call``
+when that is the base no-op.  Traced, chaos, fuel-limited and
+static-targets runs take the same handlers (docs/performance.md, "Host
+hot path").
 """
 
 from __future__ import annotations
@@ -26,6 +39,7 @@ from repro.machine.runner import BlockRunner
 from repro.sdt.cache import FragmentCache
 from repro.sdt.config import SDTConfig
 from repro.sdt.fragment import ExitKind, Fragment
+from repro.sdt.ib.base import ReturnMechanism
 from repro.sdt.ib.factory import build_mechanisms
 from repro.sdt.stats import SDTStats
 from repro.sdt.translator import Translator
@@ -36,6 +50,8 @@ TRANSLATOR_DISPATCH_SITE = 0xFFFF_0000
 
 # enum members bound once: reading one off its class goes through
 # ``EnumType.__getattr__`` (docs/performance.md, "Host hot path")
+_APP = Category.APP
+_COND_MISPREDICT = Category.COND_MISPREDICT
 _CONTEXT_SWITCH = Category.CONTEXT_SWITCH
 _MAP_LOOKUP = Category.MAP_LOOKUP
 _LINK = Category.LINK
@@ -140,6 +156,15 @@ class SDTVM(BlockRunner):
             self.invariant_checker = InvariantChecker(self)
         self._chaos = self.fault_injector is not None
         self._fuel = DEFAULT_FUEL
+        # what the exit handlers reach on every fragment exit, bound once
+        self._cycles = self.model.cycles
+        self._bimodal = self.model.bimodal.access
+        #: the return scheme's call-site hook, ``None`` when the scheme
+        #: keeps the base no-op (a call exit then makes no call for it)
+        self._on_call = (
+            None if type(self.return_mech).on_call is ReturnMechanism.on_call
+            else self.return_mech.on_call
+        )
         #: one exit handler per kind, ``handler(fragment, next_pc,
         #: last_pc, term_rd) -> successor | None``, shared by the block
         #: and oracle bodies
@@ -234,31 +259,41 @@ class SDTVM(BlockRunner):
                 # demotion is invisible to every measurement.
                 self._demote(fragment)
                 return self._run_oracle(fragment)
+            n = plan.n
             budget = self._fuel - self.retired
-            if plan.n > budget:
+            if n > budget:
                 # fuel runs out inside this fragment, unless a SYSCALL
                 # exits first: the oracle body stops exactly there
                 return self._run_oracle(fragment)
-            if plan.has_syscall:
-                next_pc = self._run_block(plan)
-                if self.syscalls.exited:
-                    # a SYSCALL exited the program: cpu.pc on its successor
-                    self.cpu.pc = next_pc
+            tier2 = self._tier2
+            if tier2 is not None and not plan.has_syscall:
+                region = fragment.region
+                if region is None and fragment.executions >= tier2.threshold:
+                    region = tier2.try_promote(fragment)
+                if region:
+                    # entry gate: the head block fits the budget and
+                    # (under chaos) its plan is coherent — both were
+                    # just checked above; every further block is
+                    # guarded inside the region.
+                    return tier2.execute(region, budget)
+            # the whole block: one call, then its accounting inline (the
+            # block's precomputed APP sum is cycle-identical to charging
+            # each instruction)
+            try:
+                next_pc = plan.fn()
+            except BaseException as exc:
+                if self._block_raised(plan, exc):
+                    # a SYSCALL before the last instruction exited the
+                    # program: cpu.pc is on its successor
                     return None
-            else:
-                tier2 = self._tier2
-                if tier2 is not None:
-                    region = fragment.region
-                    if region is None and \
-                            fragment.executions >= tier2.threshold:
-                        region = tier2.try_promote(fragment)
-                    if region:
-                        # entry gate: the head block fits the budget and
-                        # (under chaos) its plan is coherent — both were
-                        # just checked above; every further block is
-                        # guarded inside the region.
-                        return tier2.execute(region, budget)
-                next_pc = self._run_block(plan)
+                raise
+            self.retired += n
+            self._vector_runs[plan.vector] += 1
+            self._cycles[_APP] += plan.app_cycles
+            if plan.has_syscall and self.syscalls.exit_code is not None:
+                # the program exited at the block's last instruction
+                self.cpu.pc = next_pc
+                return None
             return self._exits[fragment.exit_kind](
                 fragment, next_pc, plan.term_pc, plan.term_rd
             )
@@ -307,27 +342,43 @@ class SDTVM(BlockRunner):
         )
 
     # -- fragment exits (one handler per ExitKind, see ``_exits``) -----------
+    #
+    # A direct exit follows a valid link itself and calls
+    # ``_direct_successor`` only to establish one; a conditional exit
+    # charges the model's ``cond_branch`` with one predictor call.
 
     def _exit_halt(self, fragment, next_pc, last_pc, term_rd) -> None:
         self.cpu.pc = next_pc
         return None
 
     def _exit_jump(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
+        linked = fragment.links.get("J")
+        if linked is not None and linked.valid:
+            return linked
         return self._direct_successor(fragment, "J", next_pc)
 
     def _exit_cond(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
         taken = next_pc != last_pc + 4
-        self.model.cond_branch(fragment.exit_site, taken)
-        return self._direct_successor(fragment, "T" if taken else "F",
-                                      next_pc)
+        if self._bimodal(fragment.exit_site, taken):
+            self._cycles[_COND_MISPREDICT] += self.model.penalty
+        key = "T" if taken else "F"
+        linked = fragment.links.get(key)
+        if linked is not None and linked.valid:
+            return linked
+        return self._direct_successor(fragment, key, next_pc)
 
     def _exit_call(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
-        self.return_mech.on_call(self.cpu, REG_RA, last_pc + 4)
+        if self._on_call is not None:
+            self._on_call(self.cpu, REG_RA, last_pc + 4)
+        linked = fragment.links.get("J")
+        if linked is not None and linked.valid:
+            return linked
         return self._direct_successor(fragment, "J", next_pc)
 
     def _exit_icall(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
         self.stats.ib_dispatches["icall"] += 1
-        self.return_mech.on_call(self.cpu, term_rd, last_pc + 4)
+        if self._on_call is not None:
+            self._on_call(self.cpu, term_rd, last_pc + 4)
         return self._dispatch_ib("icall", fragment, last_pc, next_pc,
                                  self.generic_ib.dispatch)
 

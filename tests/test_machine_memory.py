@@ -1,10 +1,20 @@
 """Guest memory: loads/stores, alignment, sparseness, properties."""
 
+import importlib.util
+import random
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.machine.errors import AlignmentFault, MemoryFault
-from repro.machine.memory import PAGE_SIZE, Memory
+from repro.machine.memory import (
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    Memory,
+    load_word_source,
+    store_word_source,
+)
 
 
 class TestBasicAccess:
@@ -290,6 +300,109 @@ class TestWriteWatch:
         mem.watch_page(1)
         mem.write_bytes(PAGE_SIZE - 4, bytes(12))
         assert fired == [(PAGE_SIZE, 8)]
+
+
+def _in_place(mem: Memory, fallback=None):
+    """``(load, store)`` compiled from the ``Memory``-owned word source,
+    bound to ``mem``.  ``fallback(name)``, when given, replaces
+    ``load_word``/``store_word`` as the lines' fallback."""
+    ns = dict(mem.word_names())
+    if fallback is not None:
+        ns["_wload"] = fallback("load_word")
+        ns["_wstore"] = fallback("store_word")
+    source = "def load(addr):\n"
+    source += "".join(f"    {line}\n"
+                      for line in load_word_source("value", "addr"))
+    source += "    return value\ndef store(addr, value):\n"
+    source += "".join(f"    {line}\n"
+                      for line in store_word_source("addr", "value"))
+    exec(compile(source, "<word source>", "exec"), ns)
+    return ns["load"], ns["store"]
+
+
+def _no_fallback(name):
+    def fallback(*args):
+        raise AssertionError(f"{name}{args}: the access left the page view")
+    return fallback
+
+
+BASE = 0x1234_5000
+
+#: The ways a page becomes resident: each makes its word view with it.
+PAGE_MAKERS = {
+    "_page": lambda mem: mem._page(BASE + 12),
+    "write_bytes": lambda mem: mem.write_bytes(
+        BASE - 6, bytes(range(7, 256)) * 16),  # the loader's path
+    "store_byte": lambda mem: mem.store_byte(BASE + 9, 0xA5),
+}
+
+
+class TestWordView:
+    """``lw``/``sw`` source indexes each page's 32-bit view in place."""
+
+    @pytest.mark.parametrize("maker", PAGE_MAKERS)
+    def test_in_place_words_equal_page_bytes(self, maker):
+        mem = Memory()
+        PAGE_MAKERS[maker](mem)
+        page = mem._pages[BASE >> PAGE_SHIFT]
+        load, store = _in_place(mem, _no_fallback)
+        for off in range(0, PAGE_SIZE, 4):
+            assert load(BASE + off) == int.from_bytes(
+                page[off:off + 4], "little")
+        rng = random.Random(maker)
+        for off in rng.sample(range(0, PAGE_SIZE, 4), 64):
+            value = rng.getrandbits(32)
+            store(BASE + off, value)
+            assert int.from_bytes(page[off:off + 4], "little") == value
+            assert load(BASE + off) == mem.load_word(BASE + off) == value
+        assert mem.resident_pages == 1 + (maker == "write_bytes")
+
+    def test_view_sees_byte_and_bulk_writes(self):
+        mem = Memory()
+        load, _store = _in_place(mem, _no_fallback)
+        mem.store_word(BASE, 0)
+        mem.store_byte(BASE + 3, 0x81)
+        mem.store_half(BASE + 4, 0xBEEF)
+        mem.write_bytes(BASE + 8, b"\x01\x02\x03\x04")
+        assert load(BASE) == 0x8100_0000
+        assert load(BASE + 4) == 0xBEEF
+        assert load(BASE + 8) == 0x0403_0201
+
+    def test_watched_page_stores_go_through_store_word(self):
+        mem = Memory()
+        fired: list[tuple[int, int]] = []
+        mem.set_write_watch(lambda addr, length: fired.append((addr, length)))
+        mem.store_word(BASE, 1)
+        mem.watch_page(BASE >> PAGE_SHIFT)
+        through: list[str] = []
+
+        def recorded(name):
+            method = getattr(mem, name)
+
+            def call(*args):
+                through.append(name)
+                return method(*args)
+            return call
+
+        load, store = _in_place(mem, recorded)
+        store(BASE + 8, 0xCAFE_BABE)
+        assert through == ["store_word"]
+        assert fired == [(BASE + 8, 4)]
+        # loads from a watched page stay in place
+        assert load(BASE + 8) == 0xCAFE_BABE and through == ["store_word"]
+        mem.unwatch_page(BASE >> PAGE_SHIFT)
+        store(BASE + 12, 7)
+        assert through == ["store_word"] and fired == [(BASE + 8, 4)]
+        assert mem.load_word(BASE + 12) == 7
+
+    def test_refuses_a_big_endian_host(self, monkeypatch):
+        """The view reads native byte order, so the module will not
+        import where that is not the guest's little-endian order."""
+        spec = importlib.util.find_spec("repro.machine.memory")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "byteorder", "big")
+        with pytest.raises(ImportError, match="little-endian"):
+            spec.loader.exec_module(module)
 
 
 @given(

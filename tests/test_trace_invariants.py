@@ -108,17 +108,33 @@ class TestDeterminism:
         assert oracle.phase_cycles == threaded.phase_cycles
 
 
+#: Every generic mechanism under every return scheme, then the exit and
+#: dispatch variants: unlinked exits, devirtualized sites, inline
+#: prediction.
+PURE_CONFIGS = {
+    **{f"{ib}-{returns}": {"ib": ib, "returns": returns}
+       for ib in GENERIC_MECHANISMS for returns in RETURN_SCHEMES},
+    "unlinked": {"linking": False},
+    "static-targets": {"static_targets": True},
+    "inline-predict": {"inline_predict": True},
+}
+
+
 class TestPureObservation:
     def _run(self, config: SDTConfig):
         workload = get_workload("parser_like", "tiny")
         vm = SDTVM(workload.compile(), config=config)
         return vm.run()
 
-    def test_traced_equals_untraced(self):
-        off = self._run(SDTConfig(profile=SIMPLE, ib="sieve",
-                                  returns="retcache", trace=None))
-        on = self._run(SDTConfig(profile=SIMPLE, ib="sieve",
-                                 returns="retcache", trace=TraceSpec()))
+    @pytest.mark.parametrize("name", PURE_CONFIGS)
+    def test_traced_equals_untraced(self, name):
+        """The exit handlers and the mechanisms' dispatch run the same
+        code traced and untraced, so a traced run equals an untraced one
+        in every configuration."""
+        fields = PURE_CONFIGS[name]
+        off = self._run(SDTConfig(profile=SIMPLE, trace=None, **fields))
+        on = self._run(SDTConfig(profile=SIMPLE, trace=TraceSpec(),
+                                 **fields))
         assert on.output == off.output
         assert on.exit_code == off.exit_code
         assert on.retired == off.retired
