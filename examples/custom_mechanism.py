@@ -13,14 +13,16 @@ It shows the full extension surface:
 - subclass :class:`repro.sdt.ib.base.IBMechanism`,
 - charge costs via ``vm.model.charge`` / ``vm.model.indirect_jump``,
 - fall back to ``vm.reenter_translator`` on a miss,
-- clear cached fragment pointers in ``on_flush``.
+- store bare fragments: a fragment's ``guest_pc`` is the tag to compare,
+- declare the tables of fragments in ``tables``.
 
 A mechanism is a fragment holder (:class:`repro.sdt.cache.FragmentHolder`):
 ``bind`` registers it with the VM's fragment cache, which announces every
-translation, flush and selective invalidation to it.  Overriding
-``on_flush`` suffices here; a mechanism meant to run under a coherence
-policy also overrides ``scrub_invalid``, and ``live_fragment_refs`` lets
-the invariant checker walk its table.
+translation, flush and selective invalidation to it.  The base class
+answers all three over the declared tables: a flush clears them, a
+selective invalidation (under a coherence policy) drops their invalid
+fragments, and ``live_fragment_refs`` lets the invariant checker walk
+them.
 """
 
 from repro.eval.report import format_table
@@ -44,40 +46,39 @@ class TwoWayIBTC(IBMechanism):
             raise ValueError("sets must be a positive power of two")
         self.sets = sets
         self.name = f"ibtc-2way-{sets}"
-        # each set: list of up to 2 (tag, fragment) pairs, MRU first
-        self._sets: list[list[tuple[int, Fragment]]] = [
-            [] for _ in range(sets)
-        ]
+        # each set: up to 2 fragments keyed by their guest_pc, least
+        # recently used first
+        self._sets: list[dict[int, Fragment]] = [{} for _ in range(sets)]
+
+    def tables(self):
+        return self._sets
 
     def dispatch(self, fragment, ib_pc, guest_target):
         vm = self.vm
         profile = vm.model.profile
         # a 2-way probe loads and compares both tags: slightly pricier
         vm.model.charge(Category.IBTC, profile.ibtc_probe + 2)
-        entries = self._sets[ibtc_index(guest_target, self.sets - 1)]
-        for position, (tag, cached) in enumerate(entries):
-            if tag == guest_target and cached.valid:
-                self._hit()
-                entries.insert(0, entries.pop(position))  # LRU bump
-                vm.model.indirect_jump(fragment.exit_site, cached.fc_addr)
-                return cached
+        ways = self._sets[ibtc_index(guest_target, self.sets - 1)]
+        cached = ways.pop(guest_target, None)
+        if cached is not None and cached.valid:
+            self._hit()
+            ways[guest_target] = cached  # LRU bump
+            vm.model.indirect_jump(fragment.exit_site, cached.fc_addr)
+            return cached
         self._miss()
         target = vm.reenter_translator(guest_target)
-        entries.insert(0, (guest_target, target))
-        del entries[2:]
+        ways[guest_target] = target
+        if len(ways) > 2:
+            del ways[next(iter(ways))]  # evict the least recently used
         return target
-
-    def on_flush(self):
-        for entries in self._sets:
-            entries.clear()
 
 
 def run_with_mechanism(program, mechanism):
     """Run a program under an SDTVM with a hand-built generic mechanism."""
     vm = SDTVM(program, SDTConfig(profile=X86_P4))
-    # replace the stock mechanism before execution starts
+    # replace the stock mechanism before execution starts; returns
+    # dispatch through it too (the default return scheme is "same")
     vm.generic_ib = mechanism
-    vm.return_mech.generic = mechanism  # returns-as-IB delegate
     mechanism.bind(vm)
     return vm.run()
 

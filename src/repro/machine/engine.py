@@ -74,7 +74,7 @@ from typing import Callable
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import InstrClass, Op
 from repro.isa.registers import REG_RA
-from repro.machine.cpu import CPUState, s32
+from repro.machine.cpu import CPUState
 from repro.machine.executor import _sdiv, _srem, execute
 from repro.machine.memory import (
     WORD_NAMES,
@@ -150,8 +150,9 @@ def _falls(dest: str | None, *stmts: str):
 #: writes; writing ``r0`` compiles to :data:`_ORACLE` instead.  Masks are
 #: spelled out: 4294967295 is ``2**32 - 1``, 2147483648 the sign bit
 #: (signed compares go through it: ``s32(a) < s32(b)`` iff
-#: ``a ^ 2**31 < b ^ 2**31``).  Each line matches the oracle executor bit
-#: for bit, and faults fire at the same point in the same order.
+#: ``a ^ 2**31 < b ^ 2**31``, and ``s32(a)`` is ``(a ^ 2**31) - 2**31``,
+#: with no call).  Each line matches the oracle executor bit for bit,
+#: and faults fire at the same point in the same order.
 _TEMPLATES: dict[Op, tuple[str | None, tuple[str, ...], str]] = {
     Op.ADD: _falls("d", "regs[{d}] = (regs[{s}] + regs[{t}]) & 4294967295"),
     Op.SUB: _falls("d", "regs[{d}] = (regs[{s}] - regs[{t}]) & 4294967295"),
@@ -164,18 +165,21 @@ _TEMPLATES: dict[Op, tuple[str | None, tuple[str, ...], str]] = {
     Op.SLTU: _falls("d", "regs[{d}] = 1 if regs[{s}] < regs[{t}] else 0"),
     # s32(a) * s32(b) is congruent to a * b mod 2**32
     Op.MUL: _falls("d", "regs[{d}] = (regs[{s}] * regs[{t}]) & 4294967295"),
-    Op.DIV: _falls("d", "regs[{d}] = _sdiv(_sx(regs[{s}]), _sx(regs[{t}])) "
-                        "& 4294967295"),
-    Op.REM: _falls("d", "regs[{d}] = _srem(_sx(regs[{s}]), _sx(regs[{t}])) "
-                        "& 4294967295"),
+    Op.DIV: _falls("d", "regs[{d}] = _sdiv((regs[{s}] ^ 2147483648) "
+                        "- 2147483648, (regs[{t}] ^ 2147483648) "
+                        "- 2147483648) & 4294967295"),
+    Op.REM: _falls("d", "regs[{d}] = _srem((regs[{s}] ^ 2147483648) "
+                        "- 2147483648, (regs[{t}] ^ 2147483648) "
+                        "- 2147483648) & 4294967295"),
     Op.SLLV: _falls("d", "regs[{d}] = (regs[{s}] << (regs[{t}] & 31)) "
                          "& 4294967295"),
     Op.SRLV: _falls("d", "regs[{d}] = regs[{s}] >> (regs[{t}] & 31)"),
-    Op.SRAV: _falls("d", "regs[{d}] = (_sx(regs[{s}]) >> (regs[{t}] & 31)) "
-                         "& 4294967295"),
+    Op.SRAV: _falls("d", "regs[{d}] = (((regs[{s}] ^ 2147483648) "
+                         "- 2147483648) >> (regs[{t}] & 31)) & 4294967295"),
     Op.SLL: _falls("d", "regs[{d}] = (regs[{t}] << {sh}) & 4294967295"),
     Op.SRL: _falls("d", "regs[{d}] = regs[{t}] >> {sh}"),
-    Op.SRA: _falls("d", "regs[{d}] = (_sx(regs[{t}]) >> {sh}) & 4294967295"),
+    Op.SRA: _falls("d", "regs[{d}] = (((regs[{t}] ^ 2147483648) "
+                        "- 2147483648) >> {sh}) & 4294967295"),
     Op.ADDI: _falls("t", "regs[{t}] = (regs[{s}] + {imm}) & 4294967295"),
     Op.ANDI: _falls("t", "regs[{t}] = regs[{s}] & {imm}"),
     Op.ORI: _falls("t", "regs[{t}] = regs[{s}] | {imm}"),
@@ -251,8 +255,8 @@ def _machine(cpu: CPUState, mem: Memory,
 
 
 #: The globals of every block function: pure helpers and the exit signal.
-_GLOBALS = {"__builtins__": builtins, "_sx": s32, "_sdiv": _sdiv,
-            "_srem": _srem, "_ex": execute, "ProgramExit": ProgramExit}
+_GLOBALS = {"__builtins__": builtins, "_sdiv": _sdiv, "_srem": _srem,
+            "_ex": execute, "ProgramExit": ProgramExit}
 
 _FORMATTER = string.Formatter()
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

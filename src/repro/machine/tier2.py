@@ -384,10 +384,10 @@ class Region:
     """A compiled region: the function plus fault-replay metadata."""
 
     __slots__ = ("fn", "members", "filename", "line_table", "used_regs",
-                 "member_meta", "source")
+                 "member_meta")
 
     def __init__(self, fn, members, filename, line_table, used_regs,
-                 member_meta, source):
+                 member_meta):
         self.fn = fn
         #: member blocks (interpreter) or fragments (SDT), head first
         self.members = members
@@ -400,7 +400,6 @@ class Region:
         #: may invalidate a member (clearing its plan) before a later
         #: instruction faults
         self.member_meta = member_meta
-        self.source = source
 
     @property
     def entry_pc(self) -> int:
@@ -562,11 +561,10 @@ class _Regions:
                 sb.add(indent, text)
 
         sb.lines[0] = _def_line(_extra_binds(ns, "\n".join(sb.lines[1:])))
-        source = sb.source()
-        exec(compile(source, filename, "exec"), ns)
+        exec(compile(sb.source(), filename, "exec"), ns)
         member_meta = tuple((plan.pcs, plan.iclasses) for plan in plans)
         return Region(ns["_region"], members, filename, sb.line_table,
-                      order, member_meta, source)
+                      order, member_meta)
 
     # -- execution -----------------------------------------------------------
 
@@ -734,10 +732,12 @@ class Tier2Runtime(_Regions, FragmentHolder):
 
     def _namespace(self, ns: dict, members) -> None:
         vm = self.owner
+        ret = vm.return_mech
         ns.update(
             _cb=vm.model.cond_branch, _ds=vm._direct_successor,
-            _oc=vm.return_mech.on_call, _dib=vm._dispatch_ib,
-            _gd=vm.generic_ib.dispatch, _rd=vm.return_mech.dispatch_ret,
+            _oc=vm._on_call, _dib=vm._dispatch_ib,
+            _gd=vm.generic_ib.dispatch,
+            _rd=vm.generic_ib.dispatch if ret is None else ret.dispatch_ret,
             _ibs=vm.stats.ib_dispatches,
         )
         for i, fragment in enumerate(members):
@@ -751,18 +751,21 @@ class Tier2Runtime(_Regions, FragmentHolder):
         kind = fragment.exit_kind
         term_pc = plan.term_pc
         fall = (term_pc + 4) & U32
+        # the return scheme's call hook, where it has one
+        on_call = self.owner._on_call is not None
         if kind is ExitKind.COND:
             return [f"_cb({fragment.exit_site}, _npc != {fall})",
                     _guard(f"_npc != {fall}", spill,
                            f'return _ds(_f{i}, "T", _npc)'),
                     _join(spill, f'return _ds(_f{i}, "F", {fall})')]
         if kind is ExitKind.CALL:
-            return [_join(spill, f"_oc(_cpu, {REG_RA}, {fall})",
+            return [_join(spill,
+                          f"_oc(_cpu, {REG_RA}, {fall})" if on_call else "",
                           f'return _ds(_f{i}, "J", {npc_expr})')]
         if kind is ExitKind.ICALL:
             return [_join(
                 spill, '_ibs["icall"] += 1',
-                f"_oc(_cpu, {plan.term_rd}, {fall})",
+                f"_oc(_cpu, {plan.term_rd}, {fall})" if on_call else "",
                 f'return _dib("icall", _f{i}, {term_pc}, _npc, _gd)')]
         if kind is ExitKind.IJUMP:
             return [_join(
@@ -793,7 +796,7 @@ class Tier2Runtime(_Regions, FragmentHolder):
             else:
                 tail.append(_guard(f"_npc != {fall}", spill,
                                    f'return _ds(_f{i}, "T", _npc)'))
-        elif kind is ExitKind.CALL:
+        elif kind is ExitKind.CALL and self.owner._on_call is not None:
             # tier-1 calls on_call after the body; the return scheme
             # may rewrite the link register (fast returns), so spill
             # it, let the scheme run, and reload the rewritten value

@@ -10,8 +10,9 @@ host-level branch behaviour it induces:
   software translation cache (shared or per-site).
 - :class:`repro.sdt.ib.sieve.Sieve` — dispatch into hash buckets of
   compare-and-branch stubs.
-- :mod:`repro.sdt.ib.returns` — return-specific schemes: returns-as-IB,
-  fast returns, shadow return stack, return cache.
+- :mod:`repro.sdt.ib.returns` — return-specific schemes: fast returns,
+  shadow return stack, return cache (without one, returns dispatch
+  through the generic mechanism).
 """
 
 from repro.sdt.ib.base import IBMechanism, Mechanism, ReturnMechanism
@@ -19,12 +20,7 @@ from repro.sdt.ib.factory import build_mechanisms
 from repro.sdt.ib.ibtc import IBTC
 from repro.sdt.ib.predict import InlinePrediction
 from repro.sdt.ib.reentry import TranslatorReentry
-from repro.sdt.ib.returns import (
-    FastReturns,
-    ReturnCache,
-    ReturnsAsIB,
-    ShadowReturnStack,
-)
+from repro.sdt.ib.returns import FastReturns, ReturnCache, ShadowReturnStack
 from repro.sdt.ib.sieve import Sieve
 
 __all__ = [
@@ -35,7 +31,6 @@ __all__ = [
     "Mechanism",
     "ReturnCache",
     "ReturnMechanism",
-    "ReturnsAsIB",
     "ShadowReturnStack",
     "Sieve",
     "TranslatorReentry",

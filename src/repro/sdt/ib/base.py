@@ -22,13 +22,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 class Mechanism(FragmentHolder):
     """What every IB and return mechanism shares: a bound VM, a place in
-    the cache's holder list, and hit/miss counters under :attr:`name`.
+    the cache's holder list, hit/miss counters under :attr:`name`, and
+    the :class:`repro.sdt.cache.FragmentHolder` hooks over the tables
+    :meth:`tables` returns.
 
-    Mechanisms whose tables cache fragment pointers override the
-    :class:`repro.sdt.cache.FragmentHolder` hooks they need (``on_flush``
-    to drop them, ``scrub_invalid`` to drop the invalid ones,
-    ``live_fragment_refs`` for the invariant checker); the rest inherit
-    the no-ops.
+    A table maps a key (slot index, IB site, landing pad) to a bare
+    :class:`Fragment`: the guest address a probe compares the dynamic
+    target against is the fragment's own ``guest_pc``, so no tag is
+    stored beside it.
     """
 
     #: stable identifier used in statistics and reports
@@ -52,6 +53,24 @@ class Mechanism(FragmentHolder):
     def _miss(self) -> None:
         assert self.vm is not None
         self.vm.stats.mechanism[self._miss_key] += 1
+
+    def tables(self) -> list[dict[int, Fragment]]:
+        """Every table of fragments this mechanism keeps (none here)."""
+        return []
+
+    def on_flush(self) -> None:
+        for table in self.tables():
+            table.clear()
+
+    def scrub_invalid(self, dead) -> None:
+        # by the validity predicate, so tombstones go too
+        for table in self.tables():
+            stale = [key for key, frag in table.items() if not frag.valid]
+            for key in stale:
+                del table[key]
+
+    def live_fragment_refs(self) -> list[Fragment]:
+        return [frag for table in self.tables() for frag in table.values()]
 
 
 class IBMechanism(Mechanism, ABC):

@@ -8,12 +8,7 @@ from repro.sdt.ib.base import IBMechanism, ReturnMechanism
 from repro.sdt.ib.ibtc import IBTC
 from repro.sdt.ib.predict import InlinePrediction
 from repro.sdt.ib.reentry import TranslatorReentry
-from repro.sdt.ib.returns import (
-    FastReturns,
-    ReturnCache,
-    ReturnsAsIB,
-    ShadowReturnStack,
-)
+from repro.sdt.ib.returns import FastReturns, ReturnCache, ShadowReturnStack
 from repro.sdt.ib.sieve import Sieve
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,17 +33,20 @@ def build_generic(config: "SDTConfig") -> IBMechanism:
 
 def build_mechanisms(
     config: "SDTConfig",
-) -> tuple[IBMechanism, ReturnMechanism]:
+) -> tuple[IBMechanism, ReturnMechanism | None]:
     """Instantiate (generic mechanism, return mechanism) for a config.
 
-    The return scheme uses the generic mechanism as its fallback path, as
-    in Strata (a shadow-stack mismatch, for instance, drops into the IBTC).
+    Under ``returns="same"`` there is no return mechanism: returns
+    dispatch through the generic one.  Every other scheme uses the
+    generic mechanism as its fallback path, as in Strata (a shadow-stack
+    mismatch, for instance, drops into the IBTC).
     """
     generic = build_generic(config)
     if config.inline_predict:
         generic = InlinePrediction(generic)
+    returns: ReturnMechanism | None
     if config.returns == "same":
-        returns: ReturnMechanism = ReturnsAsIB(generic)
+        returns = None
     elif config.returns == "fast":
         returns = FastReturns(fallback=generic)
     elif config.returns == "shadow":

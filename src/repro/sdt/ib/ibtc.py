@@ -57,12 +57,6 @@ def ibtc_index(target: int, mask: int, hash_kind: str = "fold") -> int:
     return (word ^ (word >> 10)) & mask
 
 
-#: One direct-mapped table: ``slot index -> (tag, fragment)``.  Only
-#: occupied slots are stored, so a flush or a scrub costs what the table
-#: holds, not its capacity; a missing slot is an empty one.
-_Table = dict[int, tuple[int, Fragment]]
-
-
 class IBTC(IBMechanism):
     """Shared or per-site indirect branch translation cache."""
 
@@ -88,10 +82,15 @@ class IBTC(IBMechanism):
         if not inline:
             self.name += "-outline"
         self._mask = entries - 1
-        self._shared_table: _Table | None = {} if shared else None
-        self._site_tables: dict[int, _Table] = {}
+        #: direct-mapped tables, ``slot index -> fragment``: only occupied
+        #: slots are stored, so a flush or a scrub costs what a table
+        #: holds, not its capacity; a missing slot is an empty one
+        self._shared_table: dict[int, Fragment] | None = (
+            {} if shared else None
+        )
+        self._site_tables: dict[int, dict[int, Fragment]] = {}
 
-    def _table_for(self, ib_pc: int) -> _Table:
+    def _table_for(self, ib_pc: int) -> dict[int, Fragment]:
         if self._shared_table is not None:
             return self._shared_table
         table = self._site_tables.get(ib_pc)
@@ -99,7 +98,7 @@ class IBTC(IBMechanism):
             table = self._site_tables[ib_pc] = {}
         return table
 
-    def _tables(self) -> list[_Table]:
+    def tables(self) -> list[dict[int, Fragment]]:
         if self._shared_table is not None:
             return [self._shared_table]
         return list(self._site_tables.values())
@@ -147,12 +146,11 @@ class IBTC(IBMechanism):
             elif event == "corrupt" and index in table:
                 from repro.faults.inject import tombstone
 
-                tag, victim = table[index]
-                table[index] = (tag, tombstone(victim))
-        entry = table.get(index)
+                table[index] = tombstone(table[index])
+        cached = table.get(index)
         trace = vm.trace
-        if entry is not None and entry[0] == guest_target and entry[1].valid:
-            cached = entry[1]
+        if (cached is not None and cached.guest_pc == guest_target
+                and cached.valid):
             vm.stats.mechanism[self._hit_key] += 1
             if trace is not None:
                 trace.emit("ibtc.hit", site=ib_pc, target=guest_target,
@@ -164,7 +162,7 @@ class IBTC(IBMechanism):
                 cycles[_IND_MISPREDICT] += model.penalty
             return cached
 
-        # a tag match on an invalidated fragment is a stale entry (missed
+        # a match on an invalidated fragment is a stale entry (missed
         # flush invalidation, or injected corruption): treated exactly
         # like a miss, so the refill below repairs the table
         self._miss()
@@ -172,7 +170,7 @@ class IBTC(IBMechanism):
             trace.emit("ibtc.miss", site=ib_pc, target=guest_target,
                        probes=1)
         target_fragment = vm.reenter_translator(guest_target)
-        table[index] = (guest_target, target_fragment)
+        table[index] = target_fragment
         if trace is not None:
             trace.emit("ibtc.insert", site=ib_pc, target=guest_target,
                        index=index)
@@ -191,26 +189,12 @@ class IBTC(IBMechanism):
         table = self._table_for(ib_pc)
         index = ibtc_index(guest_target, self._mask, self.hash_kind)
         occupant = table.get(index)
-        if occupant is not None and occupant[1].valid:
+        if occupant is not None and occupant.valid:
             return False
-        table[index] = (guest_target, fragment)
+        table[index] = fragment
         return True
 
-    def live_fragment_refs(self):
-        return [
-            frag for table in self._tables() for _tag, frag in table.values()
-        ]
-
     def on_flush(self) -> None:
-        if self._shared_table is not None:
-            self._shared_table.clear()
+        # per-site tables go with their entries
+        super().on_flush()
         self._site_tables.clear()
-
-    def scrub_invalid(self, dead) -> None:
-        for table in self._tables():
-            stale = [
-                index for index, (_tag, frag) in table.items()
-                if not frag.valid
-            ]
-            for index in stale:
-                del table[index]

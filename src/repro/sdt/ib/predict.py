@@ -15,8 +15,6 @@ pure overhead on sites that alternate targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.host.costs import Category
 from repro.sdt.fragment import Fragment
 from repro.sdt.ib.base import IBMechanism
@@ -26,12 +24,6 @@ from repro.sdt.ib.base import IBMechanism
 _IBTC = Category.IBTC
 
 
-@dataclass(slots=True)
-class _Prediction:
-    target: int
-    fragment: Fragment
-
-
 class InlinePrediction(IBMechanism):
     """Per-site last-target inline cache wrapping a generic mechanism."""
 
@@ -39,7 +31,11 @@ class InlinePrediction(IBMechanism):
         super().__init__()
         self.inner = inner
         self.name = f"predict+{inner.name}"
-        self._predictions: dict[int, _Prediction] = {}
+        #: ``IB site -> last target's fragment``
+        self._predictions: dict[int, Fragment] = {}
+
+    def tables(self) -> list[dict[int, Fragment]]:
+        return [self._predictions]
 
     def bind(self, vm) -> None:
         # the inner mechanism is a fragment holder of its own, held
@@ -58,8 +54,8 @@ class InlinePrediction(IBMechanism):
         prediction = self._predictions.get(ib_pc)
         hit = (
             prediction is not None
-            and prediction.target == guest_target
-            and prediction.fragment.valid
+            and prediction.guest_pc == guest_target
+            and prediction.valid
         )
         vm.model.cond_branch(fragment.exit_site, hit, category=_IBTC)
         trace = vm.trace
@@ -67,7 +63,7 @@ class InlinePrediction(IBMechanism):
             self._hit()
             if trace is not None:
                 trace.emit("predict.hit", site=ib_pc, target=guest_target)
-            return prediction.fragment
+            return prediction
 
         self._miss()
         if trace is not None:
@@ -75,9 +71,7 @@ class InlinePrediction(IBMechanism):
         target_fragment = self.inner.dispatch(fragment, ib_pc, guest_target)
         # re-patching translated code costs a (small) fragment write
         vm.model.charge(_IBTC, profile.fast_return_fixup)
-        self._predictions[ib_pc] = _Prediction(
-            target=guest_target, fragment=target_fragment
-        )
+        self._predictions[ib_pc] = target_fragment
         return target_fragment
 
     def preseed(
@@ -87,17 +81,3 @@ class InlinePrediction(IBMechanism):
         # payoff is last-target locality, which statics cannot know);
         # hints warm the wrapped mechanism instead
         return self.inner.preseed(ib_pc, guest_target, fragment)
-
-    def on_flush(self) -> None:
-        self._predictions.clear()
-
-    def scrub_invalid(self, dead) -> None:
-        stale = [
-            pc for pc, p in self._predictions.items()
-            if not p.fragment.valid
-        ]
-        for pc in stale:
-            del self._predictions[pc]
-
-    def live_fragment_refs(self):
-        return [p.fragment for p in self._predictions.values()]

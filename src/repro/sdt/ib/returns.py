@@ -2,11 +2,10 @@
 
 Returns are the most frequent indirect-branch class in the paper's SPEC
 measurements, and the only one with exploitable structure (call/return
-pairing).  Four schemes:
-
-``ReturnsAsIB``
-    no special handling: returns dispatch through the generic IB mechanism
-    (IBTC, sieve, or translator re-entry).
+pairing).  Under ``returns="same"`` no scheme is built: a return
+dispatches through the generic IB mechanism (IBTC, sieve, or translator
+re-entry) like any other indirect branch.  Three schemes handle returns
+themselves:
 
 ``FastReturns``
     the call site writes the address of a *return landing pad* — a
@@ -48,21 +47,6 @@ _SHADOW_STACK = Category.SHADOW_STACK
 _RETCACHE = Category.RETCACHE
 
 
-class ReturnsAsIB(ReturnMechanism):
-    """Delegate returns to the generic IB mechanism (paper's default)."""
-
-    name = "ret-as-ib"
-
-    def __init__(self, generic: IBMechanism):
-        super().__init__()
-        self.generic = generic
-
-    def dispatch_ret(
-        self, fragment: Fragment, ib_pc: int, target_value: int
-    ) -> Fragment:
-        return self.generic.dispatch(fragment, ib_pc, target_value)
-
-
 class FastReturns(ReturnMechanism):
     """Translate return addresses at the call site (transparency trade)."""
 
@@ -73,7 +57,12 @@ class FastReturns(ReturnMechanism):
         self.fallback = fallback
         self._pad_for_guest: dict[int, int] = {}
         self._guest_for_pad: dict[int, int] = {}
+        #: ``pad -> fragment`` bindings; pads and their guest addresses
+        #: survive a flush (they are stable addresses), these do not
         self._pad_fragment: dict[int, Fragment] = {}
+
+    def tables(self) -> list[dict[int, Fragment]]:
+        return [self._pad_fragment]
 
     def _pad(self, guest_ret_pc: int) -> int:
         pad = self._pad_for_guest.get(guest_ret_pc)
@@ -130,24 +119,6 @@ class FastReturns(ReturnMechanism):
         self._pad_fragment[target_value] = target_fragment
         vm.model.charge(_LINK, vm.model.profile.link_patch)
         return target_fragment
-
-    def on_flush(self) -> None:
-        # pads survive a flush (they are stable addresses); their patched
-        # fragment bindings do not
-        self._pad_fragment.clear()
-
-    def scrub_invalid(self, dead) -> None:
-        # pads and their guest bindings survive (stable addresses); only
-        # bindings to dead fragments are dropped
-        stale = [
-            pad for pad, frag in self._pad_fragment.items()
-            if not frag.valid
-        ]
-        for pad in stale:
-            del self._pad_fragment[pad]
-
-    def live_fragment_refs(self):
-        return list(self._pad_fragment.values())
 
 
 class ShadowReturnStack(ReturnMechanism):
@@ -225,6 +196,9 @@ class ReturnCache(ReturnMechanism):
         #: ``slot index -> fragment``, occupied slots only
         self._table: dict[int, Fragment] = {}
 
+    def tables(self) -> list[dict[int, Fragment]]:
+        return [self._table]
+
     def dispatch_ret(
         self, fragment: Fragment, ib_pc: int, target_value: int
     ) -> Fragment:
@@ -255,15 +229,3 @@ class ReturnCache(ReturnMechanism):
         target_fragment = vm.reenter_translator(target_value)
         self._table[index] = target_fragment
         return target_fragment
-
-    def on_flush(self) -> None:
-        self._table.clear()
-
-    def scrub_invalid(self, dead) -> None:
-        table = self._table
-        stale = [index for index, frag in table.items() if not frag.valid]
-        for index in stale:
-            del table[index]
-
-    def live_fragment_refs(self):
-        return list(self._table.values())

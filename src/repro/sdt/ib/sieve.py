@@ -26,6 +26,7 @@ from collections import defaultdict
 from repro.host.costs import Category
 from repro.sdt.fragment import Fragment
 from repro.sdt.ib.base import IBMechanism
+from repro.sdt.ib.ibtc import ibtc_index
 
 #: Synthetic host address of the sieve's bucket array (predictor keying).
 SIEVE_BASE = 0xFD00_0000
@@ -35,12 +36,6 @@ _STUB_STRIDE = 16     # synthetic bytes per stub
 # enum members bound once: reading one off its class goes through
 # ``EnumType.__getattr__`` (docs/performance.md, "Host hot path")
 _SIEVE = Category.SIEVE
-
-
-def sieve_index(target: int, mask: int) -> int:
-    """Hash a guest target into a bucket index (same folding as the IBTC)."""
-    word = target >> 2
-    return (word ^ (word >> 10)) & mask
 
 
 class Sieve(IBMechanism):
@@ -56,12 +51,11 @@ class Sieve(IBMechanism):
         self.policy = policy
         self.name = f"sieve-{buckets}"
         self._mask = buckets - 1
-        #: ``bucket index -> stub chain``; a bucket gets its list when
-        #: first probed, and a flush drops them all, so flushes and
-        #: scrubs walk only the buckets in use
-        self._chains: defaultdict[int, list[tuple[int, Fragment]]] = (
-            defaultdict(list)
-        )
+        #: ``bucket index -> stub chain`` of fragments, each stub
+        #: comparing against its fragment's ``guest_pc``; a bucket gets
+        #: its list when first probed, and a flush drops them all, so
+        #: flushes and scrubs walk only the buckets in use
+        self._chains: defaultdict[int, list[Fragment]] = defaultdict(list)
         #: dynamic stage executions, for mean-chain-length reporting
         self.stage_executions = 0
 
@@ -71,7 +65,7 @@ class Sieve(IBMechanism):
         assert self.vm is not None
         vm = self.vm
         profile = vm.model.profile
-        index = sieve_index(guest_target, self._mask)
+        index = ibtc_index(guest_target, self._mask)
         bucket_addr = SIEVE_BASE + index * _BUCKET_STRIDE
 
         # computed jump into the bucket
@@ -90,14 +84,13 @@ class Sieve(IBMechanism):
             elif event == "corrupt":
                 from repro.faults.inject import tombstone
 
-                known, frag = chain[0]
-                chain[0] = (known, tombstone(frag))
+                chain[0] = tombstone(chain[0])
         trace = vm.trace
-        for position, (known_target, target_fragment) in enumerate(chain):
+        for position, target_fragment in enumerate(chain):
             vm.model.charge(_SIEVE, profile.sieve_stage)
             self.stage_executions += 1
             stub_addr = bucket_addr + position * _STUB_STRIDE
-            matched = known_target == guest_target
+            matched = target_fragment.guest_pc == guest_target
             vm.model.cond_branch(stub_addr, matched, category=_SIEVE)
             if matched:
                 if target_fragment.valid:
@@ -121,11 +114,10 @@ class Sieve(IBMechanism):
         target_fragment = vm.reenter_translator(guest_target)
         # re-fetch: the reentry may have flushed (and so dropped) the chain
         chain = self._chains[index]
-        entry = (guest_target, target_fragment)
         if self.policy == "prepend":
-            chain.insert(0, entry)
+            chain.insert(0, target_fragment)
         else:
-            chain.append(entry)
+            chain.append(target_fragment)
         if trace is not None:
             trace.emit("sieve.insert", bucket=index, target=guest_target,
                        depth=len(chain))
@@ -140,15 +132,13 @@ class Sieve(IBMechanism):
         exactly as a dispatch-miss stub would, so preseeded and
         dynamically linked chains are structurally identical.
         """
-        index = sieve_index(guest_target, self._mask)
-        chain = self._chains[index]
-        if any(known == guest_target for known, _ in chain):
+        chain = self._chains[ibtc_index(guest_target, self._mask)]
+        if any(stub.guest_pc == guest_target for stub in chain):
             return False
-        entry = (guest_target, fragment)
         if self.policy == "prepend":
-            chain.insert(0, entry)
+            chain.insert(0, fragment)
         else:
-            chain.append(entry)
+            chain.append(fragment)
         return True
 
     def on_flush(self) -> None:
@@ -157,15 +147,11 @@ class Sieve(IBMechanism):
     def scrub_invalid(self, dead) -> None:
         # in-place: dispatch holds direct references to chain lists
         for chain in self._chains.values():
-            if any(not frag.valid for _target, frag in chain):
-                chain[:] = [entry for entry in chain if entry[1].valid]
+            if any(not frag.valid for frag in chain):
+                chain[:] = [frag for frag in chain if frag.valid]
 
     def live_fragment_refs(self):
-        return [
-            fragment
-            for chain in self._chains.values()
-            for _target, fragment in chain
-        ]
+        return [frag for chain in self._chains.values() for frag in chain]
 
     @property
     def mean_chain_length(self) -> float:

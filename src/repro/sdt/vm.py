@@ -15,8 +15,8 @@ function itself, does the block's accounting inline, and hands the
 exit to one handler per :class:`~repro.sdt.fragment.ExitKind`, shared
 with the oracle body.  A direct exit follows a valid link without a
 further call, a conditional exit charges its host branch with one
-predictor call, and a call exit skips a return scheme's ``on_call``
-when that is the base no-op.  Traced, chaos, fuel-limited and
+predictor call, and a call exit calls a return scheme's ``on_call``
+only when it has one of its own.  Traced, chaos, fuel-limited and
 static-targets runs take the same handlers (docs/performance.md, "Host
 hot path").
 """
@@ -121,13 +121,15 @@ class SDTVM(BlockRunner):
         # Fragment holders (repro.sdt.cache.FragmentHolder) hear every
         # translation, flush and selective invalidation in the order they
         # are held: the generic mechanism (then a prediction wrapper's
-        # inner mechanism), the return mechanism, the static-targets
-        # runtime (its preseeding fills the mechanisms), the coherence
-        # manager, tier-2 regions, and the invariant checker last, so its
-        # walks see every other holder's post-event state.
+        # inner mechanism), the return mechanism (none when returns
+        # dispatch through the generic one), the static-targets runtime
+        # (its preseeding fills the mechanisms), the coherence manager,
+        # tier-2 regions, and the invariant checker last, so its walks
+        # see every other holder's post-event state.
         self.generic_ib, self.return_mech = build_mechanisms(self.config)
         self.generic_ib.bind(self)
-        self.return_mech.bind(self)
+        if self.return_mech is not None:
+            self.return_mech.bind(self)
         self.static_rt = None
         if self.config.static_targets:
             from repro.sdt.static_targets import StaticTargetsRuntime
@@ -159,11 +161,14 @@ class SDTVM(BlockRunner):
         # what the exit handlers reach on every fragment exit, bound once
         self._cycles = self.model.cycles
         self._bimodal = self.model.bimodal.access
-        #: the return scheme's call-site hook, ``None`` when the scheme
-        #: keeps the base no-op (a call exit then makes no call for it)
+        #: the return scheme's call-site hook, ``None`` without a scheme
+        #: or when it keeps the base no-op (a call exit then makes no
+        #: call for it)
+        ret = self.return_mech
         self._on_call = (
-            None if type(self.return_mech).on_call is ReturnMechanism.on_call
-            else self.return_mech.on_call
+            None if ret is None
+            or type(ret).on_call is ReturnMechanism.on_call
+            else ret.on_call
         )
         #: one exit handler per kind, ``handler(fragment, next_pc,
         #: last_pc, term_rd) -> successor | None``, shared by the block
@@ -389,8 +394,10 @@ class SDTVM(BlockRunner):
 
     def _exit_ret(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
         self.stats.ib_dispatches["ret"] += 1
-        return self._dispatch_ib("ret", fragment, last_pc, next_pc,
-                                 self.return_mech.dispatch_ret)
+        ret = self.return_mech
+        return self._dispatch_ib(
+            "ret", fragment, last_pc, next_pc,
+            self.generic_ib.dispatch if ret is None else ret.dispatch_ret)
 
     def _dispatch_ib(
         self, ib: str, fragment: Fragment, ib_pc: int, target: int,

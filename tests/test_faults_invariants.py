@@ -74,8 +74,8 @@ class TestCollectViolations:
         vm = fresh_vm(ib="ibtc")
         table = vm.generic_ib._shared_table
         assert table is not None
-        index, (tag, live) = next(iter(table.items()))
-        table[index] = (tag, tombstone(live))
+        index, live = next(iter(table.items()))
+        table[index] = tombstone(live)
         found = collect_violations(vm)
         assert [v.kind for v in found] == ["stale-fragment"]
         assert found[0].site == vm.generic_ib.name
@@ -171,20 +171,16 @@ def _plant_in_dict(store: dict) -> None:
 
 
 def _plant_in_ibtc(ibtc) -> None:
-    table = next(table for table in ibtc._tables() if table)
-    index, (tag, frag) = next(iter(table.items()))
-    table[index] = (tag, tombstone(frag))
+    _plant_in_dict(next(table for table in ibtc.tables() if table))
 
 
 def _plant_in_sieve(sieve) -> None:
     chain = next(chain for chain in sieve._chains.values() if chain)
-    target, frag = chain[0]
-    chain[0] = (target, tombstone(frag))
+    chain[0] = tombstone(chain[0])
 
 
 def _plant_in_prediction(wrapper) -> None:
-    prediction = next(iter(wrapper._predictions.values()))
-    prediction.fragment = tombstone(prediction.fragment)
+    _plant_in_dict(wrapper._predictions)
 
 
 def _plant_in_pages(coherence) -> None:

@@ -1,13 +1,15 @@
-"""Occupied-slot IB tables: flush, scrub and slot conflicts.
+"""Occupied-slot IB tables: flush, scrub, slot conflicts and keys.
 
 The IBTC (shared and per-site), the return cache and the sieve store
-only occupied entries, so a flush or a selective-invalidation scrub
+only occupied entries, each a bare fragment whose ``guest_pc`` is the
+tag a probe compares, so a flush or a selective-invalidation scrub
 costs what a table holds, not its capacity.  These tests pin the
 behaviour that must not change with the storage: a flush leaves no
-entry, a selective invalidation scrubs exactly the entries naming
-invalid fragments (fault-injected tombstones included) and keeps every
-valid one with its tag, in order, and two targets hashing to one IBTC
-or return-cache slot still evict each other.
+entry, a selective invalidation scrubs exactly the invalid fragments
+(fault-injected tombstones included) and keeps every valid one, in
+order, two targets hashing to one IBTC or return-cache slot still evict
+each other, and after faulted runs every fragment sits where its own
+guest address puts it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,11 @@ import pytest
 from repro.faults.inject import tombstone
 from repro.host.profile import SIMPLE
 from repro.sdt.config import SDTConfig
-from repro.sdt.ib.ibtc import IBTC
-from repro.sdt.ib.returns import ReturnCache
+from repro.sdt.ib.base import Mechanism
+from repro.sdt.ib.ibtc import IBTC, ibtc_index
+from repro.sdt.ib.predict import InlinePrediction
+from repro.sdt.ib.returns import FastReturns, ReturnCache
+from repro.sdt.ib.sieve import Sieve
 from repro.sdt.vm import SDTVM
 from repro.workloads import get_workload
 
@@ -51,13 +56,10 @@ def _mechanism(vm):
 
 
 def _entries(mech) -> list:
-    """Every stored entry as ``(tag, fragment)``; the return cache is
-    untagged, so its fragment's own guest PC stands in for the tag."""
-    if isinstance(mech, IBTC):
-        return [entry for table in mech._tables() for entry in table.values()]
-    if isinstance(mech, ReturnCache):
-        return [(frag.guest_pc, frag) for frag in mech._table.values()]
-    return [entry for chain in mech._chains.values() for entry in chain]
+    """Every stored fragment, in table order."""
+    if isinstance(mech, Sieve):
+        return [frag for chain in mech._chains.values() for frag in chain]
+    return [frag for table in mech.tables() for frag in table.values()]
 
 
 def _storage(mech) -> dict:
@@ -74,17 +76,13 @@ def _storage(mech) -> dict:
 def _plant_tombstone(mech) -> None:
     """Replace the first stored fragment with a stale copy of itself, as
     a fault-injected corruption would."""
-    if isinstance(mech, IBTC):
-        table = next(table for table in mech._tables() if table)
-        index, (tag, frag) = next(iter(table.items()))
-        table[index] = (tag, tombstone(frag))
-    elif isinstance(mech, ReturnCache):
-        index, frag = next(iter(mech._table.items()))
-        mech._table[index] = tombstone(frag)
-    else:
+    if isinstance(mech, Sieve):
         chain = next(chain for chain in mech._chains.values() if chain)
-        target, frag = chain[0]
-        chain[0] = (target, tombstone(frag))
+        chain[0] = tombstone(chain[0])
+    else:
+        table = next(table for table in mech.tables() if table)
+        index, frag = next(iter(table.items()))
+        table[index] = tombstone(frag)
 
 
 def _dispatch(vm, mech, target: int):
@@ -116,18 +114,19 @@ def test_scrub_removes_exactly_the_invalid_entries(kind):
     mech = _mechanism(vm)
     _plant_tombstone(mech)
     before = _entries(mech)
-    valid = [(tag, frag) for tag, frag in before if frag.valid]
+    valid = [frag for frag in before if frag.valid]
     assert len(valid) >= 2, "need a fragment to kill and one to keep"
-    victim = valid[0][1]
-    expected = [(tag, frag) for tag, frag in valid if frag is not victim]
+    victim = valid[0]
+    expected = [frag for frag in valid if frag is not victim]
     assert expected and len(expected) < len(before) - 1
 
     # the cache has every holder scrub as part of the invalidation
     assert vm.cache.invalidate([victim]) == 1
 
     after = _entries(mech)
-    assert [tag for tag, _ in after] == [tag for tag, _ in expected]
-    assert all(a is e for (_, a), (_, e) in zip(after, expected))
+    assert [frag.guest_pc for frag in after] == \
+        [frag.guest_pc for frag in expected]
+    assert all(a is e for a, e in zip(after, expected))
     assert all(frag.valid for frag in mech.live_fragment_refs())
 
 
@@ -156,7 +155,7 @@ def test_one_slot_targets_evict_each_other(kind, config):
     table = (mech._site_tables[_SITE] if kind == "ibtc-persite"
              else _storage(mech))
     (entry,) = table.values()
-    assert (entry[1] if isinstance(mech, IBTC) else entry).guest_pc == first
+    assert entry.guest_pc == first
 
 
 def test_sieve_bucket_keeps_both_targets():
@@ -171,3 +170,52 @@ def test_sieve_bucket_keeps_both_targets():
         assert _dispatch(vm, mech, target).guest_pc == target
     assert _counts(vm, mech) == (hits + 2, misses)
     assert list(mech._chains) == [0]
+
+
+#: the tables above plus the fast-return pads, under the chaos plan
+#: (dropped and corrupted entries) and a flush storm at 1 KiB
+FAULTED = {
+    f"{kind}-{plan.split(':')[0]}": dict(config, faults=plan, **extra)
+    for kind, config in {**TABLES, "fast": dict(returns="fast")}.items()
+    for plan, extra in (("chaos:1234", {}),
+                        ("storm:1234", dict(fragment_cache_bytes=1024)))
+}
+
+
+@pytest.mark.parametrize("kind", FAULTED)
+def test_fragments_sit_where_their_guest_pc_puts_them(kind):
+    """A table's key is derived from its fragment's own ``guest_pc``:
+    an IBTC entry and a return-cache slot at the index that address
+    hashes to, a sieve stub in that bucket, a fast-return binding at the
+    pad of that guest address."""
+    vm = _vm(**FAULTED[kind])
+    mech = vm.return_mech if vm.return_mech is not None else vm.generic_ib
+    if isinstance(mech, IBTC):
+        placed = [(index, ibtc_index(frag.guest_pc, mech._mask,
+                                     mech.hash_kind))
+                  for table in mech.tables() for index, frag in table.items()]
+    elif isinstance(mech, Sieve):
+        placed = [(index, ibtc_index(frag.guest_pc, mech._mask))
+                  for index, chain in mech._chains.items() for frag in chain]
+    elif isinstance(mech, ReturnCache):
+        placed = [(index, (frag.guest_pc >> 2) & mech._mask)
+                  for index, frag in mech._table.items()]
+    else:
+        assert isinstance(mech, FastReturns)
+        placed = [(mech._guest_for_pad[pad], frag.guest_pc)
+                  for pad, frag in mech._pad_fragment.items()]
+    assert placed, "the run should have left entries"
+    assert all(key == expected for key, expected in placed)
+
+
+@pytest.mark.parametrize(
+    "cls", (IBTC, ReturnCache, FastReturns, InlinePrediction),
+    ids=lambda cls: cls.__name__)
+def test_table_holders_keep_the_shared_hooks(cls):
+    """A mechanism whose state is key -> fragment tables declares them
+    (``tables``) and keeps ``Mechanism``'s scrub and walk; only the IBTC
+    flushes more, dropping its per-site tables."""
+    assert cls.tables is not Mechanism.tables
+    assert cls.scrub_invalid is Mechanism.scrub_invalid
+    assert cls.live_fragment_refs is Mechanism.live_fragment_refs
+    assert (cls.on_flush is Mechanism.on_flush) == (cls is not IBTC)

@@ -9,9 +9,11 @@ complete architectural outcome.
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import zlib
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import CONTROL_CLASSES, OP_TABLE, Fmt, InstrClass, Op
 from repro.machine.cpu import CPUState
 from repro.machine.engine import (
+    _GLOBALS,
     ENGINES,
     MAX_SUPERBLOCK_INSTRS,
     Superblock,
@@ -45,12 +48,7 @@ from repro.sdt.fragment import ExitKind
 from repro.sdt.ib.base import Mechanism
 from repro.sdt.ib.ibtc import IBTC
 from repro.sdt.ib.predict import InlinePrediction
-from repro.sdt.ib.returns import (
-    FastReturns,
-    ReturnCache,
-    ReturnsAsIB,
-    ShadowReturnStack,
-)
+from repro.sdt.ib.returns import FastReturns, ReturnCache, ShadowReturnStack
 from repro.sdt.ib.sieve import Sieve
 from repro.sdt.translator import Translator
 from repro.sdt.vm import SDTVM
@@ -118,12 +116,19 @@ def _block_fn(instr: Instruction, cpu, mem, syscalls):
     return Superblock([(PC, instr)], cpu, mem, syscalls).fn
 
 
-def _run_both(instr: Instruction, seed: int, then: Instruction | None = None):
+def _run_both(instr: Instruction, seed: int, then: Instruction | None = None,
+              operands: tuple[int, int] | None = None):
     """Execute one instruction via oracle and block function on twin
     states; with ``then``, as the first of a two-instruction block whose
-    terminator ``then`` the oracle executes next."""
+    terminator ``then`` the oracle executes next.  ``operands`` are
+    written to ``rs`` and ``rt`` first (``r0`` stays zero)."""
     cpu_a, mem_a, sys_a = _fresh_state(seed)
     cpu_b, mem_b, sys_b = _fresh_state(seed)
+    if operands is not None:
+        for cpu in (cpu_a, cpu_b):
+            for reg, value in zip((instr.rs, instr.rt), operands):
+                if reg:
+                    cpu.regs[reg] = value
     rng = random.Random(seed + 1)
     _prepare(instr, cpu_a, rng)
     _prepare(instr, cpu_b, random.Random(seed + 1))
@@ -147,6 +152,11 @@ def _run_both(instr: Instruction, seed: int, then: Instruction | None = None):
 
 
 NON_SYSCALL_OPS = [op for op in Op if op is not Op.SYSCALL]
+
+#: ``(rs, rt)`` pairs of INT_MIN and -1: ``INT_MIN / -1`` overflows,
+#: and an arithmetic shift of either fills with sign bits
+EDGE_OPERANDS = tuple(itertools.product((0x8000_0000, 0xFFFF_FFFF),
+                                        repeat=2))
 
 #: ops that fall through to the next instruction: the ones a block holds
 #: before its terminator (the SDT's inlined ``j`` aside)
@@ -226,7 +236,7 @@ BLOCK_STEPS = (
 @pytest.mark.parametrize("fn", BLOCK_STEPS + (
     BlockRunner._block_raised, HostModel.charge_instr,
     IBTC.dispatch, Sieve.dispatch, InlinePrediction.dispatch,
-    ReturnsAsIB.dispatch_ret, FastReturns.on_call, FastReturns.dispatch_ret,
+    FastReturns.on_call, FastReturns.dispatch_ret,
     ShadowReturnStack.on_call, ShadowReturnStack.dispatch_ret,
     ReturnCache.dispatch_ret, SDTVM.reenter_translator,
     SDTVM._direct_successor, Translator.translate,
@@ -334,6 +344,23 @@ class TestClosureSemantics:
                 then = Instruction(op=Op.JR,
                                    rs=random.Random(trial).randrange(32))
                 _run_both(instr, seed=trial * 1021 + 7, then=then)
+        instr = _random_instr(op, rng)
+        fmt = OP_TABLE[op].fmt
+        if fmt in (Fmt.R3, Fmt.BR):
+            instr = replace(instr, rs=1, rt=2)
+        elif fmt is Fmt.SHIFT:
+            instr = replace(instr, rt=2)
+        for trial, operands in enumerate(EDGE_OPERANDS):
+            _run_both(instr, seed=trial, operands=operands)
+
+    def test_sign_extension_spelled_inline(self):
+        """No block function calls a helper to sign-extend: DIV, REM,
+        SRAV and SRA spell ``(x ^ 2**31) - 2**31`` into their lines."""
+        assert "_sx" not in _GLOBALS
+        rng = random.Random(5)
+        for op in Op:
+            fn = _block_fn(_random_instr(op, rng), *_fresh_state(0))
+            assert "_sx" not in fn.__code__.co_names, op
 
     def test_write_to_r0_discarded(self):
         for op in (Op.ADD, Op.LW, Op.JALR, Op.LUI, Op.SLL):

@@ -151,7 +151,7 @@ class TestReturnCache:
         assert result.cycles[Category.RETCACHE.value] > 0
 
 
-class TestReturnsAsIB:
+class TestSameReturns:
     def test_rets_flow_through_generic_mechanism(self):
         result = run_returns(CALL_HEAVY, "same")
         name = "ibtc-shared-4096"
@@ -160,3 +160,26 @@ class TestReturnsAsIB:
             + result.stats.mechanism[f"{name}.miss"]
         )
         assert total == result.stats.ib_dispatches["ret"]  # no icalls here
+
+    def test_no_return_mechanism(self):
+        """Under ``same`` there is no return scheme: no call hook, no
+        holder, and a return reaches whatever ``vm.generic_ib`` is when
+        it dispatches."""
+        from repro.lang import compile_to_program
+        from repro.sdt.ib.base import ReturnMechanism
+        from repro.sdt.ib.ibtc import IBTC
+        from repro.sdt.vm import SDTVM
+
+        vm = SDTVM(compile_to_program(CALL_HEAVY),
+                   SDTConfig(profile=SIMPLE, ib="ibtc"))
+        assert vm.return_mech is None and vm._on_call is None
+        assert not any(isinstance(holder, ReturnMechanism)
+                       for holder in vm.cache.holders)
+        swapped = IBTC(entries=64)
+        vm.generic_ib = swapped
+        swapped.bind(vm)
+        result = vm.run()
+        stats = result.stats.mechanism
+        assert stats["ibtc-shared-64.hit"] + stats["ibtc-shared-64.miss"] \
+            == result.stats.ib_dispatches["ret"] > 0
+        assert "ibtc-shared-4096.hit" not in stats

@@ -6,12 +6,19 @@ from conftest import run_minic_sdt
 from repro.host.costs import Category
 from repro.host.profile import SIMPLE
 from repro.sdt.config import SDTConfig
-from repro.sdt.ib.sieve import Sieve, sieve_index
+from repro.sdt.fragment import ExitKind, Fragment
+from repro.sdt.ib.sieve import Sieve
 
 from test_sdt_ibtc import dispatch_source
 
 #: exact chain-growth dynamics are clean-spec behaviour
 pytestmark = pytest.mark.usefixtures("no_faults")
+
+
+def stub(guest_pc: int) -> Fragment:
+    """A stub's fragment: the stub compares against its ``guest_pc``."""
+    return Fragment(guest_pc=guest_pc, fc_addr=0, instrs=[],
+                    exit_kind=ExitKind.JUMP)
 
 
 def run_sieve(source: str, buckets: int = 64, policy: str = "prepend"):
@@ -28,12 +35,6 @@ class TestConstruction:
             Sieve(buckets=48)
         with pytest.raises(ValueError):
             Sieve(policy="random")
-
-    def test_hash_matches_ibtc_folding(self):
-        from repro.sdt.ib.ibtc import ibtc_index
-
-        for addr in range(0x400000, 0x400100, 4):
-            assert sieve_index(addr, 63) == ibtc_index(addr, 63)
 
 
 class TestDynamics:
@@ -100,13 +101,13 @@ class TestDynamics:
 class TestFlush:
     def test_flush_clears_chains(self):
         sieve = Sieve(buckets=4)
-        sieve._chains[0].append((0x1000, object()))
+        sieve._chains[0].append(stub(0x1000))
         sieve.on_flush()
         assert all(not chain for chain in sieve._chains.values())
 
     def test_mean_chain_length(self):
         sieve = Sieve(buckets=4)
         assert sieve.mean_chain_length == 0.0
-        sieve._chains[0].extend([(1, None), (2, None)])
-        sieve._chains[1].append((3, None))
+        sieve._chains[0].extend([stub(4), stub(8)])
+        sieve._chains[1].append(stub(12))
         assert sieve.mean_chain_length == 1.5

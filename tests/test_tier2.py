@@ -79,7 +79,9 @@ class TestPromotion:
         regions = list(vm._tier2._regions.values())
         assert regions
         for region in regions:
-            assert region.source.startswith("def _region(rem, ")
+            code = region.fn.__code__
+            assert code.co_name == "_region"
+            assert code.co_varnames[0] == "rem"
             assert region.filename.startswith("<tier2 0x")
             assert region.members, region.filename
             # every line-table entry points at a real member instruction
