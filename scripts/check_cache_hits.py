@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """CI guard for the parallel executor and disk-cache keying.
 
-Runs E6 (the tuned mechanism grid) and E13 (cache pressure, half of its
-cells under the pinned ``chaos:1234`` fault plan) at tiny scale three
-times:
+Runs E6 (the tuned mechanism grid), E13 (cache pressure, half of its
+cells under the pinned ``chaos:1234`` fault plan) and E15 (self-modifying
+guests under every coherence policy) at tiny scale three times:
 
 1. serial, no cache          — the reference tables,
 2. ``--jobs 2``, cold cache  — must produce byte-identical CSV output,
@@ -12,7 +12,10 @@ times:
 
 A keying bug (a field missing from the fingerprint, fuel aliasing, a
 faulted cell served to a clean one, a nondeterministic row order) breaks
-one of these invariants.
+one of these invariants.  So does a cell whose result depends on what
+earlier cells of its process left in the per-process walk and block
+stores: the serial pass runs every cell in one process, the 2-worker
+passes spread them over others, and E15's cells rewrite their own code.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-EXPERIMENTS = ["e6", "e13"]
-CSV_NAMES = ("e6_mechanism_comparison.csv", "e13_cache_pressure.csv")
+EXPERIMENTS = ["e6", "e13", "e15"]
+CSV_NAMES = ("e6_mechanism_comparison.csv", "e13_cache_pressure.csv",
+             "e15_coherence.csv")
 MIN_HIT_RATE = 0.90
 
 

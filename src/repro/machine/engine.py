@@ -22,6 +22,15 @@ of self-modifying code share one code object.  ``lw`` and ``sw`` are
 source lines from :mod:`repro.machine.memory`, which owns the page
 layout they access in place.
 
+What is per process and what is per machine: a :class:`BlockCode` is a
+compiled block with no machine (code object, line table, immediates,
+PCs, classes), kept per process by :mod:`repro.machine.runner`; a
+:class:`Superblock` is one binding of it to one machine (its function,
+APP cycles under that runner's profile, run counter, and the fields
+fault injection may perturb).  :meth:`Superblock.__init__` is the one
+place a block is compiled; every other build binds a kept
+``BlockCode`` (:meth:`BlockCode.bind`).
+
 Each plan precomputes its total APP cycle cost under the active
 :class:`~repro.host.profile.ArchProfile`, so cycle accounting is charged
 once per block execution instead of once per instruction, inline in
@@ -32,9 +41,9 @@ Instruction-class counting costs one counter bump per block execution:
 the runner that builds a plan interns its
 :class:`~repro.isa.opcodes.InstrClass` multiset and counts the plan's
 runs against it, deriving the class counts only when they are read.
-A runner rebuilding a block from equal ``(pc, instruction)`` pairs gets a
-fresh plan from :meth:`Superblock.rebuilt` that shares its function and
-re-derives every field fault injection may perturb.
+A runner building a block from ``(pc, instruction)`` pairs equal to a
+kept :class:`BlockCode`'s gets a fresh plan from :meth:`BlockCode.bind`
+that re-derives every field fault injection may perturb.
 
 Invariants the block layer relies on (see docs/performance.md):
 
@@ -72,7 +81,7 @@ from types import FunctionType
 from typing import Callable
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import InstrClass, Op
+from repro.isa.opcodes import InstrClass, Op, spec
 from repro.isa.registers import REG_RA
 from repro.machine.cpu import CPUState
 from repro.machine.executor import _sdiv, _srem, execute
@@ -244,8 +253,8 @@ _MACHINE = ("regs", "_cpu", "_mem", "_sys", "_sc", "_lb", "_lh", "_sb",
             "_sh") + WORD_NAMES
 
 
-def _machine(cpu: CPUState, mem: Memory,
-             syscalls: SyscallHandler) -> dict[str, object]:
+def machine_names(cpu: CPUState, mem: Memory,
+                  syscalls: SyscallHandler) -> dict[str, object]:
     """The :data:`_MACHINE` names bound to one machine."""
     names = mem.word_names()
     names.update(regs=cpu.regs, _cpu=cpu, _mem=mem, _sys=syscalls,
@@ -279,11 +288,14 @@ def compile_shape(shape: Shape):
     Straight-line source, one template per instruction: the statements
     of each, then ``return`` of the last one's next PC, and after a
     ``SYSCALL`` that is not last, the exit check.  Returns ``(code,
-    lines, machine, values)``: the function's code object; its line
-    table (source line number -> index of the instruction the line
-    belongs to); the :data:`_MACHINE` names it takes first; and, for
-    each further parameter, ``(k, value)``: the index of its instruction
-    and the :data:`_VALUES` function that gives its argument.
+    lines, machine, values, iclasses, class_items)``: the function's
+    code object; its line table (source line number -> index of the
+    instruction the line belongs to); the :data:`_MACHINE` names it
+    takes first; for each further parameter, ``(k, value)``: the index
+    of its instruction and the :data:`_VALUES` function that gives its
+    argument; and, since an instruction's class follows from its
+    opcode, the blocks' instruction classes and ``(class, count)`` in
+    first-occurrence order, shared by every block of the shape.
     """
     body: list[str] = []
     lines = [0, 0]  # no line 0; line 1 is the ``def``
@@ -313,7 +325,9 @@ def compile_shape(shape: Shape):
     source = f"def block({', '.join(machine + tuple(params))}):\n{text}\n"
     namespace: dict = {}
     exec(compile(source, "<block>", "exec"), namespace)
-    return namespace["block"].__code__, tuple(lines), machine, tuple(values)
+    iclasses = tuple([spec(op).iclass for op, _rd, _rs, _rt, _sh in shape])
+    return (namespace["block"].__code__, tuple(lines), machine,
+            tuple(values), iclasses, tuple(_class_counts(iclasses).items()))
 
 
 def _class_counts(iclasses) -> dict[InstrClass, int]:
@@ -324,10 +338,109 @@ def _class_counts(iclasses) -> dict[InstrClass, int]:
     return counts
 
 
-class Superblock:
-    """A compiled straight-line block: its function plus block-level costs.
+class BlockCode:
+    """A compiled block without a machine: what the process keeps of it.
+
+    Everything that depends only on the block's ``(pc, instruction)``
+    pairs: its shape's code object and line table, the :data:`_MACHINE`
+    names the code takes first, its immediates, its PCs and classes and
+    its class counts.  It holds no bound function, register list, memory
+    or syscall handler, so one ``BlockCode`` serves every runner of the
+    process (:data:`repro.machine.runner.BLOCKS`): each runner makes its
+    own function of it (:meth:`function`) and binds blocks with that
+    (:meth:`bind`).
 
     Attributes:
+        code / lines / machine: :func:`compile_shape`'s code object, line
+            table and machine names.
+        values: the arguments after the machine names, in parameter
+            order.
+        pairs: the ``(pc, instruction)`` pairs of its latest build,
+            equal to the ones it was compiled from; a runner reuses it
+            only for pairs equal to these.
+        pcs / iclasses: per-instruction guest PCs and instruction
+            classes (parallel tuples).
+        class_items: ``(class, count)`` in first-occurrence order.
+        has_syscall / term_iclass / term_rd: as on :class:`Superblock`.
+    """
+
+    __slots__ = (
+        "code", "lines", "machine", "values", "pairs", "pcs", "iclasses",
+        "class_items", "has_syscall", "term_iclass", "term_rd",
+    )
+
+    def __init__(self, pairs: list[tuple[int, Instruction]]):
+        if not pairs:
+            raise ValueError("cannot compile an empty block")
+        (self.code, self.lines, self.machine, values, self.iclasses,
+         self.class_items) = compile_shape(tuple([
+             (instr.op, instr.rd, instr.rs, instr.rt, instr.shamt)
+             for _pc, instr in pairs
+         ]))
+        self.values = tuple([value(*pairs[k]) for k, value in values])
+        self.pairs = pairs
+        self.pcs = tuple([pc for pc, _instr in pairs])
+        self.has_syscall = InstrClass.SYSCALL in self.iclasses
+        self.term_iclass = self.iclasses[-1]
+        self.term_rd = pairs[-1][1].rd
+
+    def function(self, names: dict[str, object]) -> FunctionType:
+        """The block function on the machine ``names``
+        (:func:`machine_names`) binds."""
+        return FunctionType(
+            self.code, _GLOBALS, None,
+            tuple(map(names.__getitem__, self.machine)) + self.values,
+        )
+
+    def app_cycles(self, class_cycles: dict[InstrClass, int] | None) -> int:
+        """Total APP cycles under ``class_cycles`` (0 without)."""
+        if class_cycles is None:
+            return 0
+        return sum(class_cycles[ic] * c for ic, c in self.class_items)
+
+    def bind(self, fn: FunctionType, app_cycles: int, vector: int | None,
+             trace=None, block: "Superblock | None" = None) -> "Superblock":
+        """This block on one machine: ``block`` (a fresh
+        :class:`Superblock` by default) running ``fn``, this block's
+        :meth:`function` there, charging ``app_cycles`` and counting its
+        runs at ``vector``.
+
+        Every field fault injection may perturb is derived afresh, and
+        the tier-2 heat starts at zero, so each binding is exactly what
+        a compile on that machine builds.  Emits ``plan.build``.
+        """
+        if block is None:
+            block = Superblock.__new__(Superblock)
+        block.unbound = self
+        block.fn = fn
+        block.lines = self.lines
+        block.class_items = self.class_items
+        block.app_cycles = app_cycles
+        block.has_syscall = self.has_syscall
+        block.term_iclass = self.term_iclass
+        block.term_rd = self.term_rd
+        block.vector = vector
+        pcs = self.pcs
+        block.entry_pc = pcs[0]
+        block.pcs = pcs
+        block.iclasses = self.iclasses
+        block.n = len(pcs)
+        block.class_counts = dict(self.class_items)
+        block.term_pc = pcs[-1]
+        block.hits = 0
+        block.region = None
+        if trace is not None:
+            trace.emit("plan.build", entry=block.entry_pc, instrs=block.n,
+                       syscall=block.has_syscall)
+        return block
+
+
+class Superblock:
+    """A compiled straight-line block bound to one machine: its function
+    plus block-level costs.
+
+    Attributes:
+        unbound: the machine-free :class:`BlockCode` it binds.
         entry_pc: guest address of the first instruction.
         pcs / iclasses: per-instruction guest PCs and instruction classes
             (parallel tuples).
@@ -339,10 +452,10 @@ class Superblock:
         class_counts: ``InstrClass -> count`` vector for the whole block
             (the plan-coherence check and tier2's commits read it).
         class_items: the same counts as an immutable ``(class, count)``
-            tuple, fixed at compile time; a rebuild makes its fresh
+            tuple, fixed at compile time; each binding makes its fresh
             ``class_counts`` from it.
         app_cycles: total APP cycles under the profile the block was
-            compiled for (0 when compiled without a cost model).
+            bound for (0 when bound without a cost model).
         has_syscall: the block contains a ``SYSCALL``; callers check for
             program exit after executing it.
         term_pc / term_iclass / term_rd: terminator metadata (host
@@ -359,9 +472,9 @@ class Superblock:
     """
 
     __slots__ = (
-        "entry_pc", "pcs", "fn", "lines", "iclasses", "n", "class_counts",
-        "class_items", "app_cycles", "has_syscall", "term_pc",
-        "term_iclass", "term_rd", "hits", "region", "vector",
+        "unbound", "entry_pc", "pcs", "fn", "lines", "iclasses", "n",
+        "class_counts", "class_items", "app_cycles", "has_syscall",
+        "term_pc", "term_iclass", "term_rd", "hits", "region", "vector",
     )
 
     def __init__(
@@ -373,71 +486,11 @@ class Superblock:
         class_cycles: dict[InstrClass, int] | None = None,
         trace=None,
     ):
-        if not pairs:
-            raise ValueError("cannot compile an empty block")
-        code, self.lines, machine, values = compile_shape(tuple([
-            (instr.op, instr.rd, instr.rs, instr.rt, instr.shamt)
-            for _pc, instr in pairs
-        ]))
-        bound = _machine(cpu, mem, syscalls)
-        self.fn = FunctionType(code, _GLOBALS, None, tuple(
-            [bound[name] for name in machine]
-            + [value(*pairs[k]) for k, value in values]
-        ))
-        iclasses = tuple(instr.iclass for _pc, instr in pairs)
-        counts = _class_counts(iclasses)
-        self.class_items = tuple(counts.items())
-        self.app_cycles = (
-            sum(class_cycles[ic] * c for ic, c in counts.items())
-            if class_cycles is not None else 0
-        )
-        self.has_syscall = InstrClass.SYSCALL in counts
-        self.term_iclass = iclasses[-1]
-        self.term_rd = pairs[-1][1].rd
-        self.vector = None
-        self._start(tuple(pc for pc, _instr in pairs), iclasses, counts,
-                    trace)
-
-    def _start(self, pcs, iclasses, counts, trace) -> None:
-        """Set the fields a rebuild derives afresh (the ones fault
-        injection may perturb, and the tier-2 state) and emit
-        ``plan.build``."""
-        self.entry_pc = pcs[0]
-        self.pcs = pcs
-        self.iclasses = iclasses
-        self.n = len(pcs)
-        self.class_counts = counts
-        self.term_pc = pcs[-1]
-        self.hits = 0
-        self.region = None
-        if trace is not None:
-            trace.emit("plan.build", entry=self.entry_pc, instrs=self.n,
-                       syscall=self.has_syscall)
-
-    def rebuilt(self, trace=None) -> "Superblock":
-        """A fresh block sharing this block's function.
-
-        For a rebuild from pairs equal to the ones this block was
-        compiled from (:meth:`repro.machine.runner.BlockRunner._build`).
-        Only fields that fault injection never perturbs are shared or
-        copied: ``pcs``, ``iclasses``, ``fn``, ``lines``, ``class_items``,
-        ``app_cycles``, ``vector`` and the terminator class, register
-        and syscall flag.  Entry, length, terminator PC and class counts
-        are derived again from the immutable tuples, and the tier-2 heat
-        starts over, so the new block is exactly what a fresh compile
-        would build.
-        """
-        block = Superblock.__new__(Superblock)
-        block.fn = self.fn
-        block.lines = self.lines
-        block.class_items = self.class_items
-        block.app_cycles = self.app_cycles
-        block.has_syscall = self.has_syscall
-        block.term_iclass = self.term_iclass
-        block.term_rd = self.term_rd
-        block.vector = self.vector
-        block._start(self.pcs, self.iclasses, dict(self.class_items), trace)
-        return block
+        """Compile ``pairs`` (:class:`BlockCode`) and bind the result to
+        this machine: the one place a block is compiled."""
+        code = BlockCode(pairs)
+        code.bind(code.function(machine_names(cpu, mem, syscalls)),
+                  code.app_cycles(class_cycles), None, trace, block=self)
 
     def coherent_with(self, entry_pc: int, pairs) -> bool:
         """Does this plan still describe the block it was compiled from?

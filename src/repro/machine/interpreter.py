@@ -24,7 +24,9 @@ Three execution engines are available (see docs/performance.md):
 ``threaded``
     superblocks from :mod:`repro.machine.engine`, each one compiled
     function, cached by entry PC and invalidated together with
-    ``_decoded``.  The loop runs each block itself: one call of its
+    ``_decoded``; a block compiled before in the process, by any
+    runner, is bound again rather than compiled
+    (:meth:`~repro.machine.runner.BlockRunner._build`).  The loop runs each block itself: one call of its
     function, the block's accounting inline, then the observer's
     ``exit`` at a control-transfer terminator; the loop stops on
     ``syscalls.exit_code``, read as an attribute.

@@ -29,12 +29,19 @@ everything below the exit for both harnesses:
   counters live in the runner, not in the blocks, so a block that is
   dropped (a code write, a flush, an eviction, a demotion) takes no
   counts with it,
-- the blocks.  :meth:`BlockRunner._build` builds each distinct block
-  once per runner: it keeps the last few versions built at each entry
-  PC, and a rebuild from pairs equal to one of them (an SDT
+- the blocks.  :meth:`BlockRunner._build` compiles each distinct block
+  once per process: :data:`BLOCKS` keeps the last few versions compiled
+  at each entry PC by any runner, machine-free
+  (:class:`~repro.machine.engine.BlockCode`), and a build from pairs
+  equal to one of them (the native baseline and the SDT run of one
+  guest, every experiment cell that runs it again, an SDT
   re-translation after a flush or an invalidation, a guest writing code
-  back to an earlier version) gets a fresh block sharing that version's
-  function (:meth:`Superblock.rebuilt`).
+  back to an earlier version) binds that version to this runner's
+  machine instead.  What is per runner: the machine, the function it
+  made of each stored version it built (one ``FunctionType`` each), the
+  run counters, and each block's APP cycles under the runner's
+  profile.  What is per process: the stored versions, which hold no
+  machine.
 
 A block that does not fit the remaining fuel is not run here: each
 harness runs its oracle reference loop for the remaining budget, which
@@ -52,17 +59,30 @@ from collections import Counter
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import InstrClass
 from repro.isa.program import Program
-from repro.machine.engine import ProgramExit, Superblock
+from repro.machine.engine import (
+    BlockCode,
+    ProgramExit,
+    Superblock,
+    machine_names,
+)
 from repro.machine.loader import load_program
 
 _ICLASSES = tuple(InstrClass)
 
-#: Compiled versions :meth:`BlockRunner._build` keeps per entry PC, most
-#: recently built or reused first.  smc_loop and dyn_loader switch
-#: between two versions of a block; mini_jit writes a new one each time
-#: (256 at one entry at ``large``) and never returns to an old one, so
-#: the bound keeps those from piling up.
+#: Blocks :data:`BLOCKS` keeps per entry PC, and walks the SDT
+#: translator keeps per entry PC, most recently built or reused first.
+#: smc_loop and dyn_loader switch between two versions of a block;
+#: mini_jit writes a new one each time (256 at one entry at ``large``)
+#: and never returns to an old one, so the bound keeps those from piling
+#: up.
 BLOCK_VERSIONS = 8
+
+#: entry PC -> the :class:`~repro.machine.engine.BlockCode` compiled
+#: there by any runner of the process, most recently built or reused
+#: first, at most :data:`BLOCK_VERSIONS`.  Machine-free: each runner
+#: binds what it reuses to its own machine (see
+#: :meth:`BlockRunner._build`).
+BLOCKS: dict[int, list[BlockCode]] = {}
 
 
 class BlockRunner:
@@ -97,9 +117,11 @@ class BlockRunner:
         self._vectors: dict[tuple[int, ...], int] = {}
         #: whole-block executions per interned class vector
         self._vector_runs: list[int] = []
-        #: entry PC -> ``(pairs, block)`` of the versions compiled there,
-        #: most recent first, at most :data:`BLOCK_VERSIONS`
-        self._built: dict[int, list[tuple[list, Superblock]]] = {}
+        #: what every block function of this runner binds
+        self._names = machine_names(self.cpu, self.mem, self.syscalls)
+        #: stored block -> ``(function, APP cycles, run counter index)``
+        #: on this machine (see :meth:`_build`)
+        self._bound: dict[BlockCode, tuple] = {}
 
     @property
     def iclass_counts(self) -> Counter:
@@ -111,45 +133,60 @@ class BlockRunner:
                 totals[iclass] += runs * count
         return Counter({ic: count for ic, count in totals.items() if count})
 
-    def _build(self, pairs: list[tuple[int, Instruction]], class_cycles,
-               trace=None) -> Superblock:
-        """Compile ``pairs`` into a block on this machine and give it the
-        run counter of its class multiset.
-
-        Each distinct block is compiled once per runner: when a version
-        kept at this entry PC came from pairs equal to ``pairs``, the
-        result is a fresh block sharing its function
-        (:meth:`Superblock.rebuilt`), and that version moves to the
-        front.  ``pairs`` always hold what guest memory holds now (the
-        SDT translator checks each walk it reuses against live bytes,
-        the interpreter drops a decode when its word is written), so
-        equal pairs mean the same code.  Versions are compared, never
-        hashed: a re-translation of unchanged code is one dict hit and
-        one list ``==`` whose elements are mostly the very same objects
-        (the translator's kept walk, :func:`repro.isa.encoding.decode`'s
-        memo).  ``class_cycles`` is fixed per runner.
-
-        The vector is read from the immutable ``iclasses`` tuple, never
-        from ``class_counts``, which fault injection may corrupt.
-        """
-        entry = pairs[0][0]
-        versions = self._built.get(entry)
-        if versions is None:
-            versions = self._built[entry] = []
-        for at, (seen, block) in enumerate(versions):
-            if seen == pairs:
-                if at:
-                    versions.insert(0, versions.pop(at))
-                return block.rebuilt(trace)
-        block = Superblock(pairs, self.cpu, self.mem, self.syscalls,
-                           class_cycles=class_cycles, trace=trace)
-        vector = tuple(map(block.iclasses.count, _ICLASSES))
+    def _bind(self, code: BlockCode, fn, class_cycles) -> tuple:
+        """Keep ``fn``, ``code``'s function on this machine, as its
+        binding here, with the APP cycles and the run counter of its
+        class multiset (interned on first use)."""
+        counts = dict(code.class_items)
+        vector = tuple([counts.get(iclass, 0) for iclass in _ICLASSES])
         index = self._vectors.get(vector)
         if index is None:
             index = self._vectors[vector] = len(self._vector_runs)
             self._vector_runs.append(0)
-        block.vector = index
-        versions.insert(0, (pairs, block))
+        binding = self._bound[code] = (fn, code.app_cycles(class_cycles),
+                                       index)
+        return binding
+
+    def _build(self, pairs: list[tuple[int, Instruction]], class_cycles,
+               trace=None) -> Superblock:
+        """Build ``pairs`` into a block on this machine and give it the
+        run counter of its class multiset.
+
+        Each distinct block is compiled once per process: when a
+        version in :data:`BLOCKS` at this entry PC came from pairs equal
+        to ``pairs``, that version moves to the front and is bound to
+        this machine (:meth:`BlockCode.bind`), with the function this
+        runner made of it the first time.  ``pairs`` always hold what
+        guest memory holds now (the SDT translator checks each walk it
+        reuses against live bytes, the interpreter drops a decode when
+        its word is written), so equal pairs mean the same code.
+        Versions are compared, never hashed: the list ``==`` finds the
+        same pair tuples (the translator's stored walk) or the same
+        ``Instruction`` objects (:func:`repro.isa.encoding.decode`'s
+        memo) and compares them by identity.  ``class_cycles`` is fixed
+        per runner, and no caller changes ``pairs`` once built.
+        """
+        entry = pairs[0][0]
+        versions = BLOCKS.get(entry, ())
+        for at, code in enumerate(versions):
+            if code.pairs == pairs:
+                if at:
+                    versions.insert(0, versions.pop(at))
+                # keep the latest equal pairs: after the SDT's build they
+                # are the pair tuples its stored walk holds anyway
+                code.pairs = pairs
+                binding = self._bound.get(code)
+                if binding is None:
+                    binding = self._bind(code, code.function(self._names),
+                                         class_cycles)
+                return code.bind(*binding, trace)
+        block = Superblock(pairs, self.cpu, self.mem, self.syscalls,
+                           class_cycles=class_cycles, trace=trace)
+        code = block.unbound
+        block.vector = self._bind(code, block.fn, class_cycles)[2]
+        if not versions:
+            versions = BLOCKS[entry] = []
+        versions.insert(0, code)
         del versions[BLOCK_VERSIONS:]
         return block
 

@@ -170,7 +170,9 @@ class IBTC(IBMechanism):
             trace.emit("ibtc.miss", site=ib_pc, target=guest_target,
                        probes=1)
         target_fragment = vm.reenter_translator(guest_target)
-        table[index] = target_fragment
+        # a flush during re-entry drops the per-site tables
+        # (``on_flush``): fill the table the site's next dispatch probes
+        self._table_for(ib_pc)[index] = target_fragment
         if trace is not None:
             trace.emit("ibtc.insert", site=ib_pc, target=guest_target,
                        index=index)

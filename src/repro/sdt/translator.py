@@ -2,12 +2,16 @@
 
 A fragment is one straight-line walk from its entry PC, or, with
 ``trace_jumps``, several joined through fresh jump targets.  Walks decode
-live guest memory, and the last walk from each entry PC is kept: a
-re-translation of unchanged code (after a flush or an invalidation) reuses
-it once one compare shows that guest memory still holds the bytes it
-decoded.  Every reuse is checked against live bytes, so the translator
-needs no word from the write watch: a store that no watch saw (on a page
-unwatched by a flush, or under ``coherence="none"``) is decoded anew.
+live guest memory, and the process keeps the last few walks from each
+entry PC (:data:`WALKS`), whichever translator made them: a translation
+of unchanged code (after a flush or an invalidation, in the next VM of
+the same guest, in the next experiment cell) reuses one once it lies
+inside this program's text section and one compare shows that guest
+memory still holds the bytes it decoded.  Every reuse is checked against
+live bytes, so the translator needs no word from the write watch: a
+store that no watch saw (on a page unwatched by a flush, or under
+``coherence="none"``) is decoded anew.  A walk holds no machine, only
+bytes and decoded instructions.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.program import Program
 from repro.machine.errors import MemoryFault
 from repro.machine.memory import Memory
+from repro.machine.runner import BLOCK_VERSIONS
 from repro.sdt.cache import FragmentCache
 from repro.sdt.fragment import ExitKind, Fragment, exit_kind_for
 
@@ -36,6 +41,12 @@ _JUMP = ExitKind.JUMP
 
 #: Compiles a fragment body into an execution plan (threaded engine).
 PlanFactory = Callable[[list[tuple[int, Instruction]]], object]
+
+#: entry PC -> the walks from it, ``(room, guest bytes, pairs, exit
+#: kind)``, most recently made or reused first, at most
+#: :data:`~repro.machine.runner.BLOCK_VERSIONS`; every translator of the
+#: process shares them (see :meth:`Translator._walk`)
+WALKS: dict[int, list[tuple]] = {}
 
 
 class Translator:
@@ -84,9 +95,6 @@ class Translator:
         self._mem = mem
         self._text_base = program.text.base
         self._text_end = program.text.base + len(program.text.data)
-        #: entry PC -> (room, guest bytes, pairs, exit kind) of the last
-        #: walk from it (see :meth:`_walk`)
-        self._walks: dict[int, tuple] = {}
 
     def _in_text(self, pc: int) -> bool:
         return pc % 4 == 0 and self._text_base <= pc < self._text_end
@@ -97,13 +105,20 @@ class Translator:
         """The ``(pc, instruction)`` pairs of at most ``room`` instructions
         from ``pc``, up to the first control transfer, and their exit kind.
 
-        The last walk from ``pc`` is reused when it had the same room and
-        guest memory still holds the bytes it decoded.
+        A walk from ``pc`` in :data:`WALKS` is reused when it had the
+        same room, lies inside this program's text section and guest
+        memory still holds the bytes it decoded: walking again would
+        decode the same instructions and stop at the same one.
         """
         mem = self._mem
-        walk = self._walks.get(pc)
-        if walk is not None and walk[0] == room and mem.holds(pc, walk[1]):
-            return walk[2], walk[3]
+        versions = WALKS.get(pc, ())
+        for at, walk in enumerate(versions):
+            if (walk[0] == room and self._text_base <= pc
+                    and pc + len(walk[1]) <= self._text_end
+                    and mem.holds(pc, walk[1])):
+                if at:
+                    versions.insert(0, versions.pop(at))
+                return walk[2], walk[3]
         walked = []
         exit_kind = _FALL
         for at in range(pc, pc + 4 * room, 4):
@@ -115,8 +130,11 @@ class Translator:
                 exit_kind = exit_kind_for(instr.iclass)
                 break
         pairs = tuple(walked)
-        self._walks[pc] = (room, mem.read_bytes(pc, 4 * len(pairs)), pairs,
-                           exit_kind)
+        if not versions:
+            versions = WALKS[pc] = []
+        versions.insert(0, (room, mem.read_bytes(pc, 4 * len(pairs)), pairs,
+                            exit_kind))
+        del versions[BLOCK_VERSIONS:]
         return pairs, exit_kind
 
     def get_or_translate(self, guest_pc: int) -> Fragment:

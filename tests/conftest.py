@@ -9,8 +9,18 @@ from repro.isa.assembler import assemble
 from repro.isa.opcodes import CONTROL_CLASSES
 from repro.lang import compile_to_program
 from repro.machine.interpreter import Interpreter, RunResult
+from repro.machine.runner import BLOCKS
 from repro.sdt.config import SDTConfig
+from repro.sdt.translator import WALKS
 from repro.sdt.vm import SDTRunResult, SDTVM
+
+
+def clear_stores() -> None:
+    """Empty the per-process walk and block stores, as a fresh process
+    starts: what a test that counts one run's walks or compiles runs
+    first."""
+    WALKS.clear()
+    BLOCKS.clear()
 
 
 def run_asm(source: str, inputs: list[int] | None = None,

@@ -1,13 +1,17 @@
-"""Each distinct block is compiled once per runner.
+"""Each distinct block is compiled once per process.
 
-``BlockRunner._build`` keeps the last few versions built at each entry
-PC.  A rebuild from pairs equal to one of them (an SDT re-translation
-after a flush or an invalidation, an interpreter block dropped by a code
-write that left it unchanged, a guest writing code back to an earlier
-version) gets a fresh :class:`Superblock` that shares that version's
-function and derives everything fault injection may perturb afresh.  A
-changed instruction builds a new function, which shares its code object
-with every block of the same shape.
+``repro.machine.runner.BLOCKS`` keeps the last few machine-free versions
+(:class:`~repro.machine.engine.BlockCode`) compiled at each entry PC by
+any runner.  A build from pairs equal to one of them (the same guest in
+another runner, an SDT re-translation after a flush or an invalidation,
+an interpreter block dropped by a code write that left it unchanged, a
+guest writing code back to an earlier version) binds that version to the
+runner's machine: a fresh :class:`Superblock` whose function binds the
+version's code to the machine and its arguments, and which derives
+everything fault injection may perturb afresh.  A changed instruction
+compiles a new version, which shares its code object with every block of
+the same shape.  Tests that count one run's builds empty the stores
+first, as a fresh process starts.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ from __future__ import annotations
 from collections import defaultdict
 
 import pytest
+from conftest import clear_stores
 
 from repro.eval.differential import ALL, diff, make_runner, observe, snapshot
 from repro.faults.inject import PLAN_PERTURBATIONS, apply_plan_perturbation
 from repro.lang import compile_to_program
-from repro.machine.engine import Superblock
+from repro.machine.engine import BlockCode, Superblock
 from repro.machine.runner import BlockRunner
 from repro.trace.spec import TraceSpec
 from repro.workloads import get_coherence_workload, get_workload
@@ -69,9 +74,11 @@ def _build_twice(harness: str, perturbation: str | None = None):
 
 @pytest.mark.parametrize("harness", ("native", "sdt"))
 def test_rebuild_shares_closures(harness):
-    """A rebuild from equal pairs shares the block function."""
+    """A rebuild from equal pairs binds the same compiled block with
+    the function its runner made of it."""
     runner, entry, pairs, first, second = _build_twice(harness)
     assert second is not first
+    assert second.unbound is first.unbound
     assert second.fn is first.fn
     assert second.hits == 0 and second.region is None
     assert second.class_counts is not first.class_counts
@@ -92,7 +99,7 @@ def test_rebuild_shares_closures(harness):
 def test_rebuild_after_perturbation_is_coherent(harness, perturbation):
     _runner, entry, pairs, first, second = _build_twice(harness,
                                                         perturbation)
-    assert second.fn is first.fn
+    assert second.unbound is first.unbound
     assert second.coherent_with(entry, pairs)
 
 
@@ -119,30 +126,31 @@ def _record_builds(monkeypatch) -> list:
 def test_code_write_compiles_new_closure(monkeypatch, name, harness, config,
                                          shares):
     """A PC whose instruction a code write changed never runs a block
-    function built for the old instruction, and the run stays identical
-    to the oracle.  Functions are shared where a block is rebuilt
+    compiled for the old instruction, and the run stays identical to
+    the oracle.  Compiled blocks are shared where a block is rebuilt
     unchanged: smc_loop writes its code back to an earlier version, and
     a whole-cache flush re-translates unchanged code.  mini_jit writes a
-    new version each time, so under ``targeted`` every build makes a new
-    function."""
+    new version each time, so under ``targeted`` every build of the run
+    compiles a new block."""
     program = get_coherence_workload(name, "tiny").compile()
     reference = observe(program, harness, engine="oracle", **config)
     built = _record_builds(monkeypatch)
+    clear_stores()
     runner = make_runner(program, harness, engine="threaded", **config)
     runner.run()
     assert diff(reference, snapshot(runner), ALL) is None
 
-    functions = defaultdict(lambda: defaultdict(set))
+    compiled = defaultdict(lambda: defaultdict(set))
     for pairs, block in built:
         for pc, instr in pairs:
-            functions[pc][instr].add(block.fn)
-    rewritten = {pc: by_instr for pc, by_instr in functions.items()
+            compiled[pc][instr].add(block.unbound)
+    rewritten = {pc: by_instr for pc, by_instr in compiled.items()
                  if len(by_instr) > 1}
     assert rewritten, "the guest should have rewritten an instruction"
     for pc, by_instr in rewritten.items():
         groups = list(by_instr.values())
         assert sum(map(len, groups)) == len(set().union(*groups)), hex(pc)
-    distinct = len({id(block.fn) for _pairs, block in built})
+    distinct = len({id(block.unbound) for _pairs, block in built})
     assert (distinct < len(built)) is shares
 
 
@@ -153,8 +161,8 @@ def test_code_write_compiles_new_closure(monkeypatch, name, harness, config,
 def test_rewritten_versions_share_one_code_object(monkeypatch, harness,
                                                   config):
     """mini_jit at ``large`` writes 256 versions of one block that differ
-    only in an immediate: each gets its own function, all bound to one
-    code object, and the run stays identical to the oracle."""
+    only in an immediate: each is its own compiled block, all bound to
+    one code object, and the run stays identical to the oracle."""
     program = get_coherence_workload("mini_jit", "large").compile()
     reference = observe(program, harness, engine="oracle", **config)
     built = _record_builds(monkeypatch)
@@ -166,7 +174,7 @@ def test_rewritten_versions_share_one_code_object(monkeypatch, harness,
         by_entry[pairs[0][0]][tuple(pairs)] = block
     versions = max(by_entry.values(), key=len)
     assert len(versions) >= 256
-    assert len({id(block.fn) for block in versions.values()}) == \
+    assert len({id(block.unbound) for block in versions.values()}) == \
         len(versions)
     assert len({id(block.fn.__code__) for block in versions.values()}) == 1
 
@@ -191,14 +199,16 @@ def _count_compiles(monkeypatch) -> list:
 def test_code_versions_compile_once(monkeypatch, name, harness, config):
     """The non-vacuity bar of the kept versions: these guests write
     blocks back to an earlier version, so each distinct version is
-    compiled once and every later build of it reuses its function, in
+    compiled once and every later build of it binds that compile, in
     both harnesses, and the run stays identical to the oracle.  Under
     ``targeted`` no flush re-translates unchanged code, so only the
-    earlier versions are reused here."""
+    earlier versions are reused here.  The run starts from empty
+    stores, as in a fresh process."""
     program = get_coherence_workload(name, "tiny").compile()
     reference = observe(program, harness, engine="oracle", **config)
     built = _record_builds(monkeypatch)
     compiles = _count_compiles(monkeypatch)
+    clear_stores()
     runner = make_runner(program, harness, engine="threaded", **config)
     runner.run()
     assert diff(reference, snapshot(runner), ALL) is None
@@ -215,6 +225,7 @@ def test_flush_storm_compiles_fewer_blocks_than_it_translates(monkeypatch):
     runner = make_runner(program, "sdt", engine="threaded",
                          fragment_cache_bytes=1024)
     compiles = _count_compiles(monkeypatch)
+    clear_stores()
     runner.run()
     stats = runner.stats
     assert stats.cache_flushes > 100
@@ -222,19 +233,24 @@ def test_flush_storm_compiles_fewer_blocks_than_it_translates(monkeypatch):
 
 
 def test_traced_flush_run_emits_one_build_per_translation(monkeypatch):
-    rebuilds = []
-    rebuilt = Superblock.rebuilt
+    """A build emits ``plan.build`` once, whether it compiles or binds
+    an earlier compile."""
+    binds = []
+    bind = BlockCode.bind
 
-    def counting(self, trace=None):
-        rebuilds.append(1)
-        return rebuilt(self, trace)
+    def counting(self, *args, **kwargs):
+        binds.append(1)
+        return bind(self, *args, **kwargs)
 
-    monkeypatch.setattr(Superblock, "rebuilt", counting)
+    monkeypatch.setattr(BlockCode, "bind", counting)
+    compiles = _count_compiles(monkeypatch)
     program = get_workload("parser_like", "tiny").compile()
     runner = make_runner(program, "sdt", engine="threaded",
                          fragment_cache_bytes=1024, trace=TraceSpec())
+    clear_stores()
     runner.run()
     stats = runner.stats
-    assert stats.cache_flushes > 10 and rebuilds
+    assert stats.cache_flushes > 10
+    assert len(binds) == stats.fragments_translated > len(compiles)
     assert runner.trace.metrics.counters["plan.build"] == \
         stats.fragments_translated

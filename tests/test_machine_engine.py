@@ -30,6 +30,7 @@ from repro.machine.engine import (
     Superblock,
     compile_shape,
     default_engine,
+    machine_names,
     resolve_engine,
 )
 from repro.machine.errors import (
@@ -507,14 +508,23 @@ class TestSuperblock:
         assert word.lines[2:] == (0, 0, 0, 1)
 
     def test_rebuild_does_not_recount_classes(self, monkeypatch):
+        """Binding a compiled block again, here to another machine,
+        takes its class counts from the stored tuple, never by counting,
+        whatever fault injection did to the first binding's."""
         block = self._block([Op.ADD, Op.MUL, Op.ADD, Op.RET])
         pristine = dict(block.class_counts)
         apply_plan_perturbation(block, "classes")
         calls = []
         monkeypatch.setattr("repro.machine.engine._class_counts",
                             lambda iclasses: calls.append(iclasses))
-        rebuilt = block.rebuilt()
+        cpu, mem, sys_ = _fresh_state(2)
+        code = block.unbound
+        rebuilt = code.bind(code.function(machine_names(cpu, mem, sys_)),
+                            block.app_cycles, block.vector)
         assert calls == []
+        assert rebuilt.fn is not block.fn
+        assert rebuilt.fn.__code__ is block.fn.__code__
+        assert cpu.regs in rebuilt.fn.__defaults__
         assert rebuilt.class_counts == pristine
         assert list(rebuilt.class_counts) == list(pristine)
 

@@ -4,6 +4,8 @@ from conftest import run_minic_sdt
 from repro.host.profile import SIMPLE
 from repro.sdt.config import SDTConfig
 from repro.sdt.ib.ibtc import IBTC, ibtc_index
+from repro.sdt.vm import SDTVM
+from repro.workloads import get_workload
 
 import pytest
 
@@ -146,6 +148,35 @@ class TestFlush:
         from conftest import run_minic
 
         assert result.output == run_minic(source).output
+
+    @pytest.mark.parametrize("shared", (True, False),
+                             ids=("shared", "persite"))
+    def test_refill_survives_flush_during_reentry(self, shared):
+        """A miss whose re-entry flushes the fragment cache fills the
+        table that the site's next dispatch probes.  The flush drops
+        the per-site tables, so a fill into the table fetched before
+        re-entry would land in an orphan."""
+        program = get_workload("perl_like", "tiny").compile()
+        vm = SDTVM(program, config=SDTConfig(ibtc_shared=shared,
+                                             fragment_cache_bytes=1024))
+        ibtc = vm.generic_ib
+        dispatch = ibtc.dispatch
+        kept = []
+
+        def checking(fragment, ib_pc, target):
+            flushes = vm.stats.cache_flushes
+            successor = dispatch(fragment, ib_pc, target)
+            if vm.stats.cache_flushes != flushes:
+                table = (ibtc._shared_table if shared
+                         else ibtc._site_tables.get(ib_pc, {}))
+                index = ibtc_index(target, ibtc.entries - 1)
+                kept.append(table.get(index) is successor)
+            return successor
+
+        ibtc.dispatch = checking
+        vm.run()
+        assert kept, "no miss flushed the cache"
+        assert all(kept), f"{kept.count(False)} of {len(kept)} fills lost"
 
 
 class TestInlining:

@@ -1,15 +1,18 @@
 """The translator's byte-checked walks.
 
-``Translator`` keeps the last straight-line walk from each entry PC and
-reuses it only when guest memory still holds the bytes it decoded.  So a
-re-translation of unchanged code decodes nothing, whatever the
-coherence policy, and a changed word is decoded anew even when no write
-watch saw the store.
+``repro.sdt.translator.WALKS`` keeps the last few straight-line walks
+from each entry PC, for every translator of the process, and a
+translator reuses one only when it lies inside its program's text and
+guest memory still holds the bytes it decoded.  So a translation of
+unchanged code decodes nothing, whatever the coherence policy, and a
+changed word is decoded anew even when no write watch saw the store.
+Each counted run starts from empty stores, as in a fresh process.
 """
 
 from __future__ import annotations
 
 import pytest
+from conftest import clear_stores
 
 import repro.sdt.translator as translator_module
 from repro.host.costs import HostModel
@@ -30,8 +33,10 @@ pytestmark = pytest.mark.usefixtures("no_faults")
 
 @pytest.fixture
 def decodes(monkeypatch) -> list[int]:
-    """Every word the translator decodes, in order."""
+    """Every word the translator decodes, in order, from empty
+    stores."""
     words: list[int] = []
+    clear_stores()
 
     def counting(word):
         words.append(word)
@@ -55,6 +60,7 @@ def test_flush_decodes_no_more_than_targeted(decodes, name):
     counts = {}
     for policy in ("flush", "targeted"):
         decodes.clear()
+        clear_stores()
         vm = SDTVM(program, config=SDTConfig(coherence=policy))
         vm.run()
         counts[policy] = (len(decodes), vm.stats.instrs_translated)
